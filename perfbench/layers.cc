@@ -21,7 +21,7 @@
  *
  * Usage:
  *   perfbench_layers --manifest FILE --records-out FILE
- *                    [--memoize] [--workers N] [--serve-manifest FILE]
+ *                    --serve-manifest FILE [--memoize]
  *
  * Prints one JSON object of metrics on stdout.
  */
@@ -38,6 +38,7 @@
 
 #include "bpred/bpred_unit.hh"
 #include "cache/hierarchy.hh"
+#include "common/arg_parse.hh"
 #include "confidence/bpru.hh"
 #include "confidence/jrs.hh"
 #include "core/experiment.hh"
@@ -55,6 +56,10 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
+
+/** Workers of the in-process runJobs wave; its records are the same at
+ *  any worker count, and the wave is not timed. */
+constexpr unsigned kWorkers = 4;
 
 double
 nsSince(Clock::time_point t0)
@@ -279,39 +284,30 @@ replayComponents(SimConfig cfg, Metrics &m)
 int
 main(int argc, char **argv)
 {
+    const char *usage = "usage: perfbench_layers --manifest FILE "
+                        "--records-out FILE --serve-manifest FILE "
+                        "[--memoize]\n";
+    args::Diag diag;
+    diag.missingValue = [usage](const char *flag) {
+        std::fprintf(stderr, "perfbench_layers: %s needs a value\n%s", flag,
+                     usage);
+        std::exit(2);
+    };
+    diag.unknown = [usage](const char *arg) {
+        std::fprintf(stderr, "perfbench_layers: unknown flag %s\n%s", arg,
+                     usage);
+        std::exit(2);
+    };
     std::string manifest, recordsOut, serveManifest;
     bool memoize = false;
-    unsigned workers = 4;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "perfbench_layers: %s needs a value\n",
-                             a.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--manifest")
-            manifest = value();
-        else if (a == "--records-out")
-            recordsOut = value();
-        else if (a == "--serve-manifest")
-            serveManifest = value();
-        else if (a == "--workers")
-            workers = static_cast<unsigned>(std::stoul(value()));
-        else if (a == "--memoize")
-            memoize = true;
-        else {
-            std::fprintf(stderr, "perfbench_layers: unknown flag %s\n",
-                         a.c_str());
-            return 2;
-        }
-    }
-    if (manifest.empty() || recordsOut.empty()) {
-        std::fprintf(stderr, "usage: perfbench_layers --manifest FILE "
-                             "--records-out FILE [--memoize] [--workers N] "
-                             "[--serve-manifest FILE]\n");
+    args::FlagSet fs(diag);
+    fs.str("--manifest", "FILE", &manifest)
+        .str("--records-out", "FILE", &recordsOut)
+        .str("--serve-manifest", "FILE", &serveManifest)
+        .boolean("--memoize", &memoize);
+    fs.parse(argc, argv, 1);
+    if (manifest.empty() || recordsOut.empty() || serveManifest.empty()) {
+        std::fputs(usage, stderr);
         return 2;
     }
     Metrics m;
@@ -354,7 +350,7 @@ main(int argc, char **argv)
         std::ofstream out(recordsOut);
         JsonlResultsSink sink(out);
         RunOptions opts;
-        opts.workers = workers;
+        opts.workers = kWorkers;
         opts.memoizeWarmup = memoize;
         StreamStats st = runJobs(jobs, sink, opts);
         out.close();
@@ -417,30 +413,27 @@ main(int argc, char **argv)
 
     replayComponents(jobs.front().cfg, m);
 
-    // serve: per-request service time without the socket, over every
-    // distinct request of the serve mix (three passes).
-    if (!serveManifest.empty()) {
+    // serve: per-request service time without the socket, one pass over
+    // every distinct request of the serve mix.
+    {
         std::vector<std::string> reqs = readLines(serveManifest);
         std::vector<double> ms;
-        for (int pass = 0; pass < 3; ++pass) {
-            for (std::size_t i = 0; i < reqs.size(); ++i) {
-                std::string frame =
-                    "{\"id\":" + std::to_string(i) + "," +
-                    reqs[i].substr(1);
-                auto t0 = Clock::now();
-                serde::ServeRequest req;
-                if (!serde::parseServeRequest(frame, req)) {
-                    std::fprintf(stderr, "perfbench_layers: bad serve "
-                                         "request %zu\n", i);
-                    return 1;
-                }
-                Simulator sim(req.job.cfg);
-                SimResults r = sim.run();
-                r.experiment = req.job.experiment;
-                std::string reply = serde::resultRecordToJson(req.id, r);
-                ms.push_back(nsSince(t0) / 1e6);
-                g_sink += reply.size();
+        for (std::size_t i = 0; i < reqs.size(); ++i) {
+            std::string frame =
+                "{\"id\":" + std::to_string(i) + "," + reqs[i].substr(1);
+            auto t0 = Clock::now();
+            serde::ServeRequest req;
+            if (!serde::parseServeRequest(frame, req)) {
+                std::fprintf(stderr, "perfbench_layers: bad serve "
+                                     "request %zu\n", i);
+                return 1;
             }
+            Simulator sim(req.job.cfg);
+            SimResults r = sim.run();
+            r.experiment = req.job.experiment;
+            std::string reply = serde::resultRecordToJson(req.id, r);
+            ms.push_back(nsSince(t0) / 1e6);
+            g_sink += reply.size();
         }
         m.set("serve.service_ms", median(ms));
     }

@@ -44,7 +44,7 @@ BATCH_WORKERS = 4   # `dump --jobs`: one per core of the 4-core box
 SERVE_WORKERS = 2   # `stsim_serve --jobs`
 SERVE_CLIENTS = 4   # closed-loop connections of the one client process
 SERVE_RUN_SEEDS = 32  # runSeeds per serve (benchmark, experiment)
-SETUP_REPS = 7      # set-up is measured this many times per run
+SETUP_REPS = 15     # set-up is measured this many times per run
 TRACED_SECONDS = 12  # cap on a traced batch run's interleaved passes
 
 FIG5 = (500_000, 150_000)       # bench drivers' measured / warmup insts
@@ -304,16 +304,14 @@ def probe_jobs(templates, source, make):
     return out
 
 
-def setup_jobs(jobs):
-    """The job set with every run cut to one measured instruction and
-    no warmup: what remains is the entry point's fixed cost."""
-    out = []
-    for j in jobs:
-        j = json.loads(job_line(j))
-        j["cfg"]["maxInstructions"] = 1
-        j["cfg"]["warmupInstructions"] = 0
-        out.append(j)
-    return out
+def setup_job(job):
+    """@p job cut to one measured instruction and no warmup: what
+    remains is the entry point's cost before a job simulates (process
+    start, request parse, program build, construction)."""
+    j = json.loads(job_line(job))
+    j["cfg"]["maxInstructions"] = 1
+    j["cfg"]["warmupInstructions"] = 0
+    return j
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +358,17 @@ def dump_lines(ctx, manifest_path, memoize=False):
 
 
 def batch_setup_s(ctx, jobs, memoize):
-    path = ctx.write_jobs("setup.jsonl", setup_jobs(jobs))
-    walls = []
+    """Launch of a one-job `dump` until its record arrives; median of
+    SETUP_REPS launches."""
+    path = ctx.write_jobs("setup.jsonl", [setup_job(jobs[0])])
+    firsts = []
     for _ in range(SETUP_REPS):
         p = dump_pass(ctx, path, memoize)
-        if len(p.lines) != len(jobs):
-            ctx.gate.fail("set-up dump returned %d of %d records"
-                          % (len(p.lines), len(jobs)))
-        walls.append(p.wall)
-    return median(walls)
+        if len(p.lines) != 1:
+            ctx.gate.fail("set-up dump returned %d records for 1 job"
+                          % len(p.lines))
+        firsts.append(p.arrivals[0] if p.arrivals else p.wall)
+    return median(firsts)
 
 
 def batch_passes(ctx, manifest_path, memoize):
@@ -388,22 +388,30 @@ def batch_passes(ctx, manifest_path, memoize):
 
 
 def batch_metrics(jobs, passes):
-    """wall_s, jobs_per_s, record latencies and peak RSS: per-pass
-    values, median over the run's passes."""
+    """wall_s, jobs_per_s and record arrival times per pass, reported as
+    their fast quartile over the run's passes; peak RSS over the run.
+
+    `dump` writes records through a block-buffered stdout, so on a pipe
+    they arrive in flushes of a few records and the last ones at exit:
+    p50_ms is when half the records were in the consumer's hands, and
+    p99_ms tracks wall_s."""
     return {"wall_s": per_pass(passes, lambda p: p.wall),
-            "jobs_per_s": per_pass(passes, lambda p: len(jobs) / p.wall),
+            "jobs_per_s": per_pass(passes, lambda p: len(jobs) / p.wall,
+                                   "higher"),
             "p50_ms": per_pass(passes,
                                lambda p: 1e3 * quantile(p.arrivals, 0.50)),
             "p99_ms": per_pass(passes,
                                lambda p: 1e3 * quantile(p.arrivals, 0.99)),
-            "peak_rss_mb": per_pass(passes, lambda p: p.rss_mb)}
+            "peak_rss_mb": max(p.rss_mb for p in passes)}
 
 
-def per_pass(passes, value):
-    """Median over passes. Host speed on the shared 4-core machine
-    swings by 15-30% from pass to pass and by about 10% over tens of
-    seconds; CPU time swings with wall time, so it is not preemption."""
-    return median([value(p) for p in passes])
+def per_pass(passes, value, better="lower"):
+    """A run's value of a host-time metric from its per-pass values: the
+    lower quartile of times, the upper quartile of rates. Contention
+    from other work on the host only ever makes a pass slower, so the
+    fast quartile leaves out the passes it hit hardest."""
+    return quantile([value(p) for p in passes],
+                    0.25 if better == "lower" else 0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +556,11 @@ class ServeSession:
             self.run(order)
 
     def metrics(self):
-        """wall_s, jobs_per_s, p50_ms, p99_ms: per-pass values, median
-        over passes."""
+        """wall_s, jobs_per_s, p50_ms, p99_ms: per-pass values (1024
+        latencies a pass), their fast quartile over the passes."""
         return {"wall_s": per_pass(self.passes, lambda p: p[0]),
-                "jobs_per_s": per_pass(self.passes, lambda p: p[1] / p[0]),
+                "jobs_per_s": per_pass(self.passes, lambda p: p[1] / p[0],
+                                       "higher"),
                 "p50_ms": per_pass(self.passes,
                                    lambda p: 1e3 * quantile(p[2], 0.50)),
                 "p99_ms": per_pass(self.passes,
@@ -561,19 +570,22 @@ class ServeSession:
         return self.daemon.stop()
 
 
-def serve_setup_s(ctx, job_lines, expected):
-    """Daemon launch until it has answered a priming pass (one request
-    per benchmark and experiment); the last daemon stays up for the
-    measurement."""
-    walls, session = [], None
+def serve_setup_s(ctx, mix):
+    """Daemon launch until it has answered a priming pass: one request
+    per benchmark and experiment of the mix, cut to one instruction, so
+    every program is built and every configuration constructed once.
+    Median of SETUP_REPS launches."""
+    jobs = [setup_job(j) for j in mix.jobs[:SERVE_KINDS]]
+    lines = [job_line(j).encode() for j in jobs]
+    expected = dump_lines(ctx, ctx.write_jobs("setup.jsonl", jobs))
+    ctx.gate.check_batch(jobs, expected, "serve set-up dump")
+    walls = []
     for _ in range(SETUP_REPS):
-        if session:
-            session.stop()
-        session = ServeSession(ctx, job_lines, expected)
-        session.run(list(range(SERVE_KINDS)))
+        session = ServeSession(ctx, lines, expected)
+        session.run(list(range(len(lines))))
         walls.append(time.perf_counter() - session.daemon.t0)
-    session.passes = []
-    return median(walls), session
+        session.stop()
+    return median(walls)
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +708,7 @@ def sim_metrics(ctx, jobs, records):
 def layer_harness(ctx, manifest_path, memoize, serve_manifest):
     out = ctx.fresh("inproc.jsonl")
     cmd = [LAYERS, "--manifest", manifest_path, "--records-out", out,
-           "--workers", str(BATCH_WORKERS), "--serve-manifest",
-           serve_manifest]
+           "--serve-manifest", serve_manifest]
     if memoize:
         cmd.append("--memoize")
     rc, stdout, _ = ctx.procs.run(cmd, stderr=ctx.log)
@@ -791,9 +802,10 @@ def common_layers(ctx, jobs, manifest_path, memoize, records, ref_lines,
                   mix):
     """Per-layer metrics every traced run reports, whatever its
     workload: the in-process harness, simulated counts, the serve
-    service time and the two process hops (on one job per benchmark
-    and experiment of the serve mix) and the C2-vs-PG fidelity."""
-    m, inproc = layer_harness(ctx, manifest_path, memoize, mix.kinds_path)
+    service time over the whole serve mix, the two process hops (on one
+    job per benchmark and experiment of the mix) and the C2-vs-PG
+    fidelity."""
+    m, inproc = layer_harness(ctx, manifest_path, memoize, mix.path)
     ctx.gate.check_identical(ref_lines, inproc, "in-process runJobs")
     m.update(sim_metrics(ctx, jobs, records))
     m["serve.isolate_hop_ms"] = isolate_hop_ms(
@@ -830,8 +842,9 @@ def batch_workload(ctx, jobs, memoize):
     if not ctx.trace:
         m = {"setup_s": setup}
         m.update(batch_metrics(jobs, plain))
-        ctx.note("%d passes of %d jobs, walls %s"
-                 % (len(plain), len(jobs), [p.wall for p in plain]))
+        ctx.note("%d passes of %d jobs, walls %s, peak RSS MB %s"
+                 % (len(plain), len(jobs), [p.wall for p in plain],
+                    [p.rss_mb for p in plain]))
         fig5 = records if ctx.workload == "fig5-sweep" else None
         m.update(end_to_end_fidelity(fidelity(ctx, fig5)))
         return m
@@ -870,7 +883,8 @@ def serve_short(ctx):
     order_rng = random.Random(ctx.seed)
 
     if not ctx.trace:
-        setup, session = serve_setup_s(ctx, mix.lines, mix.expected)
+        setup = serve_setup_s(ctx, mix)
+        session = ServeSession(ctx, mix.lines, mix.expected)
         session.run_for(ctx.seconds, order_rng)
         rss = session.stop()
         m = {"setup_s": setup, "peak_rss_mb": rss}
