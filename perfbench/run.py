@@ -13,6 +13,7 @@ and which end-to-end metric each per-layer metric should move.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -44,7 +45,7 @@ BATCH_WORKERS = 4   # `dump --jobs`: one per core of the 4-core box
 SERVE_WORKERS = 2   # `stsim_serve --jobs`
 SERVE_CLIENTS = 4   # closed-loop connections of the one client process
 SERVE_RUN_SEEDS = 32  # runSeeds per serve (benchmark, experiment)
-SETUP_REPS = 15     # set-up is measured this many times per run
+SETUP_REPS = 31     # set-up is measured this many times per run
 TRACED_SECONDS = 12  # cap on a traced batch run's interleaved passes
 
 FIG5 = (500_000, 150_000)       # bench drivers' measured / warmup insts
@@ -105,6 +106,19 @@ class Procs:
                 p.kill()
             p.wait()
             self.live.remove(p)
+
+
+def steal_s():
+    """CPU time the hypervisor gave to other guests while this machine's
+    CPUs had work, summed over the CPUs (0 where /proc/stat has no steal
+    column). Printed with each run: a run measured while it grew is a
+    noisy run."""
+    try:
+        with open("/proc/stat") as f:
+            fields = f.readline().split()
+        return int(fields[8]) / os.sysconf("SC_CLK_TCK")
+    except (OSError, IndexError, ValueError):
+        return 0.0
 
 
 def peak_rss_mb(pid, last=0.0):
@@ -389,29 +403,27 @@ def batch_passes(ctx, manifest_path, memoize):
 
 def batch_metrics(jobs, passes):
     """wall_s, jobs_per_s and record arrival times per pass, reported as
-    their fast quartile over the run's passes; peak RSS over the run.
+    their median over the run's passes; peak RSS over the run.
 
     `dump` writes records through a block-buffered stdout, so on a pipe
     they arrive in flushes of a few records and the last ones at exit:
     p50_ms is when half the records were in the consumer's hands, and
-    p99_ms tracks wall_s."""
+    p90_ms tracks wall_s."""
     return {"wall_s": per_pass(passes, lambda p: p.wall),
-            "jobs_per_s": per_pass(passes, lambda p: len(jobs) / p.wall,
-                                   "higher"),
+            "jobs_per_s": per_pass(passes, lambda p: len(jobs) / p.wall),
             "p50_ms": per_pass(passes,
                                lambda p: 1e3 * quantile(p.arrivals, 0.50)),
-            "p99_ms": per_pass(passes,
-                               lambda p: 1e3 * quantile(p.arrivals, 0.99)),
+            "p90_ms": per_pass(passes,
+                               lambda p: 1e3 * quantile(p.arrivals, 0.90)),
             "peak_rss_mb": max(p.rss_mb for p in passes)}
 
 
-def per_pass(passes, value, better="lower"):
-    """A run's value of a host-time metric from its per-pass values: the
-    lower quartile of times, the upper quartile of rates. Contention
-    from other work on the host only ever makes a pass slower, so the
-    fast quartile leaves out the passes it hit hardest."""
-    return quantile([value(p) for p in passes],
-                    0.25 if better == "lower" else 0.75)
+def per_pass(passes, value):
+    """A run's value of a host-time metric: the median of its per-pass
+    values. The host's per-vCPU speed swings both ways from one second
+    to the next; over the 10 s windows of one long session, the median
+    of the passes varied about half as much as their fast quartile."""
+    return median([value(p) for p in passes])
 
 
 # ---------------------------------------------------------------------------
@@ -548,23 +560,31 @@ class ServeSession:
         ok = sum(1 for r in replies if r.startswith(b'{"index"'))
         self.passes.append((wall, ok, lat))
 
-    def run_for(self, seconds, rng):
+    def run_for(self, seconds, rng, warm_up=False):
+        """Passes for @p seconds; with @p warm_up, one untimed pass
+        first, so the first requests' one-off costs (the daemon's first
+        program builds, cold caches) stay out of the timed passes."""
+        if warm_up:
+            self.run(self.order(rng))
+            self.passes.clear()
         t_end = time.perf_counter() + seconds
         while not self.passes or time.perf_counter() < t_end:
-            order = list(range(len(self.job_lines)))
-            rng.shuffle(order)
-            self.run(order)
+            self.run(self.order(rng))
+
+    def order(self, rng):
+        order = list(range(len(self.job_lines)))
+        rng.shuffle(order)
+        return order
 
     def metrics(self):
-        """wall_s, jobs_per_s, p50_ms, p99_ms: per-pass values (1024
-        latencies a pass), their fast quartile over the passes."""
+        """wall_s, jobs_per_s, p50_ms, p90_ms: per-pass values (1024
+        latencies a pass), their median over the passes."""
         return {"wall_s": per_pass(self.passes, lambda p: p[0]),
-                "jobs_per_s": per_pass(self.passes, lambda p: p[1] / p[0],
-                                       "higher"),
+                "jobs_per_s": per_pass(self.passes, lambda p: p[1] / p[0]),
                 "p50_ms": per_pass(self.passes,
                                    lambda p: 1e3 * quantile(p[2], 0.50)),
-                "p99_ms": per_pass(self.passes,
-                                   lambda p: 1e3 * quantile(p[2], 0.99))}
+                "p90_ms": per_pass(self.passes,
+                                   lambda p: 1e3 * quantile(p[2], 0.90))}
 
     def stop(self):
         return self.daemon.stop()
@@ -828,7 +848,9 @@ def overhead_pct(traced_walls, plain_walls):
 def batch_workload(ctx, jobs, memoize):
     path = ctx.write_jobs("jobs.jsonl", jobs)
     setup = batch_setup_s(ctx, jobs, memoize)
+    stolen = steal_s()
     plain, traced = batch_passes(ctx, path, memoize)
+    stolen = steal_s() - stolen
     ref = plain[0].lines
     records = ctx.gate.check_batch(jobs, ref, "dump")
     for p in plain[1:]:
@@ -842,9 +864,10 @@ def batch_workload(ctx, jobs, memoize):
     if not ctx.trace:
         m = {"setup_s": setup}
         m.update(batch_metrics(jobs, plain))
-        ctx.note("%d passes of %d jobs, walls %s, peak RSS MB %s"
+        ctx.note("%d passes of %d jobs, walls %s, peak RSS MB %s, "
+                 "host steal %.2f s"
                  % (len(plain), len(jobs), [p.wall for p in plain],
-                    [p.rss_mb for p in plain]))
+                    [p.rss_mb for p in plain], stolen))
         fig5 = records if ctx.workload == "fig5-sweep" else None
         m.update(end_to_end_fidelity(fidelity(ctx, fig5)))
         return m
@@ -885,13 +908,15 @@ def serve_short(ctx):
     if not ctx.trace:
         setup = serve_setup_s(ctx, mix)
         session = ServeSession(ctx, mix.lines, mix.expected)
-        session.run_for(ctx.seconds, order_rng)
+        stolen = steal_s()
+        session.run_for(ctx.seconds, order_rng, warm_up=True)
+        stolen = steal_s() - stolen
         rss = session.stop()
         m = {"setup_s": setup, "peak_rss_mb": rss}
         m.update(session.metrics())
-        ctx.note("%d passes of %d requests, walls %s"
+        ctx.note("%d passes of %d requests, walls %s, host steal %.2f s"
                  % (len(session.passes), len(mix.jobs),
-                    [p[0] for p in session.passes]))
+                    [p[0] for p in session.passes], stolen))
         m.update(end_to_end_fidelity(fidelity(ctx)))
         return m
 
@@ -955,11 +980,15 @@ def main(argv=None):
               flush=True)
         ctx = Ctx(args)
         os.makedirs(ctx.dir)
+        # The parsed records are large and acyclic: a full collection
+        # over them takes about 8 ms, which would read as latency.
+        gc.disable()
         values = WORKLOADS[args.workload](ctx)
     except BenchError as e:
         print("perfbench: error: %s" % e, file=sys.stderr)
         return 2
     finally:
+        gc.enable()
         if ctx:
             ctx.procs.stop_all()
             ctx.log.close()
