@@ -13,6 +13,7 @@
 #include "bpred/btb.hh"
 #include "bpred/direction_predictor.hh"
 #include "bpred/ras.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "trace/instruction.hh"
 
@@ -30,6 +31,17 @@ struct BpredConfig
     std::size_t btbWays = 2;
     std::size_t rasEntries = 32;
 };
+
+template <FieldsOf<BpredConfig> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("kind", s.kind);
+    v("predictorBytes", s.predictorBytes);
+    v("btbEntries", s.btbEntries);
+    v("btbWays", s.btbWays);
+    v("rasEntries", s.rasEntries);
+}
 
 /**
  * Everything the front end learns about one control instruction at

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace stsim
@@ -32,6 +33,17 @@ struct CacheConfig
     std::size_t lineBytes = 32;
     unsigned hitLatency = 1;
 };
+
+template <FieldsOf<CacheConfig> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("name", s.name);
+    v("sizeBytes", s.sizeBytes);
+    v("ways", s.ways);
+    v("lineBytes", s.lineBytes);
+    v("hitLatency", s.hitLatency);
+}
 
 /**
  * Blocking set-associative cache with true-LRU replacement. Tracks

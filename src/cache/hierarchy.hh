@@ -10,6 +10,7 @@
 
 #include "cache/cache.hh"
 #include "cache/tlb.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace stsim
@@ -28,6 +29,20 @@ struct MemoryConfig
     /** Extra DL1 latency added by deep-pipeline configs (§5.3.1). */
     unsigned dl1ExtraLatency = 0;
 };
+
+template <FieldsOf<MemoryConfig> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("il1", s.il1);
+    v("dl1", s.dl1);
+    v("l2", s.l2);
+    v("memLatency", s.memLatency);
+    v("tlbEntries", s.tlbEntries);
+    v("pageBytes", s.pageBytes);
+    v("tlbMissPenalty", s.tlbMissPenalty);
+    v("dl1ExtraLatency", s.dl1ExtraLatency);
+}
 
 /** Result of a hierarchy access. */
 struct MemAccessResult

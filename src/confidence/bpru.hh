@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "confidence/estimator.hh"
 
 namespace stsim
@@ -103,6 +104,16 @@ class BpruEstimator : public ConfidenceEstimator
     Counter lookups_ = 0;
     Counter hits_ = 0;
 };
+
+template <FieldsOf<BpruEstimator::Params> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("missInc", s.missInc);
+    v("correctDec", s.correctDec);
+    v("allocValue", s.allocValue);
+    v("tagBits", s.tagBits);
+}
 
 } // namespace stsim
 

@@ -1,8 +1,13 @@
 #include "job_serde.hh"
 
+#include <array>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -33,7 +38,7 @@ struct JVal
     std::vector<std::pair<std::string, JVal>> obj;
 
     const JVal *
-    find(const std::string &key) const
+    find(std::string_view key) const
     {
         for (const auto &[k, v] : obj)
             if (k == key)
@@ -42,14 +47,13 @@ struct JVal
     }
 
     const JVal &
-    at(const std::string &key) const
+    at(const char *key) const
     {
         if (kind != Kind::Obj)
-            stsim_fatal("serde: '%s' looked up on a non-object",
-                        key.c_str());
+            stsim_fatal("serde: '%s' looked up on a non-object", key);
         if (const JVal *v = find(key))
             return *v;
-        stsim_fatal("serde: missing key '%s'", key.c_str());
+        stsim_fatal("serde: missing key '%s'", key);
     }
 
     std::uint64_t
@@ -57,33 +61,31 @@ struct JVal
     {
         if (kind != Kind::Num)
             stsim_fatal("serde: expected an integer");
-        // strtoull would silently wrap a negative value to 2^64-v.
+        // strtoull would silently wrap a negative value to 2^64-v and
+        // saturate one above 2^64-1.
         if (num.empty() || num[0] == '-')
             stsim_fatal("serde: bad integer '%s' (must be unsigned)",
                         num.c_str());
         char *end = nullptr;
+        errno = 0;
         std::uint64_t v = std::strtoull(num.c_str(), &end, 10);
-        if (!end || *end != '\0')
+        if (!end || *end != '\0' || errno == ERANGE)
             stsim_fatal("serde: bad integer '%s'", num.c_str());
         return v;
     }
 
-    unsigned
-    asUnsigned() const
+    /** An unsigned integer that must fit field @p key of type T. */
+    template <typename T>
+    T
+    asUnsigned(const char *key) const
     {
-        return static_cast<unsigned>(asU64());
-    }
-
-    std::size_t
-    asSize() const
-    {
-        return static_cast<std::size_t>(asU64());
-    }
-
-    std::uint32_t
-    asU32() const
-    {
-        return static_cast<std::uint32_t>(asU64());
+        std::uint64_t v = asU64();
+        if (v > std::numeric_limits<T>::max())
+            stsim_fatal("serde: '%s' value %s is out of range "
+                        "(max %" PRIu64 ")",
+                        key, num.c_str(),
+                        std::uint64_t{std::numeric_limits<T>::max()});
+        return static_cast<T>(v);
     }
 
     double
@@ -320,678 +322,223 @@ class Parser
 };
 
 // ---------------------------------------------------------------------------
-// Writer: appends "key":value pairs with a fixed field order so that
-// serialize(parse(serialize(x))) is byte-identical to serialize(x).
+// Field-list writer and reader. A struct with a visitFields list is an
+// object with its fields in list order; each field type has one JSON
+// shape:
+//   std::string       string
+//   bool              true / false
+//   unsigned integer  number (rejected on input above the type's max)
+//   double            hex-float string (plain numbers accepted on input)
+//   enum              its wire name (wireNames)
+//   std::array        array of exactly N elements
+//   std::optional     written only when set; absent or null reads unset
+//   struct            nested object
 // ---------------------------------------------------------------------------
 
-class Obj
+template <typename T>
+constexpr bool kIsOptional = false;
+template <typename T>
+constexpr bool kIsOptional<std::optional<T>> = true;
+
+template <typename T>
+constexpr bool kIsArray = false;
+template <typename T, std::size_t N>
+constexpr bool kIsArray<std::array<T, N>> = true;
+
+/** Wire names of the enums the formats carry, indexed by value. */
+constexpr auto
+wireNames(ConfKind)
 {
-  public:
-    explicit Obj(std::string &out) : out_(out) { out_ += '{'; }
+    return std::array{"none", "bpru", "jrs", "perfect"};
+}
 
-    void
-    raw(const char *key, const std::string &value)
-    {
-        sep();
-        out_ += '"';
-        out_ += key;
-        out_ += "\":";
-        out_ += value;
-    }
-
-    void
-    str(const char *key, const std::string &value)
-    {
-        sep();
-        out_ += '"';
-        out_ += key;
-        out_ += "\":";
-        appendQuoted(out_, value);
-    }
-
-    void
-    u64(const char *key, std::uint64_t value)
-    {
-        char buf[24];
-        std::snprintf(buf, sizeof buf, "%" PRIu64, value);
-        raw(key, buf);
-    }
-
-    void
-    boolean(const char *key, bool value)
-    {
-        raw(key, value ? "true" : "false");
-    }
-
-    void
-    dbl(const char *key, double value)
-    {
-        str(key, doubleToHex(value));
-    }
-
-    void
-    close()
-    {
-        out_ += '}';
-    }
-
-    static void
-    appendQuoted(std::string &out, const std::string &s)
-    {
-        out += '"';
-        for (char c : s) {
-            switch (c) {
-              case '"': out += "\\\""; break;
-              case '\\': out += "\\\\"; break;
-              case '\n': out += "\\n"; break;
-              case '\t': out += "\\t"; break;
-              case '\r': out += "\\r"; break;
-              default: out += c;
-            }
-        }
-        out += '"';
-    }
-
-  private:
-    void
-    sep()
-    {
-        if (!first_)
-            out_ += ',';
-        first_ = false;
-    }
-
-    std::string &out_;
-    bool first_ = true;
-};
-
-std::string
-dblArray(const double *v, std::size_t n)
+constexpr auto
+wireNames(OracleMode)
 {
-    std::string out = "[";
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i)
-            out += ',';
-        Obj::appendQuoted(out, doubleToHex(v[i]));
-    }
-    out += ']';
-    return out;
+    return std::array{"none", "oracle-fetch", "oracle-decode",
+                      "oracle-select"};
+}
+
+constexpr auto
+wireNames(SpecControlMode)
+{
+    return std::array{"none", "selective", "pipeline-gating"};
+}
+
+constexpr auto
+wireNames(BandwidthLevel)
+{
+    return std::array{"1/1", "1/2", "1/4", "0"};
+}
+
+constexpr auto
+wireNames(ClockGatingStyle)
+{
+    return std::array{"cc0", "cc3"};
+}
+
+constexpr auto
+wireNames(BpredConfig::Kind)
+{
+    return std::array{"gshare", "bimodal"};
+}
+
+template <typename E>
+const char *
+wireName(E e)
+{
+    auto names = wireNames(e);
+    auto i = static_cast<std::size_t>(e);
+    return i < names.size() ? names[i] : "?";
+}
+
+template <typename E>
+E
+enumFromName(const std::string &s, const char *key)
+{
+    auto names = wireNames(E{});
+    for (std::size_t i = 0; i < names.size(); ++i)
+        if (s == names[i])
+            return static_cast<E>(i);
+    stsim_fatal("serde: unknown %s '%s'", key, s.c_str());
 }
 
 void
-parseDblArray(const JVal &v, double *out, std::size_t n)
+appendQuoted(std::string &out, std::string_view s)
 {
-    if (v.kind != JVal::Kind::Arr || v.arr.size() != n)
-        stsim_fatal("serde: expected an array of %zu doubles", n);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = v.arr[i].asDouble();
-}
-
-// ---------------------------------------------------------------------------
-// Enum <-> name maps. To-string reuses the display-name functions the
-// rest of the codebase already exposes.
-// ---------------------------------------------------------------------------
-
-ConfKind
-confKindFromName(const std::string &s)
-{
-    for (ConfKind k : {ConfKind::None, ConfKind::Bpru, ConfKind::Jrs,
-                       ConfKind::Perfect}) {
-        if (s == confKindName(k))
-            return k;
-    }
-    stsim_fatal("serde: unknown confKind '%s'", s.c_str());
-}
-
-OracleMode
-oracleModeFromName(const std::string &s)
-{
-    for (OracleMode m :
-         {OracleMode::None, OracleMode::OracleFetch,
-          OracleMode::OracleDecode, OracleMode::OracleSelect}) {
-        if (s == oracleModeName(m))
-            return m;
-    }
-    stsim_fatal("serde: unknown oracle mode '%s'", s.c_str());
-}
-
-const char *
-specModeName(SpecControlMode m)
-{
-    switch (m) {
-      case SpecControlMode::None: return "none";
-      case SpecControlMode::Selective: return "selective";
-      case SpecControlMode::PipelineGating: return "pipeline-gating";
-    }
-    return "?";
-}
-
-SpecControlMode
-specModeFromName(const std::string &s)
-{
-    for (SpecControlMode m :
-         {SpecControlMode::None, SpecControlMode::Selective,
-          SpecControlMode::PipelineGating}) {
-        if (s == specModeName(m))
-            return m;
-    }
-    stsim_fatal("serde: unknown specControl mode '%s'", s.c_str());
-}
-
-BandwidthLevel
-bandwidthFromName(const std::string &s)
-{
-    for (BandwidthLevel l :
-         {BandwidthLevel::Full, BandwidthLevel::Half,
-          BandwidthLevel::Quarter, BandwidthLevel::Stall}) {
-        if (s == bandwidthLevelName(l))
-            return l;
-    }
-    stsim_fatal("serde: unknown bandwidth level '%s'", s.c_str());
-}
-
-const char *
-gatingStyleName(ClockGatingStyle s)
-{
-    return s == ClockGatingStyle::cc0 ? "cc0" : "cc3";
-}
-
-ClockGatingStyle
-gatingStyleFromName(const std::string &s)
-{
-    if (s == "cc0")
-        return ClockGatingStyle::cc0;
-    if (s == "cc3")
-        return ClockGatingStyle::cc3;
-    stsim_fatal("serde: unknown clock-gating style '%s'", s.c_str());
-}
-
-const char *
-bpredKindName(BpredConfig::Kind k)
-{
-    return k == BpredConfig::Kind::Gshare ? "gshare" : "bimodal";
-}
-
-BpredConfig::Kind
-bpredKindFromName(const std::string &s)
-{
-    if (s == "gshare")
-        return BpredConfig::Kind::Gshare;
-    if (s == "bimodal")
-        return BpredConfig::Kind::Bimodal;
-    stsim_fatal("serde: unknown predictor kind '%s'", s.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Per-struct serializers. Field order is the declaration order of the
-// corresponding struct.
-// ---------------------------------------------------------------------------
-
-std::string
-cacheToJson(const CacheConfig &c)
-{
-    std::string out;
-    Obj o(out);
-    o.str("name", c.name);
-    o.u64("sizeBytes", c.sizeBytes);
-    o.u64("ways", c.ways);
-    o.u64("lineBytes", c.lineBytes);
-    o.u64("hitLatency", c.hitLatency);
-    o.close();
-    return out;
-}
-
-CacheConfig
-cacheFromJson(const JVal &v)
-{
-    CacheConfig c;
-    c.name = v.at("name").asStr();
-    c.sizeBytes = v.at("sizeBytes").asSize();
-    c.ways = v.at("ways").asSize();
-    c.lineBytes = v.at("lineBytes").asSize();
-    c.hitLatency = v.at("hitLatency").asUnsigned();
-    return c;
-}
-
-std::string
-memoryToJson(const MemoryConfig &m)
-{
-    std::string out;
-    Obj o(out);
-    o.raw("il1", cacheToJson(m.il1));
-    o.raw("dl1", cacheToJson(m.dl1));
-    o.raw("l2", cacheToJson(m.l2));
-    o.u64("memLatency", m.memLatency);
-    o.u64("tlbEntries", m.tlbEntries);
-    o.u64("pageBytes", m.pageBytes);
-    o.u64("tlbMissPenalty", m.tlbMissPenalty);
-    o.u64("dl1ExtraLatency", m.dl1ExtraLatency);
-    o.close();
-    return out;
-}
-
-MemoryConfig
-memoryFromJson(const JVal &v)
-{
-    MemoryConfig m;
-    m.il1 = cacheFromJson(v.at("il1"));
-    m.dl1 = cacheFromJson(v.at("dl1"));
-    m.l2 = cacheFromJson(v.at("l2"));
-    m.memLatency = v.at("memLatency").asUnsigned();
-    m.tlbEntries = v.at("tlbEntries").asSize();
-    m.pageBytes = v.at("pageBytes").asSize();
-    m.tlbMissPenalty = v.at("tlbMissPenalty").asUnsigned();
-    m.dl1ExtraLatency = v.at("dl1ExtraLatency").asUnsigned();
-    return m;
-}
-
-std::string
-coreToJson(const CoreConfig &c)
-{
-    std::string out;
-    Obj o(out);
-    o.u64("fetchWidth", c.fetchWidth);
-    o.u64("decodeWidth", c.decodeWidth);
-    o.u64("issueWidth", c.issueWidth);
-    o.u64("commitWidth", c.commitWidth);
-    o.u64("maxTakenBranchesPerFetch", c.maxTakenBranchesPerFetch);
-    o.u64("ruuSize", c.ruuSize);
-    o.u64("lsqSize", c.lsqSize);
-    o.u64("numIntAlu", c.numIntAlu);
-    o.u64("numIntMult", c.numIntMult);
-    o.u64("numMemPorts", c.numMemPorts);
-    o.u64("numFpAlu", c.numFpAlu);
-    o.u64("numFpMult", c.numFpMult);
-    o.u64("pipelineStages", c.pipelineStages);
-    o.u64("fetchStages", c.fetchStages);
-    o.u64("decodeStages", c.decodeStages);
-    o.u64("extraExecLatency", c.extraExecLatency);
-    o.u64("extraDl1Latency", c.extraDl1Latency);
-    o.u64("extraMispredictPenalty", c.extraMispredictPenalty);
-    o.u64("btbMissPenalty", c.btbMissPenalty);
-    o.str("oracle", oracleModeName(c.oracle));
-    o.close();
-    return out;
-}
-
-CoreConfig
-coreFromJson(const JVal &v)
-{
-    CoreConfig c;
-    c.fetchWidth = v.at("fetchWidth").asUnsigned();
-    c.decodeWidth = v.at("decodeWidth").asUnsigned();
-    c.issueWidth = v.at("issueWidth").asUnsigned();
-    c.commitWidth = v.at("commitWidth").asUnsigned();
-    c.maxTakenBranchesPerFetch =
-        v.at("maxTakenBranchesPerFetch").asUnsigned();
-    c.ruuSize = v.at("ruuSize").asUnsigned();
-    c.lsqSize = v.at("lsqSize").asUnsigned();
-    c.numIntAlu = v.at("numIntAlu").asUnsigned();
-    c.numIntMult = v.at("numIntMult").asUnsigned();
-    c.numMemPorts = v.at("numMemPorts").asUnsigned();
-    c.numFpAlu = v.at("numFpAlu").asUnsigned();
-    c.numFpMult = v.at("numFpMult").asUnsigned();
-    c.pipelineStages = v.at("pipelineStages").asUnsigned();
-    c.fetchStages = v.at("fetchStages").asUnsigned();
-    c.decodeStages = v.at("decodeStages").asUnsigned();
-    c.extraExecLatency = v.at("extraExecLatency").asUnsigned();
-    c.extraDl1Latency = v.at("extraDl1Latency").asUnsigned();
-    c.extraMispredictPenalty =
-        v.at("extraMispredictPenalty").asUnsigned();
-    c.btbMissPenalty = v.at("btbMissPenalty").asUnsigned();
-    c.oracle = oracleModeFromName(v.at("oracle").asStr());
-    return c;
-}
-
-std::string
-bpredToJson(const BpredConfig &b)
-{
-    std::string out;
-    Obj o(out);
-    o.str("kind", bpredKindName(b.kind));
-    o.u64("predictorBytes", b.predictorBytes);
-    o.u64("btbEntries", b.btbEntries);
-    o.u64("btbWays", b.btbWays);
-    o.u64("rasEntries", b.rasEntries);
-    o.close();
-    return out;
-}
-
-BpredConfig
-bpredFromJson(const JVal &v)
-{
-    BpredConfig b;
-    b.kind = bpredKindFromName(v.at("kind").asStr());
-    b.predictorBytes = v.at("predictorBytes").asSize();
-    b.btbEntries = v.at("btbEntries").asSize();
-    b.btbWays = v.at("btbWays").asSize();
-    b.rasEntries = v.at("rasEntries").asSize();
-    return b;
-}
-
-std::string
-bpruParamsToJson(const BpruEstimator::Params &p)
-{
-    std::string out;
-    Obj o(out);
-    o.u64("missInc", p.missInc);
-    o.u64("correctDec", p.correctDec);
-    o.u64("allocValue", p.allocValue);
-    o.u64("tagBits", p.tagBits);
-    o.close();
-    return out;
-}
-
-BpruEstimator::Params
-bpruParamsFromJson(const JVal &v)
-{
-    BpruEstimator::Params p;
-    p.missInc = v.at("missInc").asUnsigned();
-    p.correctDec = v.at("correctDec").asUnsigned();
-    p.allocValue = v.at("allocValue").asUnsigned();
-    p.tagBits = v.at("tagBits").asUnsigned();
-    return p;
-}
-
-std::string
-actionToJson(const ThrottleAction &a)
-{
-    std::string out;
-    Obj o(out);
-    o.str("fetch", bandwidthLevelName(a.fetch));
-    o.str("decode", bandwidthLevelName(a.decode));
-    o.boolean("noSelect", a.noSelect);
-    o.close();
-    return out;
-}
-
-ThrottleAction
-actionFromJson(const JVal &v)
-{
-    ThrottleAction a;
-    a.fetch = bandwidthFromName(v.at("fetch").asStr());
-    a.decode = bandwidthFromName(v.at("decode").asStr());
-    a.noSelect = v.at("noSelect").asBool();
-    return a;
-}
-
-std::string
-specControlToJson(const SpecControlConfig &s)
-{
-    std::string out;
-    Obj o(out);
-    o.str("mode", specModeName(s.mode));
-    std::string pol;
-    {
-        Obj p(pol);
-        p.str("name", s.policy.name);
-        std::string lv = "[";
-        for (std::size_t i = 0; i < s.policy.byLevel.size(); ++i) {
-            if (i)
-                lv += ',';
-            lv += actionToJson(s.policy.byLevel[i]);
+    out += '"';
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default: out += c;
         }
-        lv += ']';
-        p.raw("byLevel", lv);
-        p.close();
     }
-    o.raw("policy", pol);
-    o.u64("gatingThreshold", s.gatingThreshold);
-    o.close();
-    return out;
+    out += '"';
 }
 
-SpecControlConfig
-specControlFromJson(const JVal &v)
+void
+appendU64(std::string &out, std::uint64_t v)
 {
-    SpecControlConfig s;
-    s.mode = specModeFromName(v.at("mode").asStr());
-    const JVal &pol = v.at("policy");
-    s.policy.name = pol.at("name").asStr();
-    const JVal &lv = pol.at("byLevel");
-    if (lv.kind != JVal::Kind::Arr ||
-        lv.arr.size() != s.policy.byLevel.size()) {
-        stsim_fatal("serde: policy.byLevel must have %zu entries",
-                    s.policy.byLevel.size());
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%" PRIu64, v);
+    out += buf;
+}
+
+template <typename T>
+void appendValue(std::string &out, const T &f);
+
+/** visitFields visitor that writes each field through a FlatWriter. */
+struct FieldWriter
+{
+    FlatWriter &w;
+
+    template <typename T>
+    void
+    operator()(const char *key, const T &f, const char * = nullptr) const
+    {
+        if constexpr (kIsOptional<T>) {
+            if (f)
+                appendValue(w.field(key), *f);
+        } else {
+            appendValue(w.field(key), f);
+        }
     }
-    for (std::size_t i = 0; i < s.policy.byLevel.size(); ++i)
-        s.policy.byLevel[i] = actionFromJson(lv.arr[i]);
-    s.gatingThreshold = v.at("gatingThreshold").asUnsigned();
+};
+
+template <typename S>
+std::string
+objectJson(const S &s)
+{
+    FlatWriter w;
+    visitFields(s, FieldWriter{w});
+    return w.finish();
+}
+
+template <typename T>
+void
+appendValue(std::string &out, const T &f)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        appendQuoted(out, f);
+    } else if constexpr (std::is_same_v<T, bool>) {
+        out += f ? "true" : "false";
+    } else if constexpr (std::is_enum_v<T>) {
+        appendQuoted(out, wireName(f));
+    } else if constexpr (std::is_unsigned_v<T>) {
+        appendU64(out, f);
+    } else if constexpr (std::is_same_v<T, double>) {
+        appendQuoted(out, doubleToHex(f));
+    } else if constexpr (kIsArray<T>) {
+        out += '[';
+        for (std::size_t i = 0; i < f.size(); ++i) {
+            if (i)
+                out += ',';
+            appendValue(out, f[i]);
+        }
+        out += ']';
+    } else {
+        out += objectJson(f);
+    }
+}
+
+template <typename T>
+void readValue(const JVal &v, T &f, const char *key);
+
+/** visitFields visitor that fills each field from a parsed object. */
+struct FieldReader
+{
+    const JVal &obj;
+
+    template <typename T>
+    void
+    operator()(const char *key, T &f, const char * = nullptr) const
+    {
+        if constexpr (kIsOptional<T>) {
+            const JVal *v = obj.find(key);
+            if (v && v->kind != JVal::Kind::Null)
+                readValue(*v, f.emplace(), key);
+        } else {
+            readValue(obj.at(key), f, key);
+        }
+    }
+};
+
+template <typename T>
+void
+readValue(const JVal &v, T &f, const char *key)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        f = v.asStr();
+    } else if constexpr (std::is_same_v<T, bool>) {
+        f = v.asBool();
+    } else if constexpr (std::is_enum_v<T>) {
+        f = enumFromName<T>(v.asStr(), key);
+    } else if constexpr (std::is_unsigned_v<T>) {
+        f = v.asUnsigned<T>(key);
+    } else if constexpr (std::is_same_v<T, double>) {
+        f = v.asDouble();
+    } else if constexpr (kIsArray<T>) {
+        if (v.kind != JVal::Kind::Arr || v.arr.size() != f.size())
+            stsim_fatal("serde: '%s' must be an array of %zu entries",
+                        key, f.size());
+        for (std::size_t i = 0; i < f.size(); ++i)
+            readValue(v.arr[i], f[i], key);
+    } else {
+        visitFields(f, FieldReader{v});
+    }
+}
+
+template <typename S>
+S
+fromJVal(const JVal &v)
+{
+    S s;
+    visitFields(s, FieldReader{v});
     return s;
-}
-
-std::string
-powerToJson(const PowerParams &p)
-{
-    std::string out;
-    Obj o(out);
-    o.str("style", gatingStyleName(p.style));
-    o.dbl("idleFactor", p.idleFactor);
-    o.dbl("frequencyHz", p.frequencyHz);
-    o.raw("peakWatts", dblArray(p.peakWatts.data(), kNumPUnits));
-    o.raw("ports", dblArray(p.ports.data(), kNumPUnits));
-    o.close();
-    return out;
-}
-
-PowerParams
-powerFromJson(const JVal &v)
-{
-    PowerParams p;
-    p.style = gatingStyleFromName(v.at("style").asStr());
-    p.idleFactor = v.at("idleFactor").asDouble();
-    p.frequencyHz = v.at("frequencyHz").asDouble();
-    parseDblArray(v.at("peakWatts"), p.peakWatts.data(), kNumPUnits);
-    parseDblArray(v.at("ports"), p.ports.data(), kNumPUnits);
-    return p;
-}
-
-std::string
-profileToJson(const BenchmarkProfile &p)
-{
-    std::string out;
-    Obj o(out);
-    o.str("name", p.name);
-    o.dbl("targetMissRate", p.targetMissRate);
-    o.dbl("condBranchFrac", p.condBranchFrac);
-    o.u64("numBlocks", p.numBlocks);
-    o.u64("numFuncs", p.numFuncs);
-    o.dbl("fracJumpTerm", p.fracJumpTerm);
-    o.dbl("fracCallTerm", p.fracCallTerm);
-    o.dbl("fracRetTerm", p.fracRetTerm);
-    o.dbl("fracLoop", p.fracLoop);
-    o.dbl("fracPattern", p.fracPattern);
-    o.dbl("fracBiased", p.fracBiased);
-    o.dbl("fracChaotic", p.fracChaotic);
-    o.dbl("loopPeriodMin", p.loopPeriodMin);
-    o.dbl("loopPeriodMax", p.loopPeriodMax);
-    o.dbl("biasedMissMin", p.biasedMissMin);
-    o.dbl("biasedMissMax", p.biasedMissMax);
-    o.dbl("chaoticTakenP", p.chaoticTakenP);
-    o.dbl("fracLoad", p.fracLoad);
-    o.dbl("fracStore", p.fracStore);
-    o.dbl("fracIntMult", p.fracIntMult);
-    o.dbl("fracFpAlu", p.fracFpAlu);
-    o.dbl("fracFpMult", p.fracFpMult);
-    o.dbl("srcChance", p.srcChance);
-    o.dbl("depDistP", p.depDistP);
-    o.u64("dataFootprintKB", p.dataFootprintKB);
-    o.dbl("fracStackAccess", p.fracStackAccess);
-    o.dbl("fracStreamAccess", p.fracStreamAccess);
-    o.u64("hotDataKB", p.hotDataKB);
-    o.dbl("hotDataFrac", p.hotDataFrac);
-    o.dbl("blockLenScale", p.blockLenScale);
-    o.dbl("biasedTakenFrac", p.biasedTakenFrac);
-    o.u64("seed", p.seed);
-    o.close();
-    return out;
-}
-
-BenchmarkProfile
-profileFromJson(const JVal &v)
-{
-    BenchmarkProfile p;
-    p.name = v.at("name").asStr();
-    p.targetMissRate = v.at("targetMissRate").asDouble();
-    p.condBranchFrac = v.at("condBranchFrac").asDouble();
-    p.numBlocks = v.at("numBlocks").asU32();
-    p.numFuncs = v.at("numFuncs").asU32();
-    p.fracJumpTerm = v.at("fracJumpTerm").asDouble();
-    p.fracCallTerm = v.at("fracCallTerm").asDouble();
-    p.fracRetTerm = v.at("fracRetTerm").asDouble();
-    p.fracLoop = v.at("fracLoop").asDouble();
-    p.fracPattern = v.at("fracPattern").asDouble();
-    p.fracBiased = v.at("fracBiased").asDouble();
-    p.fracChaotic = v.at("fracChaotic").asDouble();
-    p.loopPeriodMin = v.at("loopPeriodMin").asDouble();
-    p.loopPeriodMax = v.at("loopPeriodMax").asDouble();
-    p.biasedMissMin = v.at("biasedMissMin").asDouble();
-    p.biasedMissMax = v.at("biasedMissMax").asDouble();
-    p.chaoticTakenP = v.at("chaoticTakenP").asDouble();
-    p.fracLoad = v.at("fracLoad").asDouble();
-    p.fracStore = v.at("fracStore").asDouble();
-    p.fracIntMult = v.at("fracIntMult").asDouble();
-    p.fracFpAlu = v.at("fracFpAlu").asDouble();
-    p.fracFpMult = v.at("fracFpMult").asDouble();
-    p.srcChance = v.at("srcChance").asDouble();
-    p.depDistP = v.at("depDistP").asDouble();
-    p.dataFootprintKB = v.at("dataFootprintKB").asU32();
-    p.fracStackAccess = v.at("fracStackAccess").asDouble();
-    p.fracStreamAccess = v.at("fracStreamAccess").asDouble();
-    p.hotDataKB = v.at("hotDataKB").asU32();
-    p.hotDataFrac = v.at("hotDataFrac").asDouble();
-    p.blockLenScale = v.at("blockLenScale").asDouble();
-    p.biasedTakenFrac = v.at("biasedTakenFrac").asDouble();
-    p.seed = v.at("seed").asU64();
-    return p;
-}
-
-std::string
-coreStatsToJson(const CoreStats &c)
-{
-    std::string out;
-    Obj o(out);
-    o.u64("cycles", c.cycles);
-    o.u64("committedInsts", c.committedInsts);
-    o.u64("committedBranches", c.committedBranches);
-    o.u64("committedCondBranches", c.committedCondBranches);
-    o.u64("condMispredicts", c.condMispredicts);
-    o.u64("fetchedInsts", c.fetchedInsts);
-    o.u64("fetchedWrongPath", c.fetchedWrongPath);
-    o.u64("decodedInsts", c.decodedInsts);
-    o.u64("decodedWrongPath", c.decodedWrongPath);
-    o.u64("dispatchedInsts", c.dispatchedInsts);
-    o.u64("dispatchedWrongPath", c.dispatchedWrongPath);
-    o.u64("issuedInsts", c.issuedInsts);
-    o.u64("issuedWrongPath", c.issuedWrongPath);
-    o.u64("squashes", c.squashes);
-    o.u64("squashedInsts", c.squashedInsts);
-    o.u64("btbMisfetches", c.btbMisfetches);
-    o.u64("rasMispredicts", c.rasMispredicts);
-    o.u64("fetchIcacheStall", c.fetchIcacheStall);
-    o.u64("fetchRedirectStall", c.fetchRedirectStall);
-    o.u64("fetchThrottled", c.fetchThrottled);
-    o.u64("decodeThrottled", c.decodeThrottled);
-    o.u64("oracleFetchStall", c.oracleFetchStall);
-    o.u64("robFullStalls", c.robFullStalls);
-    o.u64("lsqFullStalls", c.lsqFullStalls);
-    o.u64("noSelectSkips", c.noSelectSkips);
-    o.u64("loadsForwarded", c.loadsForwarded);
-    o.u64("loadsBlockedByStore", c.loadsBlockedByStore);
-    o.u64("oracleSelectSkips", c.oracleSelectSkips);
-    o.u64("oracleDecodeDrops", c.oracleDecodeDrops);
-    o.close();
-    return out;
-}
-
-CoreStats
-coreStatsFromJson(const JVal &v)
-{
-    CoreStats c;
-    c.cycles = v.at("cycles").asU64();
-    c.committedInsts = v.at("committedInsts").asU64();
-    c.committedBranches = v.at("committedBranches").asU64();
-    c.committedCondBranches = v.at("committedCondBranches").asU64();
-    c.condMispredicts = v.at("condMispredicts").asU64();
-    c.fetchedInsts = v.at("fetchedInsts").asU64();
-    c.fetchedWrongPath = v.at("fetchedWrongPath").asU64();
-    c.decodedInsts = v.at("decodedInsts").asU64();
-    c.decodedWrongPath = v.at("decodedWrongPath").asU64();
-    c.dispatchedInsts = v.at("dispatchedInsts").asU64();
-    c.dispatchedWrongPath = v.at("dispatchedWrongPath").asU64();
-    c.issuedInsts = v.at("issuedInsts").asU64();
-    c.issuedWrongPath = v.at("issuedWrongPath").asU64();
-    c.squashes = v.at("squashes").asU64();
-    c.squashedInsts = v.at("squashedInsts").asU64();
-    c.btbMisfetches = v.at("btbMisfetches").asU64();
-    c.rasMispredicts = v.at("rasMispredicts").asU64();
-    c.fetchIcacheStall = v.at("fetchIcacheStall").asU64();
-    c.fetchRedirectStall = v.at("fetchRedirectStall").asU64();
-    c.fetchThrottled = v.at("fetchThrottled").asU64();
-    c.decodeThrottled = v.at("decodeThrottled").asU64();
-    c.oracleFetchStall = v.at("oracleFetchStall").asU64();
-    c.robFullStalls = v.at("robFullStalls").asU64();
-    c.lsqFullStalls = v.at("lsqFullStalls").asU64();
-    c.noSelectSkips = v.at("noSelectSkips").asU64();
-    c.loadsForwarded = v.at("loadsForwarded").asU64();
-    c.loadsBlockedByStore = v.at("loadsBlockedByStore").asU64();
-    c.oracleSelectSkips = v.at("oracleSelectSkips").asU64();
-    c.oracleDecodeDrops = v.at("oracleDecodeDrops").asU64();
-    return c;
-}
-
-SimConfig
-configFromJVal(const JVal &v)
-{
-    SimConfig cfg;
-    cfg.benchmark = v.at("benchmark").asStr();
-    if (const JVal *p = v.find("customProfile")) {
-        if (p->kind != JVal::Kind::Null)
-            cfg.customProfile = profileFromJson(*p);
-    }
-    cfg.maxInstructions = v.at("maxInstructions").asU64();
-    cfg.warmupInstructions = v.at("warmupInstructions").asU64();
-    cfg.runSeed = v.at("runSeed").asU64();
-    cfg.core = coreFromJson(v.at("core"));
-    cfg.memory = memoryFromJson(v.at("memory"));
-    cfg.pipelineDepth = v.at("pipelineDepth").asUnsigned();
-    cfg.bpred = bpredFromJson(v.at("bpred"));
-    cfg.confKind = confKindFromName(v.at("confKind").asStr());
-    cfg.confBytes = v.at("confBytes").asSize();
-    cfg.jrsThreshold = v.at("jrsThreshold").asUnsigned();
-    cfg.bpruParams = bpruParamsFromJson(v.at("bpruParams"));
-    cfg.specControl = specControlFromJson(v.at("specControl"));
-    cfg.power = powerFromJson(v.at("power"));
-    cfg.finalized = v.at("finalized").asBool();
-    return cfg;
-}
-
-SimResults
-resultsFromJVal(const JVal &v)
-{
-    SimResults r;
-    r.benchmark = v.at("benchmark").asStr();
-    r.experiment = v.at("experiment").asStr();
-    r.core = coreStatsFromJson(v.at("core"));
-    r.ipc = v.at("ipc").asDouble();
-    r.seconds = v.at("seconds").asDouble();
-    r.avgPowerW = v.at("avgPowerW").asDouble();
-    r.energyJ = v.at("energyJ").asDouble();
-    r.edProduct = v.at("edProduct").asDouble();
-    parseDblArray(v.at("unitEnergyJ"), r.unitEnergyJ.data(),
-                  kNumPUnits);
-    parseDblArray(v.at("unitWastedJ"), r.unitWastedJ.data(),
-                  kNumPUnits);
-    parseDblArray(v.at("unitActivity"), r.unitActivity.data(),
-                  kNumPUnits);
-    r.wastedEnergyJ = v.at("wastedEnergyJ").asDouble();
-    r.condMissRate = v.at("condMissRate").asDouble();
-    r.spec = v.at("spec").asDouble();
-    r.pvn = v.at("pvn").asDouble();
-    r.il1MissRate = v.at("il1MissRate").asDouble();
-    r.dl1MissRate = v.at("dl1MissRate").asDouble();
-    r.l2MissRate = v.at("l2MissRate").asDouble();
-    return r;
 }
 
 } // namespace
@@ -999,19 +546,27 @@ resultsFromJVal(const JVal &v)
 FlatWriter &
 FlatWriter::str(const char *k, std::string_view value)
 {
-    key(k);
-    Obj::appendQuoted(out_, std::string(value));
+    appendQuoted(field(k), value);
     return *this;
 }
 
 FlatWriter &
 FlatWriter::u64(const char *k, std::uint64_t value)
 {
-    key(k);
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, value);
-    out_ += buf;
+    appendU64(field(k), value);
     return *this;
+}
+
+std::string &
+FlatWriter::field(const char *k)
+{
+    if (!first_)
+        out_ += ',';
+    first_ = false;
+    out_ += '"';
+    out_ += k;
+    out_ += "\":";
+    return out_;
 }
 
 std::string
@@ -1021,131 +576,60 @@ FlatWriter::finish()
     return std::move(out_);
 }
 
-void
-FlatWriter::key(const char *k)
-{
-    if (!first_)
-        out_ += ',';
-    first_ = false;
-    out_ += '"';
-    out_ += k;
-    out_ += "\":";
-}
-
-namespace
-{
-
-/** Non-fatal scanner over one flat record; never touches stsim_fatal. */
-class FlatScanner
-{
-  public:
-    explicit FlatScanner(std::string_view s) : s_(s) {}
-
-    bool
-    scan(std::vector<FlatField> &out)
-    {
-        out.clear();
-        if (!eat('{'))
-            return false;
-        if (eat('}'))
-            return done();
-        for (;;) {
-            FlatField f;
-            if (!string(f.key))
-                return false;
-            if (!eat(':'))
-                return false;
-            if (peek() == '"') {
-                f.isString = true;
-                if (!string(f.value))
-                    return false;
-            } else if (!integer(f.value)) {
-                return false;
-            }
-            out.push_back(std::move(f));
-            if (eat(','))
-                continue;
-            if (eat('}'))
-                return done();
-            return false;
-        }
-    }
-
-  private:
-    bool
-    done()
-    {
-        return pos_ == s_.size();
-    }
-
-    char
-    peek()
-    {
-        return pos_ < s_.size() ? s_[pos_] : '\0';
-    }
-
-    bool
-    eat(char c)
-    {
-        if (peek() != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-
-    bool
-    string(std::string &out)
-    {
-        if (!eat('"'))
-            return false;
-        while (pos_ < s_.size()) {
-            char c = s_[pos_++];
-            if (c == '"')
-                return true;
-            if (c == '\\') {
-                if (pos_ >= s_.size())
-                    return false;
-                char e = s_[pos_++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  default: return false;
-                }
-                continue;
-            }
-            out += c;
-        }
-        return false;
-    }
-
-    bool
-    integer(std::string &out)
-    {
-        std::size_t start = pos_;
-        while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9')
-            ++pos_;
-        if (pos_ == start)
-            return false;
-        out.assign(s_.substr(start, pos_ - start));
-        return true;
-    }
-
-    std::string_view s_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
 ParseOutcome
 parseFlat(std::string_view json, std::vector<FlatField> &out)
 {
-    if (FlatScanner(json).scan(out))
+    out.clear();
+    FatalCaptureScope scope;
+    try {
+        JVal v = Parser(json).parse();
+        if (v.kind != JVal::Kind::Obj)
+            return ParseOutcome{false, "serde: flat record is not an object"};
+        for (auto &[key, val] : v.obj) {
+            if (val.kind == JVal::Kind::Str) {
+                out.push_back({std::move(key), std::move(val.str), true});
+            } else if (val.kind == JVal::Kind::Num &&
+                       val.num.find_first_not_of("0123456789") ==
+                           std::string::npos) {
+                out.push_back({std::move(key), std::move(val.num), false});
+            } else {
+                return ParseOutcome{false, "serde: flat field '" + key +
+                                               "' is not a string or an "
+                                               "unsigned integer"};
+            }
+        }
         return ParseOutcome{};
-    return ParseOutcome{false, "malformed flat record"};
+    } catch (const FatalError &e) {
+        return ParseOutcome{false, e.what()};
+    }
+}
+
+bool
+flatGet(const std::vector<FlatField> &rec, std::string_view key,
+        std::string &out)
+{
+    for (const FlatField &f : rec) {
+        if (f.isString && f.key == key) {
+            out = f.value;
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
+flatGet(const std::vector<FlatField> &rec, std::string_view key,
+        std::uint64_t &out)
+{
+    for (const FlatField &f : rec) {
+        if (!f.isString && f.key == key) {
+            char *end = nullptr;
+            errno = 0;
+            out = std::strtoull(f.value.c_str(), &end, 10);
+            return *end == '\0' && errno != ERANGE;
+        }
+    }
+    return false;
 }
 
 std::string
@@ -1170,54 +654,25 @@ doubleFromHex(std::string_view s)
 std::string
 toJson(const SimConfig &cfg)
 {
-    std::string out;
-    Obj o(out);
-    o.str("benchmark", cfg.benchmark);
-    if (cfg.customProfile)
-        o.raw("customProfile", profileToJson(*cfg.customProfile));
-    o.u64("maxInstructions", cfg.maxInstructions);
-    o.u64("warmupInstructions", cfg.warmupInstructions);
-    o.u64("runSeed", cfg.runSeed);
-    o.raw("core", coreToJson(cfg.core));
-    o.raw("memory", memoryToJson(cfg.memory));
-    o.u64("pipelineDepth", cfg.pipelineDepth);
-    o.raw("bpred", bpredToJson(cfg.bpred));
-    o.str("confKind", confKindName(cfg.confKind));
-    o.u64("confBytes", cfg.confBytes);
-    o.u64("jrsThreshold", cfg.jrsThreshold);
-    o.raw("bpruParams", bpruParamsToJson(cfg.bpruParams));
-    o.raw("specControl", specControlToJson(cfg.specControl));
-    o.raw("power", powerToJson(cfg.power));
-    o.boolean("finalized", cfg.finalized);
-    o.close();
-    return out;
+    return objectJson(cfg);
 }
 
 SimConfig
 configFromJson(std::string_view json)
 {
-    return configFromJVal(Parser(json).parse());
+    return fromJVal<SimConfig>(Parser(json).parse());
 }
 
 std::string
 toJson(const SimJob &job)
 {
-    std::string out;
-    Obj o(out);
-    o.str("experiment", job.experiment);
-    o.raw("cfg", toJson(job.cfg));
-    o.close();
-    return out;
+    return objectJson(job);
 }
 
 SimJob
 jobFromJson(std::string_view json)
 {
-    JVal v = Parser(json).parse();
-    SimJob j;
-    j.experiment = v.at("experiment").asStr();
-    j.cfg = configFromJVal(v.at("cfg"));
-    return j;
+    return fromJVal<SimJob>(Parser(json).parse());
 }
 
 ParseOutcome
@@ -1250,100 +705,39 @@ parseServeRequest(std::string_view json, ServeRequest &out)
         }
         if (const JVal *dl = v.find("deadlineMs"))
             out.deadlineMs = dl->asU64();
-        out.job.experiment = v.at("experiment").asStr();
-        out.job.cfg = configFromJVal(v.at("cfg"));
+        out.job = fromJVal<SimJob>(v);
         return ParseOutcome{};
     } catch (const FatalError &e) {
         return ParseOutcome{false, e.what()};
     }
-}
-
-namespace
-{
-
-/** Shared body of the non-fatal DOM-parse wrappers. */
-template <typename Fn>
-ParseOutcome
-captureFatal(Fn &&fn)
-{
-    FatalCaptureScope scope;
-    try {
-        fn();
-        return ParseOutcome{};
-    } catch (const FatalError &e) {
-        return ParseOutcome{false, e.what()};
-    }
-}
-
-} // namespace
-
-ParseOutcome
-parseJob(std::string_view json, SimJob &out)
-{
-    return captureFatal([&] { out = jobFromJson(json); });
-}
-
-ParseOutcome
-parseConfig(std::string_view json, SimConfig &out)
-{
-    return captureFatal([&] { out = configFromJson(json); });
-}
-
-ParseOutcome
-parseResults(std::string_view json, SimResults &out)
-{
-    return captureFatal([&] { out = resultsFromJson(json); });
 }
 
 std::string
 toJson(const SimResults &r)
 {
-    std::string out;
-    Obj o(out);
-    o.str("benchmark", r.benchmark);
-    o.str("experiment", r.experiment);
-    o.raw("core", coreStatsToJson(r.core));
-    o.dbl("ipc", r.ipc);
-    o.dbl("seconds", r.seconds);
-    o.dbl("avgPowerW", r.avgPowerW);
-    o.dbl("energyJ", r.energyJ);
-    o.dbl("edProduct", r.edProduct);
-    o.raw("unitEnergyJ", dblArray(r.unitEnergyJ.data(), kNumPUnits));
-    o.raw("unitWastedJ", dblArray(r.unitWastedJ.data(), kNumPUnits));
-    o.raw("unitActivity", dblArray(r.unitActivity.data(), kNumPUnits));
-    o.dbl("wastedEnergyJ", r.wastedEnergyJ);
-    o.dbl("condMissRate", r.condMissRate);
-    o.dbl("spec", r.spec);
-    o.dbl("pvn", r.pvn);
-    o.dbl("il1MissRate", r.il1MissRate);
-    o.dbl("dl1MissRate", r.dl1MissRate);
-    o.dbl("l2MissRate", r.l2MissRate);
-    o.close();
-    return out;
+    return objectJson(r);
 }
 
 SimResults
 resultsFromJson(std::string_view json)
 {
-    return resultsFromJVal(Parser(json).parse());
+    return fromJVal<SimResults>(Parser(json).parse());
 }
 
 std::string
 resultRecordToJson(std::uint64_t index, const SimResults &r)
 {
-    std::string out;
-    Obj o(out);
-    o.u64("index", index);
-    o.raw("results", toJson(r));
-    o.close();
-    return out;
+    FlatWriter w;
+    w.u64("index", index);
+    appendValue(w.field("results"), r);
+    return w.finish();
 }
 
 std::pair<std::uint64_t, SimResults>
 resultRecordFromJson(std::string_view json)
 {
     JVal v = Parser(json).parse();
-    return {v.at("index").asU64(), resultsFromJVal(v.at("results"))};
+    return {v.at("index").asU64(), fromJVal<SimResults>(v.at("results"))};
 }
 
 std::uint64_t

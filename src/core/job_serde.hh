@@ -11,6 +11,13 @@
  * one SimJob per line, a result stream is one indexed SimResults
  * record per line, and shard outputs can be merged by sorting lines on
  * their "index" field without re-serializing.
+ *
+ * Every struct maps to an object through its visitFields list
+ * (common/fields.hh), so the writer and the strict reader cover the
+ * same fields in the same order. The reader takes keys in any order,
+ * ignores unknown keys, requires every listed key (an optional field
+ * may be absent or null), requires arrays of exactly the declared
+ * length, and rejects an integer above its field type's maximum.
  */
 
 #ifndef STSIM_CORE_JOB_SERDE_HH
@@ -83,12 +90,10 @@ struct ServeRequest
 };
 
 /**
- * Result of a non-fatal parse entry point. Truthiness is success;
- * on failure `error` carries the strict parser's diagnostic. One
- * result shape for every parse surface (serve requests, flat records,
- * manifest jobs, configs, results) -- callers that used to pick
- * between a bool + out-param style and a fatal DOM style now all
- * write `if (ParseOutcome p = parseX(...)) ... else use(p.error)`.
+ * Result of a non-fatal parse entry point (serve requests, flat
+ * records). Truthiness is success; on failure `error` carries the
+ * strict parser's diagnostic: `if (ParseOutcome p = parseX(...)) ...
+ * else use(p.error)`.
  */
 struct ParseOutcome
 {
@@ -109,11 +114,12 @@ ParseOutcome parseServeRequest(std::string_view json,
                                ServeRequest &out);
 
 /**
- * Writer for flat single-line JSON records (string / unsigned-integer
- * fields, no nesting) -- the dispatch journal's record shape. Shares
- * the main serializer's byte conventions (insertion-ordered fields,
- * identical string escaping), so journal lines are parseable by the
- * same strict reader as every other on-disk format here.
+ * The one JSON object writer: fields land in call order with the byte
+ * conventions every format here shares (string escaping, decimal
+ * unsigned integers). str() and u64() write the flat records -- the
+ * dispatch journal, serve replies -- that parseFlat reads back;
+ * field() starts a key whose value the caller appends, which is how
+ * the struct serializer nests objects and arrays.
  */
 class FlatWriter
 {
@@ -123,12 +129,13 @@ class FlatWriter
     FlatWriter &str(const char *key, std::string_view value);
     FlatWriter &u64(const char *key, std::uint64_t value);
 
+    /** Start field @p key; append its JSON value to the returned line. */
+    std::string &field(const char *key);
+
     /** Close the object and take the line. The writer is spent. */
     std::string finish();
 
   private:
-    void key(const char *k);
-
     std::string out_;
     bool first_ = true;
 };
@@ -142,22 +149,27 @@ struct FlatField
 };
 
 /**
- * Parse a flat single-line JSON record (the FlatWriter shape) without
- * fataling. Journal replay uses the failed outcome to drop a torn
- * trailing line after a dispatcher crash instead of refusing to
- * resume.
+ * Parse a flat single-line JSON record (the FlatWriter str/u64 shape:
+ * string and unsigned-integer fields, no nesting) without fataling.
+ * Journal replay uses the failed outcome to drop a torn trailing line
+ * after a dispatcher crash instead of refusing to resume.
  */
 ParseOutcome parseFlat(std::string_view json,
                        std::vector<FlatField> &out);
 
-/** Non-fatal form of jobFromJson. */
-ParseOutcome parseJob(std::string_view json, SimJob &out);
+/**
+ * Look up the first string field named @p key of a parsed flat
+ * record; false when there is none.
+ */
+bool flatGet(const std::vector<FlatField> &rec, std::string_view key,
+             std::string &out);
 
-/** Non-fatal form of configFromJson. */
-ParseOutcome parseConfig(std::string_view json, SimConfig &out);
-
-/** Non-fatal form of resultsFromJson. */
-ParseOutcome parseResults(std::string_view json, SimResults &out);
+/**
+ * Look up the first integer field named @p key; false when there is
+ * none or its value exceeds 2^64 - 1.
+ */
+bool flatGet(const std::vector<FlatField> &rec, std::string_view key,
+             std::uint64_t &out);
 
 /** Bit-exact hex-float encoding of a double ("%a"). */
 std::string doubleToHex(double d);

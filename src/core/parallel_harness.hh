@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "core/sim_config.hh"
 #include "core/sim_results.hh"
 
@@ -31,6 +32,15 @@ struct SimJob
     SimConfig cfg;          ///< must already name its benchmark
     std::string experiment; ///< stamped into SimResults::experiment
 };
+
+/** A manifest line names the experiment before the config. */
+template <FieldsOf<SimJob> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("experiment", s.experiment);
+    v("cfg", s.cfg);
+}
 
 /** Engine diagnostics for one wave. */
 struct StreamStats

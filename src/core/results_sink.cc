@@ -1,5 +1,6 @@
 #include "results_sink.hh"
 
+#include <array>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <fstream>
 #include <iostream>
 #include <ostream>
+#include <type_traits>
 
 #include <poll.h>
 
@@ -68,7 +70,7 @@ namespace
 {
 
 void
-appendU64(std::string &out, std::uint64_t v)
+appendCell(std::string &out, std::uint64_t v)
 {
     char buf[24];
     std::snprintf(buf, sizeof buf, "%" PRIu64, v);
@@ -76,7 +78,7 @@ appendU64(std::string &out, std::uint64_t v)
 }
 
 void
-appendDbl(std::string &out, double v)
+appendCell(std::string &out, double v)
 {
     // 17 significant digits round-trip an IEEE binary64 exactly
     // through a correctly-rounding strtod.
@@ -86,7 +88,7 @@ appendDbl(std::string &out, double v)
 }
 
 void
-appendField(std::string &out, const std::string &s)
+appendCell(std::string &out, const std::string &s)
 {
     // Built-in names are plain, but manifests may carry arbitrary
     // custom-profile/experiment strings: RFC 4180-quote when needed.
@@ -103,82 +105,70 @@ appendField(std::string &out, const std::string &s)
     out += '"';
 }
 
+/**
+ * visitFields visitor behind the header and every row: the scalars in
+ * field order, nested structs flattened to bare names, then each
+ * per-unit array as <stem>_<unit> columns. Collects names when
+ * @p header, values otherwise.
+ */
+struct CsvColumns
+{
+    bool header = false;
+    std::string scalars = {};
+    std::string arrays = {};
+
+    template <typename T>
+    void
+    operator()(const char *key, const T &f)
+    {
+        if constexpr (std::is_arithmetic_v<T> ||
+                      std::is_same_v<T, std::string>) {
+            scalars += ',';
+            if (header)
+                scalars += key;
+            else
+                appendCell(scalars, f);
+        } else {
+            visitFields(f, *this);
+        }
+    }
+
+    void
+    operator()(const char *, const std::array<double, kNumPUnits> &f,
+               const char *stem)
+    {
+        for (PUnit u : kAllPUnits) {
+            arrays += ',';
+            if (header) {
+                arrays += stem;
+                arrays += '_';
+                arrays += punitName(u);
+            } else {
+                appendCell(arrays, f[static_cast<std::size_t>(u)]);
+            }
+        }
+    }
+};
+
 } // namespace
 
 std::string
 CsvResultsSink::header()
 {
-    std::string h = "index,benchmark,experiment";
-    h += ",cycles,committedInsts,committedBranches"
-         ",committedCondBranches,condMispredicts"
-         ",fetchedInsts,fetchedWrongPath,decodedInsts,decodedWrongPath"
-         ",dispatchedInsts,dispatchedWrongPath,issuedInsts"
-         ",issuedWrongPath,squashes,squashedInsts,btbMisfetches"
-         ",rasMispredicts,fetchIcacheStall,fetchRedirectStall"
-         ",fetchThrottled,decodeThrottled,oracleFetchStall"
-         ",robFullStalls,lsqFullStalls,noSelectSkips,loadsForwarded"
-         ",loadsBlockedByStore,oracleSelectSkips,oracleDecodeDrops";
-    h += ",ipc,seconds,avgPowerW,energyJ,edProduct,wastedEnergyJ"
-         ",condMissRate,spec,pvn,il1MissRate,dl1MissRate,l2MissRate";
-    for (PUnit u : kAllPUnits) {
-        h += ",energyJ_";
-        h += punitName(u);
-    }
-    for (PUnit u : kAllPUnits) {
-        h += ",wastedJ_";
-        h += punitName(u);
-    }
-    for (PUnit u : kAllPUnits) {
-        h += ",act_";
-        h += punitName(u);
-    }
-    return h;
+    const SimResults none{};
+    CsvColumns c{.header = true};
+    visitFields(none, c);
+    return "index" + c.scalars + c.arrays;
 }
 
 std::string
 CsvResultsSink::row(std::uint64_t index, const SimResults &r)
 {
+    CsvColumns c{.header = false};
+    visitFields(r, c);
     std::string out;
-    appendU64(out, index);
-    out += ',';
-    appendField(out, r.benchmark);
-    out += ',';
-    appendField(out, r.experiment);
-    const CoreStats &c = r.core;
-    for (Counter v :
-         {c.cycles, c.committedInsts, c.committedBranches,
-          c.committedCondBranches, c.condMispredicts, c.fetchedInsts,
-          c.fetchedWrongPath, c.decodedInsts, c.decodedWrongPath,
-          c.dispatchedInsts, c.dispatchedWrongPath, c.issuedInsts,
-          c.issuedWrongPath, c.squashes, c.squashedInsts,
-          c.btbMisfetches, c.rasMispredicts, c.fetchIcacheStall,
-          c.fetchRedirectStall, c.fetchThrottled, c.decodeThrottled,
-          c.oracleFetchStall, c.robFullStalls, c.lsqFullStalls,
-          c.noSelectSkips, c.loadsForwarded, c.loadsBlockedByStore,
-          c.oracleSelectSkips, c.oracleDecodeDrops}) {
-        out += ',';
-        appendU64(out, v);
-    }
-    for (double v :
-         {r.ipc, r.seconds, r.avgPowerW, r.energyJ, r.edProduct,
-          r.wastedEnergyJ, r.condMissRate, r.spec, r.pvn,
-          r.il1MissRate, r.dl1MissRate, r.l2MissRate}) {
-        out += ',';
-        appendDbl(out, v);
-    }
-    for (double v : r.unitEnergyJ) {
-        out += ',';
-        appendDbl(out, v);
-    }
-    for (double v : r.unitWastedJ) {
-        out += ',';
-        appendDbl(out, v);
-    }
-    for (double v : r.unitActivity) {
-        out += ',';
-        appendDbl(out, v);
-    }
-    return out;
+    appendCell(out, index);
+    return out + c.scalars + c.arrays;
 }
 
 void

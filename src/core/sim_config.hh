@@ -14,6 +14,7 @@
 
 #include "bpred/bpred_unit.hh"
 #include "cache/hierarchy.hh"
+#include "common/fields.hh"
 #include "confidence/bpru.hh"
 #include "pipeline/core_config.hh"
 #include "power/power_params.hh"
@@ -90,6 +91,28 @@ struct SimConfig
      */
     void applyEnvOverrides();
 };
+
+template <FieldsOf<SimConfig> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("benchmark", s.benchmark);
+    v("customProfile", s.customProfile);
+    v("maxInstructions", s.maxInstructions);
+    v("warmupInstructions", s.warmupInstructions);
+    v("runSeed", s.runSeed);
+    v("core", s.core);
+    v("memory", s.memory);
+    v("pipelineDepth", s.pipelineDepth);
+    v("bpred", s.bpred);
+    v("confKind", s.confKind);
+    v("confBytes", s.confBytes);
+    v("jrsThreshold", s.jrsThreshold);
+    v("bpruParams", s.bpruParams);
+    v("specControl", s.specControl);
+    v("power", s.power);
+    v("finalized", s.finalized);
+}
 
 } // namespace stsim
 

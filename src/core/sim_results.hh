@@ -10,6 +10,7 @@
 #include <array>
 #include <string>
 
+#include "common/fields.hh"
 #include "pipeline/core_stats.hh"
 #include "power/units.hh"
 
@@ -63,6 +64,31 @@ struct SimResults
         return energyJ > 0.0 ? wastedEnergyJ / energyJ : 0.0;
     }
 };
+
+/** The per-unit arrays carry their CSV column stem (<stem>_<unit>). */
+template <FieldsOf<SimResults> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("benchmark", s.benchmark);
+    v("experiment", s.experiment);
+    v("core", s.core);
+    v("ipc", s.ipc);
+    v("seconds", s.seconds);
+    v("avgPowerW", s.avgPowerW);
+    v("energyJ", s.energyJ);
+    v("edProduct", s.edProduct);
+    v("unitEnergyJ", s.unitEnergyJ, "energyJ");
+    v("unitWastedJ", s.unitWastedJ, "wastedJ");
+    v("unitActivity", s.unitActivity, "act");
+    v("wastedEnergyJ", s.wastedEnergyJ);
+    v("condMissRate", s.condMissRate);
+    v("spec", s.spec);
+    v("pvn", s.pvn);
+    v("il1MissRate", s.il1MissRate);
+    v("dl1MissRate", s.dl1MissRate);
+    v("l2MissRate", s.l2MissRate);
+}
 
 /** Baseline-relative improvements, in percent (paper's four plots). */
 struct RelativeMetrics

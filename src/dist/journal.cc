@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -18,34 +17,6 @@ namespace stsim
 {
 namespace dist
 {
-
-namespace
-{
-
-const std::string *
-fieldStr(const std::vector<serde::FlatField> &rec, const char *key)
-{
-    for (const serde::FlatField &f : rec)
-        if (f.isString && f.key == key)
-            return &f.value;
-    return nullptr;
-}
-
-bool
-fieldU64(const std::vector<serde::FlatField> &rec, const char *key,
-         std::uint64_t &out)
-{
-    for (const serde::FlatField &f : rec) {
-        if (!f.isString && f.key == key) {
-            char *end = nullptr;
-            out = std::strtoull(f.value.c_str(), &end, 10);
-            return end && *end == '\0';
-        }
-    }
-    return false;
-}
-
-} // namespace
 
 DispatchJournal::DispatchJournal(const std::string &path) : path_(path)
 {
@@ -232,31 +203,30 @@ DispatchJournal::replay(const std::string &path)
                         path.c_str(), lineNo);
         }
 
-        const std::string *type = fieldStr(rec, "type");
-        if (!type)
+        std::string type;
+        if (!serde::flatGet(rec, "type", type))
             stsim_fatal("journal: '%s' line %zu has no type",
                         path.c_str(), lineNo);
 
-        if (*type == "plan") {
+        if (type == "plan") {
             if (sawPlan)
                 stsim_fatal("journal: '%s' has two plan records",
                             path.c_str());
             sawPlan = true;
-            const std::string *m = fieldStr(rec, "manifest");
             std::uint64_t workers = 0, maxAttempts = 0;
             std::uint64_t maxConcurrent = 0;
-            if (!m || !fieldU64(rec, "manifestHash", st.manifestHash) ||
-                !fieldU64(rec, "shards", st.shards) ||
-                !fieldU64(rec, "jobs", st.jobs) ||
-                !fieldU64(rec, "workers", workers) ||
-                !fieldU64(rec, "maxAttempts", maxAttempts) ||
-                !fieldU64(rec, "maxConcurrent", maxConcurrent) ||
-                !fieldU64(rec, "timeoutMs", st.timeoutMs) ||
+            if (!serde::flatGet(rec, "manifest", st.manifest) ||
+                !serde::flatGet(rec, "manifestHash", st.manifestHash) ||
+                !serde::flatGet(rec, "shards", st.shards) ||
+                !serde::flatGet(rec, "jobs", st.jobs) ||
+                !serde::flatGet(rec, "workers", workers) ||
+                !serde::flatGet(rec, "maxAttempts", maxAttempts) ||
+                !serde::flatGet(rec, "maxConcurrent", maxConcurrent) ||
+                !serde::flatGet(rec, "timeoutMs", st.timeoutMs) ||
                 st.shards == 0 || maxAttempts == 0) {
                 stsim_fatal("journal: '%s' has a malformed plan",
                             path.c_str());
             }
-            st.manifest = *m;
             st.workers = static_cast<unsigned>(workers);
             st.maxAttempts = static_cast<unsigned>(maxAttempts);
             st.maxConcurrent = static_cast<unsigned>(maxConcurrent);
@@ -268,27 +238,26 @@ DispatchJournal::replay(const std::string &path)
             stsim_fatal("journal: '%s' line %zu precedes the plan",
                         path.c_str(), lineNo);
         std::uint64_t shard = 0, attempt = 0;
-        if (!fieldU64(rec, "shard", shard) ||
-            !fieldU64(rec, "attempt", attempt) || shard >= st.shards) {
+        if (!serde::flatGet(rec, "shard", shard) ||
+            !serde::flatGet(rec, "attempt", attempt) ||
+            shard >= st.shards) {
             stsim_fatal("journal: '%s' line %zu has a bad shard record",
                         path.c_str(), lineNo);
         }
         ShardJournalState &s = st.shard[shard];
-        if (*type == "launch") {
+        if (type == "launch") {
             s.launches = std::max(
                 s.launches, static_cast<unsigned>(attempt));
-        } else if (*type == "fail") {
+        } else if (type == "fail") {
             ++s.failures;
-        } else if (*type == "done") {
-            const std::string *out = fieldStr(rec, "out");
-            if (!out)
+        } else if (type == "done") {
+            if (!serde::flatGet(rec, "out", s.out))
                 stsim_fatal("journal: '%s' line %zu: done without out",
                             path.c_str(), lineNo);
             s.done = true;
-            s.out = *out;
         } else {
             stsim_fatal("journal: '%s' line %zu has unknown type '%s'",
-                        path.c_str(), lineNo, type->c_str());
+                        path.c_str(), lineNo, type.c_str());
         }
     }
     if (!sawPlan)

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
 #include "trace/instruction.hh"
 
 namespace stsim
@@ -110,6 +111,32 @@ struct CoreConfig
         return 1;
     }
 };
+
+template <FieldsOf<CoreConfig> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("fetchWidth", s.fetchWidth);
+    v("decodeWidth", s.decodeWidth);
+    v("issueWidth", s.issueWidth);
+    v("commitWidth", s.commitWidth);
+    v("maxTakenBranchesPerFetch", s.maxTakenBranchesPerFetch);
+    v("ruuSize", s.ruuSize);
+    v("lsqSize", s.lsqSize);
+    v("numIntAlu", s.numIntAlu);
+    v("numIntMult", s.numIntMult);
+    v("numMemPorts", s.numMemPorts);
+    v("numFpAlu", s.numFpAlu);
+    v("numFpMult", s.numFpMult);
+    v("pipelineStages", s.pipelineStages);
+    v("fetchStages", s.fetchStages);
+    v("decodeStages", s.decodeStages);
+    v("extraExecLatency", s.extraExecLatency);
+    v("extraDl1Latency", s.extraDl1Latency);
+    v("extraMispredictPenalty", s.extraMispredictPenalty);
+    v("btbMissPenalty", s.btbMissPenalty);
+    v("oracle", s.oracle);
+}
 
 } // namespace stsim
 

@@ -25,45 +25,11 @@ namespace stsim
 namespace
 {
 
-/** CoreStats counters, in snapshot order. Append-only. */
-#define STSIM_CORE_STATS_FIELDS(X)                                     \
-    X(cycles)                                                          \
-    X(committedInsts)                                                  \
-    X(committedBranches)                                               \
-    X(committedCondBranches)                                           \
-    X(condMispredicts)                                                 \
-    X(fetchedInsts)                                                    \
-    X(fetchedWrongPath)                                                \
-    X(decodedInsts)                                                    \
-    X(decodedWrongPath)                                                \
-    X(dispatchedInsts)                                                 \
-    X(dispatchedWrongPath)                                             \
-    X(issuedInsts)                                                     \
-    X(issuedWrongPath)                                                 \
-    X(squashes)                                                        \
-    X(squashedInsts)                                                   \
-    X(btbMisfetches)                                                   \
-    X(rasMispredicts)                                                  \
-    X(fetchIcacheStall)                                                \
-    X(fetchRedirectStall)                                              \
-    X(fetchThrottled)                                                  \
-    X(decodeThrottled)                                                 \
-    X(oracleFetchStall)                                                \
-    X(robFullStalls)                                                   \
-    X(lsqFullStalls)                                                   \
-    X(noSelectSkips)                                                   \
-    X(loadsForwarded)                                                  \
-    X(loadsBlockedByStore)                                             \
-    X(oracleSelectSkips)                                               \
-    X(oracleDecodeDrops)
-
 void
 saveStats(serde::StateWriter &w, const CoreStats &s)
 {
     std::vector<std::uint64_t> v;
-#define X(f) v.push_back(s.f);
-    STSIM_CORE_STATS_FIELDS(X)
-#undef X
+    visitFields(s, [&](const char *, Counter c) { v.push_back(c); });
     w.begin("core_stats");
     w.u64Vec("counters", v);
     w.end("core_stats");
@@ -75,17 +41,13 @@ loadStats(serde::StateReader &r, CoreStats &s)
     r.begin("core_stats");
     std::vector<std::uint64_t> v = r.u64Vec("counters");
     std::size_t n = 0;
-#define X(f) ++n;
-    STSIM_CORE_STATS_FIELDS(X)
-#undef X
+    visitFields(s, [&](const char *, Counter &) { ++n; });
     if (v.size() != n)
         stsim_fatal("state: core stats count mismatch (snapshot %zu, "
                     "expected %zu)",
                     v.size(), n);
     std::size_t i = 0;
-#define X(f) s.f = v[i++];
-    STSIM_CORE_STATS_FIELDS(X)
-#undef X
+    visitFields(s, [&](const char *, Counter &c) { c = v[i++]; });
     r.end("core_stats");
 }
 

@@ -7,6 +7,7 @@
 #ifndef STSIM_PIPELINE_CORE_STATS_HH
 #define STSIM_PIPELINE_CORE_STATS_HH
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace stsim
@@ -82,6 +83,42 @@ struct CoreStats
                             : 0.0;
     }
 };
+
+/** Also the order of the snapshot image's [core_stats] counters. */
+template <FieldsOf<CoreStats> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("cycles", s.cycles);
+    v("committedInsts", s.committedInsts);
+    v("committedBranches", s.committedBranches);
+    v("committedCondBranches", s.committedCondBranches);
+    v("condMispredicts", s.condMispredicts);
+    v("fetchedInsts", s.fetchedInsts);
+    v("fetchedWrongPath", s.fetchedWrongPath);
+    v("decodedInsts", s.decodedInsts);
+    v("decodedWrongPath", s.decodedWrongPath);
+    v("dispatchedInsts", s.dispatchedInsts);
+    v("dispatchedWrongPath", s.dispatchedWrongPath);
+    v("issuedInsts", s.issuedInsts);
+    v("issuedWrongPath", s.issuedWrongPath);
+    v("squashes", s.squashes);
+    v("squashedInsts", s.squashedInsts);
+    v("btbMisfetches", s.btbMisfetches);
+    v("rasMispredicts", s.rasMispredicts);
+    v("fetchIcacheStall", s.fetchIcacheStall);
+    v("fetchRedirectStall", s.fetchRedirectStall);
+    v("fetchThrottled", s.fetchThrottled);
+    v("decodeThrottled", s.decodeThrottled);
+    v("oracleFetchStall", s.oracleFetchStall);
+    v("robFullStalls", s.robFullStalls);
+    v("lsqFullStalls", s.lsqFullStalls);
+    v("noSelectSkips", s.noSelectSkips);
+    v("loadsForwarded", s.loadsForwarded);
+    v("loadsBlockedByStore", s.loadsBlockedByStore);
+    v("oracleSelectSkips", s.oracleSelectSkips);
+    v("oracleDecodeDrops", s.oracleDecodeDrops);
+}
 
 } // namespace stsim
 

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 
+#include "common/fields.hh"
 #include "power/units.hh"
 
 namespace stsim
@@ -80,6 +81,17 @@ struct PowerParams
     /** Cycle period in seconds. */
     double cycleSeconds() const { return 1.0 / frequencyHz; }
 };
+
+template <FieldsOf<PowerParams> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("style", s.style);
+    v("idleFactor", s.idleFactor);
+    v("frequencyHz", s.frequencyHz);
+    v("peakWatts", s.peakWatts);
+    v("ports", s.ports);
+}
 
 } // namespace stsim
 

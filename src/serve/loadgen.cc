@@ -254,16 +254,6 @@ fetchMetrics(const Options &opts)
     return fields;
 }
 
-const std::string *
-flatValue(const std::vector<serde::FlatField> &fields,
-          const std::string &key)
-{
-    for (const serde::FlatField &f : fields)
-        if (f.key == key)
-            return &f.value;
-    return nullptr;
-}
-
 /** Quantiles of one server histogram over the bench window. */
 struct ServerHist
 {
@@ -285,17 +275,16 @@ histWindow(const std::vector<serde::FlatField> &before,
            const std::string &name)
 {
     ServerHist h;
-    const std::string *a = flatValue(after, "h." + name + ".buckets");
-    if (!a)
+    const std::string key = "h." + name + ".buckets";
+    std::string a, b;
+    if (!serde::flatGet(after, key, a))
         return h;
     std::array<std::uint64_t, obs::Histogram::kBuckets> ab{}, bb{};
-    if (!obs::Histogram::parseSparse(*a, ab))
+    if (!obs::Histogram::parseSparse(a, ab))
         return h;
-    if (const std::string *b =
-            flatValue(before, "h." + name + ".buckets")) {
-        if (!obs::Histogram::parseSparse(*b, bb))
-            return h;
-    }
+    if (serde::flatGet(before, key, b) &&
+        !obs::Histogram::parseSparse(b, bb))
+        return h;
     for (int i = 0; i < obs::Histogram::kBuckets; ++i) {
         if (ab[i] < bb[i])
             return h; // counts went backwards: not the same server

@@ -13,6 +13,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/seq_ring.hh"
 #include "common/types.hh"
 #include "confidence/estimator.hh"
@@ -36,6 +37,15 @@ struct SpecControlConfig
     ThrottlePolicy policy;        ///< Selective mode only
     unsigned gatingThreshold = 2; ///< PipelineGating mode only
 };
+
+template <FieldsOf<SpecControlConfig> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("mode", s.mode);
+    v("policy", s.policy);
+    v("gatingThreshold", s.gatingThreshold);
+}
 
 /**
  * Tracks every unresolved conditional branch that was assigned a

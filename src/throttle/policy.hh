@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "confidence/estimator.hh"
 
@@ -70,6 +71,15 @@ struct ThrottleAction
     }
 };
 
+template <FieldsOf<ThrottleAction> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("fetch", s.fetch);
+    v("decode", s.decode);
+    v("noSelect", s.noSelect);
+}
+
 /**
  * A Selective Throttling policy: one ThrottleAction per confidence
  * level. VHC/HC are conventionally null; LC/VLC carry the heuristics.
@@ -112,6 +122,14 @@ struct ThrottlePolicy
     /** All named experiment policies, in paper order. */
     static const std::vector<std::string> &experimentNames();
 };
+
+template <FieldsOf<ThrottlePolicy> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("name", s.name);
+    v("byLevel", s.byLevel);
+}
 
 } // namespace stsim
 

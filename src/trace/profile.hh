@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
+
 namespace stsim
 {
 
@@ -92,6 +94,44 @@ struct BenchmarkProfile
     /** Validate ranges; fatals on nonsense values. */
     void validate() const;
 };
+
+template <FieldsOf<BenchmarkProfile> S, typename V>
+void
+visitFields(S &s, V &&v)
+{
+    v("name", s.name);
+    v("targetMissRate", s.targetMissRate);
+    v("condBranchFrac", s.condBranchFrac);
+    v("numBlocks", s.numBlocks);
+    v("numFuncs", s.numFuncs);
+    v("fracJumpTerm", s.fracJumpTerm);
+    v("fracCallTerm", s.fracCallTerm);
+    v("fracRetTerm", s.fracRetTerm);
+    v("fracLoop", s.fracLoop);
+    v("fracPattern", s.fracPattern);
+    v("fracBiased", s.fracBiased);
+    v("fracChaotic", s.fracChaotic);
+    v("loopPeriodMin", s.loopPeriodMin);
+    v("loopPeriodMax", s.loopPeriodMax);
+    v("biasedMissMin", s.biasedMissMin);
+    v("biasedMissMax", s.biasedMissMax);
+    v("chaoticTakenP", s.chaoticTakenP);
+    v("fracLoad", s.fracLoad);
+    v("fracStore", s.fracStore);
+    v("fracIntMult", s.fracIntMult);
+    v("fracFpAlu", s.fracFpAlu);
+    v("fracFpMult", s.fracFpMult);
+    v("srcChance", s.srcChance);
+    v("depDistP", s.depDistP);
+    v("dataFootprintKB", s.dataFootprintKB);
+    v("fracStackAccess", s.fracStackAccess);
+    v("fracStreamAccess", s.fracStreamAccess);
+    v("hotDataKB", s.hotDataKB);
+    v("hotDataFrac", s.hotDataFrac);
+    v("blockLenScale", s.blockLenScale);
+    v("biasedTakenFrac", s.biasedTakenFrac);
+    v("seed", s.seed);
+}
 
 /**
  * The eight SPECint95/2000 benchmarks with the highest misprediction

@@ -316,6 +316,31 @@ TEST(DispatchJournal, MidFileCorruptionIsFatal)
                 ::testing::ExitedWithCode(1), "corrupt at line 2");
 }
 
+TEST(DispatchJournal, PlanFieldOfTheWrongKindOrRangeIsFatal)
+{
+    // An integer field written as a string, a string field written as
+    // an integer, and an integer above 2^64-1 (which used to saturate)
+    // all make the plan malformed.
+    TempDir tmp;
+    const std::string path = tmp.file("journal.jsonl");
+    for (const char *plan :
+         {"{\"type\":\"plan\",\"manifest\":\"m\",\"manifestHash\":\"0\","
+          "\"shards\":2,\"jobs\":4,\"workers\":0,\"maxAttempts\":3,"
+          "\"maxConcurrent\":0,\"timeoutMs\":0}\n",
+          "{\"type\":\"plan\",\"manifest\":7,\"manifestHash\":0,"
+          "\"shards\":2,\"jobs\":4,\"workers\":0,\"maxAttempts\":3,"
+          "\"maxConcurrent\":0,\"timeoutMs\":0}\n",
+          "{\"type\":\"plan\",\"manifest\":\"m\","
+          "\"manifestHash\":18446744073709551616,\"shards\":2,"
+          "\"jobs\":4,\"workers\":0,\"maxAttempts\":3,"
+          "\"maxConcurrent\":0,\"timeoutMs\":0}\n"}) {
+        writeFile(path, plan);
+        EXPECT_EXIT(DispatchJournal::replay(path),
+                    ::testing::ExitedWithCode(1), "malformed plan")
+            << plan;
+    }
+}
+
 TEST(DispatchJournal, MissingPlanIsFatal)
 {
     TempDir tmp;

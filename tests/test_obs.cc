@@ -23,21 +23,6 @@
 
 using namespace stsim;
 
-namespace
-{
-
-const std::string *
-flatValue(const std::vector<serde::FlatField> &fields,
-          const std::string &key)
-{
-    for (const serde::FlatField &f : fields)
-        if (f.key == key)
-            return &f.value;
-    return nullptr;
-}
-
-} // namespace
-
 TEST(ObsHistogram, BucketBoundaries)
 {
     // Bucket 0 holds the value 0; bucket i holds [2^(i-1), 2^i - 1].
@@ -184,24 +169,23 @@ TEST(ObsMetrics, SnapshotParsesAsFlatRecord)
     std::vector<serde::FlatField> fields;
     ASSERT_TRUE(serde::parseFlat(snap, fields)) << snap;
 
-    const std::string *c = flatValue(fields, "c.test.snap_counter");
-    ASSERT_NE(c, nullptr);
-    EXPECT_EQ(*c, "7");
+    std::uint64_t c = 0;
+    ASSERT_TRUE(serde::flatGet(fields, "c.test.snap_counter", c));
+    EXPECT_EQ(c, 7u);
 
     // Gauges are signed, so they travel as quoted strings (the flat
-    // lexer's integer path is unsigned-only).
-    const std::string *g = flatValue(fields, "g.test.snap_gauge");
-    ASSERT_NE(g, nullptr);
-    EXPECT_EQ(*g, "-3");
+    // record's integer path is unsigned-only).
+    std::string g;
+    ASSERT_TRUE(serde::flatGet(fields, "g.test.snap_gauge", g));
+    EXPECT_EQ(g, "-3");
 
-    const std::string *hc = flatValue(fields, "h.test.snap_hist.count");
-    ASSERT_NE(hc, nullptr);
-    EXPECT_EQ(*hc, "2");
-    const std::string *hb =
-        flatValue(fields, "h.test.snap_hist.buckets");
-    ASSERT_NE(hb, nullptr);
+    std::uint64_t hc = 0;
+    ASSERT_TRUE(serde::flatGet(fields, "h.test.snap_hist.count", hc));
+    EXPECT_EQ(hc, 2u);
+    std::string hb;
+    ASSERT_TRUE(serde::flatGet(fields, "h.test.snap_hist.buckets", hb));
     std::array<std::uint64_t, obs::Histogram::kBuckets> counts{};
-    ASSERT_TRUE(obs::Histogram::parseSparse(*hb, counts));
+    ASSERT_TRUE(obs::Histogram::parseSparse(hb, counts));
     EXPECT_EQ(counts, h.bucketCounts());
 
     // The text dump mentions every registered instrument.
