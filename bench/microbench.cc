@@ -16,7 +16,6 @@
 #include "confidence/jrs.hh"
 #include "core/experiment.hh"
 #include "core/simulator.hh"
-#include "pipeline/producer_table.hh"
 #include "trace/workload.hh"
 
 using namespace stsim;
@@ -92,35 +91,6 @@ BM_WorkloadGeneration(benchmark::State &state)
         benchmark::DoNotOptimize(w.next().pc);
 }
 BENCHMARK(BM_WorkloadGeneration);
-
-void
-BM_DispatchResolve(benchmark::State &state)
-{
-    // Dispatch-time dependence resolution against the last-producer
-    // table: two source lookups, one publish and one retirement per
-    // instruction, over a window-sized live set (the core's resolve
-    // fast path, isolated from the rest of the pipeline).
-    ProducerTable tab;
-    tab.init(256);
-    Rng rng(6);
-    constexpr InstSeq kWindow = 128;
-    InstSeq seq = 1;
-    for (auto _ : state) {
-        if (seq > kWindow)
-            tab.erase(seq - kWindow); // oldest producer completes
-        for (int k = 0; k < 2; ++k) {
-            const InstSeq d = 1 + (rng.next() & 63);
-            if (d < seq)
-                benchmark::DoNotOptimize(tab.lookup(seq - d));
-        }
-        // Consecutive live seqs never alias in a 2x-sized table, so
-        // the fast path always succeeds here -- as in the core.
-        benchmark::DoNotOptimize(
-            tab.tryInsert(seq, static_cast<std::uint32_t>(seq & 255)));
-        ++seq;
-    }
-}
-BENCHMARK(BM_DispatchResolve);
 
 void
 BM_FetchGroupGen(benchmark::State &state)

@@ -99,6 +99,8 @@ class BpredUnit
 
     const Btb &btb() const { return btb_; }
 
+    const Ras &ras() const { return ras_; }
+
     /** Direction-predictor lookups (activity accounting). */
     Counter lookups() const { return lookups_; }
 

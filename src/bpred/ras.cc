@@ -54,7 +54,11 @@ Ras::loadState(serde::StateReader &r)
                     stack.size(), stack_.size());
     for (std::size_t i = 0; i < stack_.size(); ++i)
         stack_[i] = stack[i];
-    top_ = static_cast<std::uint32_t>(r.u64("top"));
+    const std::uint64_t top = r.u64("top");
+    if (top >= stack_.size())
+        stsim_fatal("state: RAS top %llu out of range (%zu entries)",
+                    static_cast<unsigned long long>(top), stack_.size());
+    top_ = static_cast<std::uint32_t>(top);
     r.end("ras");
 }
 

@@ -227,9 +227,9 @@ Simulator::runMeasure(const CancelToken *cancel)
         const Core::HotCounters &h = core_->hotCounters();
         obs::Registry &reg = obs::Registry::instance();
         reg.counter("core.fetch_groups").inc(h.fetchGroups);
-        reg.counter("core.producer_table_hits").inc(h.producerHits);
-        reg.counter("core.producer_table_misses")
-            .inc(h.producerMisses);
+        reg.counter("core.dispatch_src_waiting")
+            .inc(h.dispatchSrcWaiting);
+        reg.counter("core.dispatch_src_ready").inc(h.dispatchSrcReady);
     }
     return r;
 }

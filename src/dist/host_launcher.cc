@@ -56,13 +56,79 @@ describeWaitStatus(int status)
     return "status " + std::to_string(status);
 }
 
-LocalProcessLauncher::LocalProcessLauncher(std::string runnerPath)
-    : runner_(std::move(runnerPath))
+namespace
 {
-    if (::access(runner_.c_str(), X_OK) != 0) {
-        stsim_fatal("launcher: '%s' is not an executable runner (%s)",
-                    runner_.c_str(), std::strerror(errno));
+
+/** @p path, once it names an executable; @p who prefixes the error. */
+std::string
+executableRunner(const char *who, std::string path)
+{
+    if (::access(path.c_str(), X_OK) != 0) {
+        stsim_fatal("%s: '%s' is not an executable runner (%s)", who,
+                    path.c_str(), std::strerror(errno));
     }
+    return path;
+}
+
+/**
+ * fork + exec of @p argv (argv[0] is the runner). The child first
+ * moves @p stdinFd / @p stdoutFd onto its stdio when they are >= 0
+ * and sets @p env to "1" when it is non-null. @p who prefixes the
+ * error messages.
+ */
+pid_t
+spawnRunner(const char *who, std::vector<const char *> argv, int stdinFd,
+            int stdoutFd, const char *env)
+{
+    argv.push_back(nullptr);
+    pid_t pid = ::fork();
+    if (pid < 0)
+        stsim_fatal("%s: fork failed (%s)", who, std::strerror(errno));
+    if (pid == 0) {
+        // Child. Only the single-threaded dispatcher passes @p env,
+        // so mutating the environment between fork and exec is safe.
+        if (stdinFd >= 0)
+            ::dup2(stdinFd, STDIN_FILENO);
+        if (stdoutFd >= 0)
+            ::dup2(stdoutFd, STDOUT_FILENO);
+        if (env)
+            ::setenv(env, "1", 1);
+        ::execv(argv[0], const_cast<char *const *>(argv.data()));
+        std::fprintf(stderr, "%s: exec '%s' failed: %s\n", who, argv[0],
+                     std::strerror(errno));
+        ::_exit(127);
+    }
+    return pid;
+}
+
+/** A reaped child: whether it exited 0, and its wait status text. */
+struct Reaped
+{
+    bool clean;
+    std::string text; ///< "exit N" / "signal N" / "waitpid: <error>"
+};
+
+/** Nonblocking waitpid on @p pid; nullopt while it still runs. A failed
+ *  wait (ECHILD: someone else reaped it) reports the child as gone. */
+std::optional<Reaped>
+tryReap(pid_t pid)
+{
+    int status = 0;
+    pid_t r = ::waitpid(pid, &status, WNOHANG);
+    if (r == 0)
+        return std::nullopt;
+    if (r < 0)
+        return Reaped{false,
+                      std::string("waitpid: ") + std::strerror(errno)};
+    return Reaped{WIFEXITED(status) && WEXITSTATUS(status) == 0,
+                  describeWaitStatus(status)};
+}
+
+} // namespace
+
+LocalProcessLauncher::LocalProcessLauncher(std::string runnerPath)
+    : runner_(executableRunner("launcher", std::move(runnerPath)))
+{
 }
 
 std::string
@@ -102,23 +168,11 @@ LocalProcessLauncher::launch(const ShardTask &task)
         argv.push_back("--jobs");
         argv.push_back(jobsSpec);
     }
-    argv.push_back(nullptr);
 
-    pid_t pid = ::fork();
-    if (pid < 0)
-        stsim_fatal("launcher: fork failed (%s)", std::strerror(errno));
-    if (pid == 0) {
-        // Child. The dispatcher is single-threaded, so mutating the
-        // environment between fork and exec is safe.
-        if (task.testHangAfterFirstRecord)
-            ::setenv(kTestHangEnv, "1", 1);
-        ::execv(runner_.c_str(),
-                const_cast<char *const *>(argv.data()));
-        std::fprintf(stderr, "launcher: exec '%s' failed: %s\n",
-                     runner_.c_str(), std::strerror(errno));
-        ::_exit(127);
-    }
-    pids_.emplace(task.shard, pid);
+    const char *env =
+        task.testHangAfterFirstRecord ? kTestHangEnv : nullptr;
+    pids_.emplace(task.shard,
+                  spawnRunner("launcher", std::move(argv), -1, -1, env));
 }
 
 std::optional<ShardExit>
@@ -128,21 +182,14 @@ LocalProcessLauncher::waitAny(std::chrono::milliseconds timeout)
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     for (;;) {
         for (auto it = pids_.begin(); it != pids_.end(); ++it) {
-            int status = 0;
-            pid_t r = ::waitpid(it->second, &status, WNOHANG);
-            if (r == 0)
+            std::optional<Reaped> done = tryReap(it->second);
+            if (!done)
                 continue;
-            if (r < 0) {
-                stsim_fatal("launcher: waitpid(%d) failed (%s)",
-                            static_cast<int>(it->second),
-                            std::strerror(errno));
-            }
             ShardExit ex;
             ex.shard = it->first;
-            if (WIFEXITED(status) && WEXITSTATUS(status) == 0)
-                ex.success = true;
-            else
-                ex.reason = describeWaitStatus(status);
+            ex.success = done->clean;
+            if (!ex.success)
+                ex.reason = std::move(done->text);
             pids_.erase(it);
             return ex;
         }
@@ -166,12 +213,8 @@ LocalProcessLauncher::kill(std::uint64_t shard)
 WorkerLauncher::~WorkerLauncher() = default;
 
 LocalWorkerLauncher::LocalWorkerLauncher(std::string runnerPath)
-    : runner_(std::move(runnerPath))
+    : runner_(executableRunner("fleet", std::move(runnerPath)))
 {
-    if (::access(runner_.c_str(), X_OK) != 0) {
-        stsim_fatal("fleet: '%s' is not an executable runner (%s)",
-                    runner_.c_str(), std::strerror(errno));
-    }
 }
 
 WorkerProcess
@@ -186,22 +229,8 @@ LocalWorkerLauncher::launch()
         ::pipe2(outPipe, O_CLOEXEC) != 0)
         stsim_fatal("fleet: pipe failed (%s)", std::strerror(errno));
 
-    pid_t pid = ::fork();
-    if (pid < 0)
-        stsim_fatal("fleet: fork failed (%s)", std::strerror(errno));
-    if (pid == 0) {
-        ::dup2(inPipe[0], STDIN_FILENO);
-        ::dup2(outPipe[1], STDOUT_FILENO);
-        ::close(inPipe[0]);
-        ::close(inPipe[1]);
-        ::close(outPipe[0]);
-        ::close(outPipe[1]);
-        const char *argv[] = {runner_.c_str(), "serve-worker", nullptr};
-        ::execv(runner_.c_str(), const_cast<char *const *>(argv));
-        std::fprintf(stderr, "fleet: exec '%s' failed: %s\n",
-                     runner_.c_str(), std::strerror(errno));
-        ::_exit(127);
-    }
+    pid_t pid = spawnRunner("fleet", {runner_.c_str(), "serve-worker"},
+                            inPipe[0], outPipe[1], nullptr);
     ::close(inPipe[0]);
     ::close(outPipe[1]);
     // Nonblocking reads so the supervisor can poll() the whole fleet;
@@ -226,16 +255,10 @@ LocalWorkerLauncher::kill(pid_t pid)
 bool
 LocalWorkerLauncher::reap(pid_t pid, std::string &statusText)
 {
-    int status = 0;
-    pid_t r = ::waitpid(pid, &status, WNOHANG);
-    if (r == 0)
+    std::optional<Reaped> done = tryReap(pid);
+    if (!done)
         return false;
-    if (r < 0) {
-        // ECHILD would mean someone else reaped it; report it as gone.
-        statusText = std::string("waitpid: ") + std::strerror(errno);
-        return true;
-    }
-    statusText = describeWaitStatus(status);
+    statusText = std::move(done->text);
     return true;
 }
 

@@ -58,10 +58,6 @@ Core::Core(const CoreConfig &cfg, const Deps &deps)
     readyWords_.assign(bits / 64, 0);
     readyMask_ = bits - 1;
 
-    // Producer table: at most ruuSize live producers; 2x cells keeps
-    // the load factor low so growth is rare (and exact when it runs).
-    prodTab_.init(cfg_.ruuSize * 2);
-
     // LSQ-position masks share the ready bitmap's aliasing argument:
     // the LSQ never holds more than lsqSize entries, so a pow2 bit
     // ring of at least that many positions is collision free.
@@ -95,13 +91,6 @@ Core::nextReadyPos(std::uint64_t pos, std::uint64_t end) const
         pos += 64 - off; // next word boundary
     }
     return kInvalidSeq;
-}
-
-void
-Core::growProducerTable(InstSeq seq, std::uint32_t slot)
-{
-    prodTab_.insert(seq, slot,
-                    [this](auto &&fn) { forEachLiveProducer(fn); });
 }
 
 void

@@ -33,7 +33,6 @@
 #include "pipeline/core_stats.hh"
 #include "pipeline/dyn_inst.hh"
 #include "pipeline/fu_pool.hh"
-#include "pipeline/producer_table.hh"
 #include "power/power_model.hh"
 #include "throttle/controller.hh"
 #include "trace/workload.hh"
@@ -141,9 +140,9 @@ class Core
      */
     struct HotCounters
     {
-        std::uint64_t fetchGroups = 0;    ///< batched fetch-group calls
-        std::uint64_t producerHits = 0;   ///< dispatch resolves: waiting
-        std::uint64_t producerMisses = 0; ///< dispatch resolves: ready
+        std::uint64_t fetchGroups = 0;        ///< batched fetch-group calls
+        std::uint64_t dispatchSrcWaiting = 0; ///< resolves: producer live
+        std::uint64_t dispatchSrcReady = 0;   ///< resolves: value ready
     };
 
     const HotCounters &hotCounters() const { return hot_; }
@@ -272,24 +271,6 @@ class Core
                 }
             });
     }
-
-    /** Cold path of producer publication: the table doubles until
-     *  @p seq's cell is collision-free, then the entry lands. */
-    void growProducerTable(InstSeq seq, std::uint32_t slot);
-
-    /** Enumerate live producers (in-window, incomplete, writes a
-     *  destination) for ProducerTable growth and restore. */
-    template <typename Fn>
-    void
-    forEachLiveProducer(Fn &&fn) const
-    {
-        for (std::size_t i = 0; i < rob_.size(); ++i) {
-            const std::uint32_t s = rob_[i];
-            const DynInst &di = slots_[s];
-            if (di.ti.hasDest && !di.completed)
-                fn(di.seq, s);
-        }
-    }
     /// @}
 
     /// @name Ready tracking
@@ -363,10 +344,6 @@ class Core
     SlotRing lsq_;
     std::uint64_t lsqBasePos_ = 0; ///< position of lsq_.front()
     unsigned readyStores_ = 0; ///< in-window stores with known address
-
-    // Last-producer table: dispatch resolves srcDist operands with one
-    // indexed load instead of slotOf probes plus a DynInst deref.
-    ProducerTable prodTab_;
 
     // Per-domain masks over LSQ positions (position order == seq order
     // for memory ops, so every seq comparison the old vector walks did

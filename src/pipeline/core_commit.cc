@@ -4,7 +4,6 @@
  */
 
 #include "common/logging.hh"
-#include "common/prefetch.hh"
 #include "core.hh"
 
 namespace stsim
@@ -18,8 +17,6 @@ Core::commitStage()
     while (n < cfg_.commitWidth && !rob_.empty()) {
         std::uint32_t slot = rob_.front();
         DynInst &di = inst(slot);
-        if (rob_.size() > 1)
-            STSIM_PREFETCH(&slots_[rob_[1]]);
         if (!di.completed)
             break;
         stsim_dbg_assert(!di.wrongPath,
@@ -102,11 +99,8 @@ Core::squashAfter(InstSeq seq)
             std::uint32_t slot = q.back();
             q.pop_back();
             DynInst &di = inst(slot);
-            if (di.inWindow) {
+            if (di.inWindow)
                 clearReady(di); // position will be reused
-                if (di.ti.hasDest)
-                    prodTab_.erase(di.seq);
-            }
             ++stats_.squashedInsts;
             freeSlot(slot);
         }

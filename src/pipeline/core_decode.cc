@@ -6,7 +6,6 @@
  */
 
 #include "common/logging.hh"
-#include "common/prefetch.hh"
 #include "core.hh"
 
 namespace stsim
@@ -26,8 +25,6 @@ Core::decodeStage()
     while (n < cfg_.decodeWidth && !fetchQ_.empty()) {
         std::uint32_t slot = fetchQ_.front();
         DynInst &di = inst(slot);
-        if (fetchQ_.size() > 1)
-            STSIM_PREFETCH(&slots_[fetchQ_[1]]);
         if (di.decodeReady > now_)
             break;
         if (dispatchQ_.size() >= dispatchQCap_)
@@ -84,8 +81,6 @@ Core::dispatchStage()
     while (n < cfg_.decodeWidth && !dispatchQ_.empty()) {
         std::uint32_t slot = dispatchQ_.front();
         DynInst &di = inst(slot);
-        if (dispatchQ_.size() > 1)
-            STSIM_PREFETCH(&slots_[dispatchQ_[1]]);
         if (di.dispatchReady > now_)
             break;
         if (rob_.size() >= cfg_.ruuSize) {
@@ -110,46 +105,24 @@ Core::dispatchStage()
                 unknownStoreMask_.set(di.lsqPos);
         }
 
-        // Resolve register dependences: producer seq is pure math
-        // (seq - srcDist), and the last-producer table answers "live
-        // and where" in one indexed load. Dispatch is in order, so a
-        // miss means the producer completed, committed or was
-        // squashed -- the operand is ready.
+        // Resolve register dependences: the producer's seq is
+        // seq - srcDist. Dispatch is in order, so a producer that is no
+        // longer in flight has committed or been squashed, and its
+        // value is ready like that of a completed one.
         di.waitingOn = 0;
         for (int k = 0; k < 2; ++k) {
             unsigned d = di.ti.srcDist[k];
             if (!d || d >= di.seq)
                 continue;
-            const InstSeq pseq = di.seq - d;
-            const std::uint32_t ps = prodTab_.lookup(pseq);
-#ifndef NDEBUG
-            {
-                // Cross-check against the old slotOf probe path.
-                auto ref = slotOf(pseq);
-                const bool ref_live =
-                    ref && slots_[*ref].ti.hasDest &&
-                    !slots_[*ref].completed;
-                stsim_assert(ref_live ==
-                                 (ps != ProducerTable::kNoSlot),
-                             "producer table diverges from probe for "
-                             "seq %llu",
-                             static_cast<unsigned long long>(pseq));
-                stsim_assert(!ref_live || *ref == ps,
-                             "producer table slot mismatch for seq "
-                             "%llu",
-                             static_cast<unsigned long long>(pseq));
-            }
-#endif
-            if (ps == ProducerTable::kNoSlot) {
-                ++hot_.producerMisses;
+            auto ps = slotOf(di.seq - d);
+            if (!ps || !inst(*ps).ti.hasDest || inst(*ps).completed) {
+                ++hot_.dispatchSrcReady;
                 continue;
             }
-            ++hot_.producerHits;
-            inst(ps).addConsumer(di.seq);
+            ++hot_.dispatchSrcWaiting;
+            inst(*ps).addConsumer(di.seq);
             ++di.waitingOn;
         }
-        if (di.ti.hasDest && !prodTab_.tryInsert(di.seq, slot))
-            growProducerTable(di.seq, slot); // cold: rebuild + retry
 
         if (!(cfg_.oracle == OracleMode::OracleDecode && wp)) {
             ++win_cnt;

@@ -5,7 +5,6 @@
  */
 
 #include "common/logging.hh"
-#include "common/prefetch.hh"
 #include "core.hh"
 
 namespace stsim

@@ -10,7 +10,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/prefetch.hh"
 #include "core.hh"
 
 namespace stsim
@@ -32,8 +31,6 @@ Core::issueStage()
     while (issued < cfg_.issueWidth &&
            (pos = nextReadyPos(pos, end)) != kInvalidSeq) {
         DynInst &di = inst(rob_[pos - robBasePos_]);
-        if (pos + 1 < end) // walk-ahead: next window slot
-            STSIM_PREFETCH(&slots_[rob_[pos + 1 - robBasePos_]]);
         stsim_dbg_assert(di.inWindow && !di.issued && !di.waitingOn,
                      "stale ready bit for seq %llu",
                      static_cast<unsigned long long>(di.seq));
@@ -137,8 +134,6 @@ Core::writebackStage()
 
         while (b.pending() && done < cfg_.issueWidth) {
             InstSeq seq = b.ev[b.head];
-            if (b.head + 1 < b.ev.size()) // walk-ahead: next event
-                STSIM_PREFETCH(&slots_[seqSlot_[b.ev[b.head + 1]]]);
             auto slot = slotOf(seq);
             if (!slot) {
                 ++b.head; // squashed in flight
@@ -165,8 +160,6 @@ Core::completeInst(DynInst &di)
                  static_cast<unsigned long long>(di.seq));
     di.completed = true;
     deps_.power->record(PUnit::ResultBus, 1, di.wrongPath ? 1 : 0);
-    if (di.ti.hasDest)
-        prodTab_.erase(di.seq); // no longer a live producer
 
     wakeConsumers(di);
 

@@ -117,8 +117,10 @@ saveInst(serde::StateWriter &w, const DynInst &di)
     w.end("inst");
 }
 
+/** Restore one instruction. @p ras_entries bounds its RAS checkpoint:
+ *  a squash writes the RAS at that index. */
 void
-loadInst(serde::StateReader &r, DynInst &di)
+loadInst(serde::StateReader &r, DynInst &di, std::size_t ras_entries)
 {
     r.begin("inst");
     di.seq = r.u64("seq");
@@ -151,9 +153,20 @@ loadInst(serde::StateReader &r, DynInst &di)
     di.pred.dir.counterMax =
         static_cast<unsigned>(r.u64("dir_counter_max"));
     di.pred.histBefore = r.u64("hist_before");
-    di.pred.rasCp.top = static_cast<std::uint32_t>(r.u64("ras_top"));
+    const std::uint64_t ras_top = r.u64("ras_top");
+    if (ras_top >= ras_entries)
+        stsim_fatal("state: inst %llu ras_top %llu out of range (%zu RAS "
+                    "entries)",
+                    static_cast<unsigned long long>(di.seq),
+                    static_cast<unsigned long long>(ras_top), ras_entries);
+    di.pred.rasCp.top = static_cast<std::uint32_t>(ras_top);
     di.pred.rasCp.topValue = r.u64("ras_top_value");
-    di.conf = static_cast<ConfLevel>(r.u64("conf"));
+    const std::uint64_t conf = r.u64("conf");
+    if (conf > static_cast<std::uint64_t>(ConfLevel::VLC))
+        stsim_fatal("state: inst %llu conf %llu out of range (4 levels)",
+                    static_cast<unsigned long long>(di.seq),
+                    static_cast<unsigned long long>(conf));
+    di.conf = static_cast<ConfLevel>(conf);
     r.end("inst");
 }
 
@@ -306,7 +319,7 @@ Core::loadState(serde::StateReader &r)
         if (s >= slots_.size())
             stsim_fatal("state: live slot %llu beyond the pool",
                         static_cast<unsigned long long>(s));
-        loadInst(r, slots_[s]);
+        loadInst(r, slots_[s], deps_.bpred->ras().size());
     }
     inflightCount_ = live.size();
     seqSlot_.init(slots_.size() + 512, 0);
@@ -381,13 +394,6 @@ Core::loadState(serde::StateReader &r)
                         static_cast<unsigned long long>(s));
         blockedLoadMask_.set(slots_[*slot].lsqPos);
     }
-
-    // Rebuild the last-producer table from the restored window.
-    prodTab_.init(cfg_.ruuSize * 2);
-    forEachLiveProducer([this](InstSeq seq, std::uint32_t slot) {
-        prodTab_.insert(seq, slot,
-                        [this](auto &&fn) { forEachLiveProducer(fn); });
-    });
 
     std::uint64_t mode = r.u64("fetch_mode");
     if (mode > static_cast<std::uint64_t>(FetchMode::WaitBranch))

@@ -182,9 +182,6 @@ SpeculationController::onCondBranchFetched(InstSeq seq, ConfLevel lvl)
 
     refreshLevels();
     refreshBarriers();
-#ifndef NDEBUG
-    crossCheck();
-#endif
 }
 
 void
@@ -215,9 +212,6 @@ SpeculationController::onBranchResolved(InstSeq seq)
 
     refreshLevels();
     refreshBarriers();
-#ifndef NDEBUG
-    crossCheck();
-#endif
 }
 
 void
@@ -243,9 +237,6 @@ SpeculationController::squashYoungerThan(InstSeq seq)
 
     refreshLevels();
     refreshBarriers();
-#ifndef NDEBUG
-    crossCheck();
-#endif
 }
 
 void
@@ -314,47 +305,5 @@ SpeculationController::loadState(serde::StateReader &r)
     decodeGatedCycles_ = r.u64("decode_gated_cycles");
     r.end("controller");
 }
-
-#ifndef NDEBUG
-void
-SpeculationController::crossCheck() const
-{
-    // Reference semantics: a full rescan of the outstanding set, as
-    // the pre-incremental controller computed on every event.
-    BandwidthLevel f = BandwidthLevel::Full;
-    BandwidthLevel d = BandwidthLevel::Full;
-    InstSeq nosel = kInvalidSeq;
-    InstSeq decb = kInvalidSeq;
-    unsigned low = 0, live = 0;
-
-    for (std::uint64_t p = head_; p < tail_; ++p) {
-        const Tracked &t = at(p);
-        if (!t.live)
-            continue;
-        ++live;
-        if (isLowConfidence(t.lvl))
-            ++low;
-        if (cfg_.mode != SpecControlMode::Selective)
-            continue;
-        const ThrottleAction &a = cfg_.policy.action(t.lvl);
-        f = maxRestriction(f, a.fetch);
-        d = maxRestriction(d, a.decode);
-        if (a.noSelect && nosel == kInvalidSeq)
-            nosel = t.seq;
-        if (a.decode != BandwidthLevel::Full && decb == kInvalidSeq)
-            decb = t.seq;
-    }
-    if (cfg_.mode == SpecControlMode::PipelineGating)
-        f = low > cfg_.gatingThreshold ? BandwidthLevel::Stall
-                                       : BandwidthLevel::Full;
-
-    stsim_assert(live == liveCount_ && low == lowCount_,
-                 "incremental controller counter drift");
-    stsim_assert(f == fetchLevel_ && d == decodeLevel_,
-                 "incremental controller level drift");
-    stsim_assert(nosel == noSelectBarrier_ && decb == decodeBarrier_,
-                 "incremental controller barrier drift");
-}
-#endif
 
 } // namespace stsim

@@ -68,9 +68,10 @@ visitFields(S &s, V &&v)
  * outstanding counts give the active bandwidth levels in O(levels)
  * per event, the barriers come from per-action deques of tracked-entry
  * positions (cleaned lazily, amortized O(1)), and resolution finds its
- * entry through a seq-indexed ring instead of a linear walk. A full
- * rescan over the outstanding set -- the reference semantics -- is
- * kept behind !NDEBUG and cross-checked after every mutation.
+ * entry through a seq-indexed ring instead of a linear walk. The
+ * reference semantics, a full rescan of the outstanding set on every
+ * event, live in tests/test_throttle.cc, which drives both models
+ * through randomized event streams (snapshot restores included).
  */
 class SpeculationController
 {
@@ -150,8 +151,7 @@ class SpeculationController
      * replays the live branches in fetch order through
      * onCondBranchFetched, so every incremental structure (counts,
      * barrier deques, position ring, cached levels) is rebuilt through
-     * the same code the live path uses -- and re-validated by the
-     * !NDEBUG cross-check.
+     * the same code the live path uses.
      */
     void saveState(serde::StateWriter &w) const;
     void loadState(serde::StateReader &r);
@@ -189,11 +189,6 @@ class SpeculationController
 
     /** Publish seq -> pos; grows the ring on a live collision. */
     void indexSeq(InstSeq seq, std::uint64_t pos);
-
-#ifndef NDEBUG
-    /** Reference full-rescan recomputation, asserted equal. */
-    void crossCheck() const;
-#endif
 
     static constexpr std::uint64_t kInvalidPos =
         ~static_cast<std::uint64_t>(0);

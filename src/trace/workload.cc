@@ -10,9 +10,6 @@ namespace stsim
 namespace
 {
 
-/** Maximum shadow call-stack depth; deeper calls drop the oldest frame. */
-constexpr std::size_t kMaxCallDepth = 64;
-
 /** Deterministic Pattern-branch outcome from history bits and a salt. */
 bool
 patternOutcome(std::uint64_t hist, std::uint8_t bits, std::uint32_t salt)
@@ -22,6 +19,52 @@ patternOutcome(std::uint64_t hist, std::uint8_t bits, std::uint32_t salt)
 }
 
 } // namespace
+
+//
+// BlockWalker
+//
+
+TraceInst
+BlockWalker::terminator(const StaticProgram &prog, const StaticBlock &b,
+                        bool cond_taken)
+{
+    TraceInst ti;
+    ti.pc = b.termPc();
+    ti.taken = true;
+    ti.target = prog.block(b.takenTarget).pc;
+    std::uint32_t next_block = b.takenTarget;
+    switch (b.term) {
+      case TermKind::CondBranch:
+        ti.cls = InstClass::CondBranch;
+        ti.srcDist[0] = b.termSrcDist[0];
+        ti.srcDist[1] = b.termSrcDist[1];
+        ti.taken = cond_taken;
+        if (!cond_taken)
+            next_block = b.fallthrough;
+        break;
+      case TermKind::Jump:
+        ti.cls = InstClass::Jump;
+        break;
+      case TermKind::Call:
+        ti.cls = InstClass::Call;
+        if (callStack.size() >= kMaxCallDepth)
+            callStack.erase(callStack.begin());
+        callStack.push_back(b.fallthrough);
+        break;
+      case TermKind::Return:
+        ti.cls = InstClass::Return;
+        if (!callStack.empty()) {
+            next_block = callStack.back();
+            callStack.pop_back();
+            ti.target = prog.block(next_block).pc;
+        }
+        break;
+    }
+    ti.npc = ti.taken ? ti.target : prog.block(b.fallthrough).pc;
+    curBlock = next_block;
+    opIdx = 0;
+    return ti;
+}
 
 //
 // Workload (correct path)
@@ -125,63 +168,6 @@ Workload::memAddress(const StaticOp &op)
     return op.regionBase;
 }
 
-TraceInst
-Workload::nextTerminator(const StaticBlock &b)
-{
-    TraceInst ti;
-    ti.pc = b.termPc();
-    ti.hasDest = false;
-    if (b.term == TermKind::CondBranch) {
-        ti.srcDist[0] = b.termSrcDist[0];
-        ti.srcDist[1] = b.termSrcDist[1];
-    }
-
-    std::uint32_t next_block = b.fallthrough;
-    switch (b.term) {
-      case TermKind::CondBranch: {
-        ti.cls = InstClass::CondBranch;
-        ti.taken = evalCondBranch(curBlock_);
-        globalHist_ = (globalHist_ << 1) | (ti.taken ? 1 : 0);
-        ti.target = program_->block(b.takenTarget).pc;
-        next_block = ti.taken ? b.takenTarget : b.fallthrough;
-        break;
-      }
-      case TermKind::Jump:
-        ti.cls = InstClass::Jump;
-        ti.taken = true;
-        ti.target = program_->block(b.takenTarget).pc;
-        next_block = b.takenTarget;
-        break;
-      case TermKind::Call:
-        ti.cls = InstClass::Call;
-        ti.taken = true;
-        ti.target = program_->block(b.takenTarget).pc;
-        next_block = b.takenTarget;
-        if (callStack_.size() >= kMaxCallDepth)
-            callStack_.erase(callStack_.begin());
-        callStack_.push_back(b.fallthrough);
-        break;
-      case TermKind::Return: {
-        ti.cls = InstClass::Return;
-        ti.taken = true;
-        std::uint32_t ret_block = b.takenTarget;
-        if (!callStack_.empty()) {
-            ret_block = callStack_.back();
-            callStack_.pop_back();
-        }
-        ti.target = program_->block(ret_block).pc;
-        next_block = ret_block;
-        break;
-      }
-    }
-
-    ti.npc = ti.taken ? ti.target
-                      : program_->block(b.fallthrough).pc;
-    curBlock_ = next_block;
-    opIdx_ = 0;
-    return ti;
-}
-
 namespace
 {
 
@@ -199,6 +185,22 @@ loadSizedVec(serde::StateReader &r, const char *key, std::vector<T> &out)
         out[i] = static_cast<T>(v[i]);
 }
 
+/** Restore a walker's call stack; a Return jumps to its entries, so
+ *  each must be a block of @p prog. */
+void
+loadCallStack(serde::StateReader &r, const StaticProgram &prog,
+              std::vector<std::uint32_t> &out)
+{
+    std::vector<std::uint64_t> cs = r.u64Vec("call_stack");
+    for (std::uint64_t blk : cs)
+        if (blk >= prog.numBlocks())
+            stsim_fatal("state: call_stack block %llu out of range "
+                        "(program has %u blocks)",
+                        static_cast<unsigned long long>(blk),
+                        prog.numBlocks());
+    out.assign(cs.begin(), cs.end());
+}
+
 } // namespace
 
 void
@@ -207,15 +209,15 @@ Workload::saveState(serde::StateWriter &w) const
     w.begin("workload");
     w.u64("rng_s0", rng_.stateS0());
     w.u64("rng_s1", rng_.stateS1());
-    w.u64("cur_block", curBlock_);
-    w.u64("op_idx", opIdx_);
+    w.u64("cur_block", walk_.curBlock);
+    w.u64("op_idx", walk_.opIdx);
     w.u64("global_hist", globalHist_);
     w.u64("generated", generated_);
     w.u64Vec("loop_count", loopCount_);
     w.u64Vec("chaos_wild", chaosWild_);
     w.u64Vec("bias_streak", biasStreak_);
     w.u64Vec("stream_pos", streamPos_);
-    w.u64Vec("call_stack", callStack_);
+    w.u64Vec("call_stack", walk_.callStack);
     w.end("workload");
 }
 
@@ -232,16 +234,15 @@ Workload::loadState(serde::StateReader &r)
                     "(program has %zu blocks)",
                     static_cast<unsigned long long>(cur_block),
                     static_cast<std::size_t>(program_->numBlocks()));
-    curBlock_ = static_cast<std::uint32_t>(cur_block);
-    opIdx_ = static_cast<std::uint32_t>(r.u64("op_idx"));
+    walk_.curBlock = static_cast<std::uint32_t>(cur_block);
+    walk_.opIdx = static_cast<std::uint32_t>(r.u64("op_idx"));
     globalHist_ = r.u64("global_hist");
     generated_ = r.u64("generated");
     loadSizedVec(r, "loop_count", loopCount_);
     loadSizedVec(r, "chaos_wild", chaosWild_);
     loadSizedVec(r, "bias_streak", biasStreak_);
     loadSizedVec(r, "stream_pos", streamPos_);
-    std::vector<std::uint64_t> cs = r.u64Vec("call_stack");
-    callStack_.assign(cs.begin(), cs.end());
+    loadCallStack(r, *program_, walk_.callStack);
     r.end("workload");
 }
 
@@ -255,15 +256,15 @@ WrongPathCursor::WrongPathCursor(const Workload &workload, Addr start_pc,
       rng_(seed ^ 0x5bd1'e995'7b93'cd0full),
       specHist_(workload.globalHistory())
 {
-    curBlock_ = program_->blockContaining(start_pc);
-    const StaticBlock &b = program_->block(curBlock_);
+    walk_.curBlock = program_->blockContaining(start_pc);
+    const StaticBlock &b = program_->block(walk_.curBlock);
     Addr off = (start_pc - b.pc) / 4;
-    opIdx_ = static_cast<std::uint32_t>(off);
+    walk_.opIdx = static_cast<std::uint32_t>(off);
     // A fall-through resume address can point one past the terminator;
     // clamp onto the next block.
-    if (opIdx_ > b.ops.size()) {
-        curBlock_ = b.fallthrough;
-        opIdx_ = 0;
+    if (walk_.opIdx > b.ops.size()) {
+        walk_.curBlock = b.fallthrough;
+        walk_.opIdx = 0;
     }
 }
 
@@ -280,11 +281,10 @@ WrongPathCursor::WrongPathCursor(const Workload &workload,
     if (cur_block >= program_->numBlocks())
         stsim_fatal("state: wrong-path cursor block %llu out of range",
                     static_cast<unsigned long long>(cur_block));
-    curBlock_ = static_cast<std::uint32_t>(cur_block);
-    opIdx_ = static_cast<std::uint32_t>(r.u64("op_idx"));
+    walk_.curBlock = static_cast<std::uint32_t>(cur_block);
+    walk_.opIdx = static_cast<std::uint32_t>(r.u64("op_idx"));
     specHist_ = r.u64("spec_hist");
-    std::vector<std::uint64_t> cs = r.u64Vec("call_stack");
-    callStack_.assign(cs.begin(), cs.end());
+    loadCallStack(r, *program_, walk_.callStack);
     r.end("wrong_cursor");
 }
 
@@ -294,10 +294,10 @@ WrongPathCursor::saveState(serde::StateWriter &w) const
     w.begin("wrong_cursor");
     w.u64("rng_s0", rng_.stateS0());
     w.u64("rng_s1", rng_.stateS1());
-    w.u64("cur_block", curBlock_);
-    w.u64("op_idx", opIdx_);
+    w.u64("cur_block", walk_.curBlock);
+    w.u64("op_idx", walk_.opIdx);
     w.u64("spec_hist", specHist_);
-    w.u64Vec("call_stack", callStack_);
+    w.u64Vec("call_stack", walk_.callStack);
     w.end("wrong_cursor");
 }
 
@@ -319,103 +319,44 @@ WrongPathCursor::wrongPathMem(const StaticOp &op)
     return op.regionBase + 8 * rng_.below(span / 8);
 }
 
+bool
+WrongPathCursor::wrongPathTaken(std::uint32_t block_idx)
+{
+    const StaticBlock &b = program_->block(block_idx);
+    bool taken = false;
+    switch (b.behavior) {
+      case BranchBehavior::Loop:
+        taken = rng_.chance(1.0 - 1.0 / b.loopPeriod);
+        break;
+      case BranchBehavior::Pattern:
+        taken = patternOutcome(specHist_, b.patternBits, b.patternSalt);
+        break;
+      case BranchBehavior::Biased:
+      case BranchBehavior::Chaotic:
+        taken = rng_.chance(b.takenP);
+        break;
+    }
+    specHist_ = (specHist_ << 1) | (taken ? 1 : 0);
+    return taken;
+}
+
 unsigned
 WrongPathCursor::nextGroup(TraceInst *const *out, unsigned n)
 {
-    const StaticBlock &b = program_->block(curBlock_);
-    const std::uint32_t nops =
-        static_cast<std::uint32_t>(b.ops.size());
-    std::uint32_t oi = opIdx_;
-    unsigned m = 0;
-    while (m < n && oi < nops) {
-        const StaticOp &op = b.ops[oi];
-        Addr mem = isMemory(op.cls) ? wrongPathMem(op) : 0;
-        *out[m] = detail::makeBodyInst(b, oi, mem);
-        ++m;
-        ++oi;
-    }
-    opIdx_ = oi;
-    if (m < n) // terminator: reuse the scalar slow path
-        *out[m++] = next();
-    return m;
+    return walk_.fill(
+        *program_, out, n,
+        [this](const StaticOp &op) { return wrongPathMem(op); },
+        [this](std::uint32_t block_idx) {
+            return wrongPathTaken(block_idx);
+        });
 }
 
 TraceInst
 WrongPathCursor::next()
 {
-    const StaticBlock &b = program_->block(curBlock_);
-
-    if (opIdx_ < b.ops.size()) {
-        const StaticOp &op = b.ops[opIdx_];
-        Addr mem = isMemory(op.cls) ? wrongPathMem(op) : 0;
-        TraceInst ti = detail::makeBodyInst(b, opIdx_, mem);
-        ++opIdx_;
-        return ti;
-    }
-
     TraceInst ti;
-    ti.pc = b.termPc();
-    ti.hasDest = false;
-    if (b.term == TermKind::CondBranch) {
-        ti.srcDist[0] = b.termSrcDist[0];
-        ti.srcDist[1] = b.termSrcDist[1];
-    }
-
-    std::uint32_t next_block = b.fallthrough;
-    switch (b.term) {
-      case TermKind::CondBranch: {
-        ti.cls = InstClass::CondBranch;
-        // Stateless behavioural approximation.
-        switch (b.behavior) {
-          case BranchBehavior::Loop:
-            ti.taken = rng_.chance(1.0 - 1.0 / b.loopPeriod);
-            break;
-          case BranchBehavior::Pattern:
-            ti.taken = patternOutcome(specHist_, b.patternBits,
-                                      b.patternSalt);
-            break;
-          case BranchBehavior::Biased:
-          case BranchBehavior::Chaotic:
-            ti.taken = rng_.chance(b.takenP);
-            break;
-        }
-        specHist_ = (specHist_ << 1) | (ti.taken ? 1 : 0);
-        ti.target = program_->block(b.takenTarget).pc;
-        next_block = ti.taken ? b.takenTarget : b.fallthrough;
-        break;
-      }
-      case TermKind::Jump:
-        ti.cls = InstClass::Jump;
-        ti.taken = true;
-        ti.target = program_->block(b.takenTarget).pc;
-        next_block = b.takenTarget;
-        break;
-      case TermKind::Call:
-        ti.cls = InstClass::Call;
-        ti.taken = true;
-        ti.target = program_->block(b.takenTarget).pc;
-        next_block = b.takenTarget;
-        if (callStack_.size() >= kMaxCallDepth)
-            callStack_.erase(callStack_.begin());
-        callStack_.push_back(b.fallthrough);
-        break;
-      case TermKind::Return: {
-        ti.cls = InstClass::Return;
-        ti.taken = true;
-        std::uint32_t ret_block = b.takenTarget;
-        if (!callStack_.empty()) {
-            ret_block = callStack_.back();
-            callStack_.pop_back();
-        }
-        ti.target = program_->block(ret_block).pc;
-        next_block = ret_block;
-        break;
-      }
-    }
-
-    ti.npc = ti.taken ? ti.target : program_->block(b.fallthrough).pc;
-    curBlock_ = next_block;
-    opIdx_ = 0;
+    TraceInst *out = &ti;
+    nextGroup(&out, 1);
     return ti;
 }
 

@@ -28,6 +28,44 @@ class StateReader;
 } // namespace serde
 
 /**
+ * The cursor both generators walk the static program with: the current
+ * block, the next body op in it and the shadow call stack. fill() owns
+ * the one body-op loop and the one terminator switch; each generator
+ * supplies only its two rules, the address of a memory op and the
+ * outcome of a conditional branch.
+ */
+struct BlockWalker
+{
+    /** Maximum shadow call-stack depth; deeper calls drop the oldest
+     *  frame. */
+    static constexpr std::size_t kMaxCallDepth = 64;
+
+    std::uint32_t curBlock = 0;
+    std::uint32_t opIdx = 0;
+    std::vector<std::uint32_t> callStack; ///< return block indexes
+
+    /**
+     * Fill up to @p n instructions through the pointers in @p out (one
+     * per destination slot, so a fetch group lands straight in the
+     * pipeline's slot pool with no copy). Stops early after emitting a
+     * block terminator, so the return value m is in [1, n] and
+     * out[m-1] is the only possible branch. @p memAddr(op) gives a
+     * memory op's effective address; @p condTaken(block_idx) evaluates
+     * a conditional branch and records its outcome in the caller's
+     * history.
+     */
+    template <typename MemAddr, typename CondTaken>
+    unsigned fill(const StaticProgram &prog, TraceInst *const *out,
+                  unsigned n, MemAddr &&memAddr, CondTaken &&condTaken);
+
+  private:
+    /** Produce @p b's terminator (a conditional branch resolves to
+     *  @p cond_taken) and advance to the successor block. */
+    TraceInst terminator(const StaticProgram &prog, const StaticBlock &b,
+                         bool cond_taken);
+};
+
+/**
  * Correct-path instruction generator. Owns all persistent behavioural
  * state: loop trip counters, the architectural global outcome history
  * consumed by Pattern branches, stream cursors of memory slots, and the
@@ -46,23 +84,14 @@ class Workload
     /** Benchmark name from the underlying profile. */
     const std::string &name() const;
 
-    /**
-     * Generate the next correct-path instruction. Body ops (the vast
-     * majority of the stream) are produced inline; only block
-     * terminators take the out-of-line slow path.
-     */
+    /** Generate the next correct-path instruction (a one-instruction
+     *  group). */
     TraceInst next();
 
     /**
-     * Bulk path for the fetch unit: fill up to @p n instructions
-     * through the pointers in @p out (one per destination slot, so the
-     * group lands straight in the pipeline's slot pool with no copy).
-     * Stops early after emitting a block terminator -- the caller's
-     * control handling runs between groups -- so the return value m is
-     * in [1, n] and out[m-1] is the only possible branch. Produces the
-     * byte-identical stream (same RNG consumption, same generated()
-     * count) as m successive next() calls; the block lookup is hoisted
-     * out of the per-instruction loop.
+     * The fetch unit's path: fill up to @p n instructions, stopping
+     * after a block terminator so the caller's control handling runs
+     * between groups (see BlockWalker::fill).
      */
     unsigned nextGroup(TraceInst *const *out, unsigned n);
 
@@ -84,28 +113,21 @@ class Workload
     void loadState(serde::StateReader &r);
 
   private:
-    friend class WrongPathCursor;
-
     /** Evaluate a conditional branch's outcome, mutating its state. */
     bool evalCondBranch(std::uint32_t block_idx);
 
     /** Compute the effective address of a memory slot (mutating). */
     Addr memAddress(const StaticOp &op);
 
-    /** Produce @p b's terminator and advance to the successor block. */
-    TraceInst nextTerminator(const StaticBlock &b);
-
     std::shared_ptr<const StaticProgram> program_;
     Rng rng_;
-    std::uint32_t curBlock_ = 0;
-    std::uint32_t opIdx_ = 0;
+    BlockWalker walk_;
     std::uint64_t globalHist_ = 0;
     Counter generated_ = 0;
     std::vector<std::uint16_t> loopCount_;   // per block
     std::vector<std::uint8_t> chaosWild_;    // chaotic regime per block
     std::vector<std::uint8_t> biasStreak_;   // inverted-outcome streaks
     std::vector<std::uint32_t> streamPos_;   // per memory slot
-    std::vector<std::uint32_t> callStack_;   // shadow stack (block idx)
 };
 
 /**
@@ -130,11 +152,11 @@ class WrongPathCursor
     /** Restore a cursor previously written by saveState. */
     WrongPathCursor(const Workload &workload, serde::StateReader &r);
 
-    /** Generate the next wrong-path instruction. */
+    /** Generate the next wrong-path instruction (a one-instruction
+     *  group). */
     TraceInst next();
 
-    /** Bulk path mirroring Workload::nextGroup: same stream, same RNG
-     *  consumption as successive next() calls. */
+    /** The fetch unit's path, as Workload::nextGroup. */
     unsigned nextGroup(TraceInst *const *out, unsigned n);
 
     /** Checkpoint the cursor (pairs with the restore constructor). */
@@ -144,75 +166,68 @@ class WrongPathCursor
     /** Stateless wrong-path address approximation for one memory op. */
     Addr wrongPathMem(const StaticOp &op);
 
+    /** Stateless outcome approximation for a conditional branch;
+     *  shifts it into the speculative history. */
+    bool wrongPathTaken(std::uint32_t block_idx);
+
     const StaticProgram *program_;
     Rng rng_;
-    std::uint32_t curBlock_;
-    std::uint32_t opIdx_;
+    BlockWalker walk_;
     std::uint64_t specHist_;
-    std::vector<std::uint32_t> callStack_;
 };
 
-namespace detail
+template <typename MemAddr, typename CondTaken>
+inline unsigned
+BlockWalker::fill(const StaticProgram &prog, TraceInst *const *out,
+                  unsigned n, MemAddr &&memAddr, CondTaken &&condTaken)
 {
-
-/** Fill the common fields of a body-op TraceInst. */
-inline TraceInst
-makeBodyInst(const StaticBlock &blk, std::uint32_t op_idx,
-             Addr mem_addr)
-{
-    const StaticOp &op = blk.ops[op_idx];
-    TraceInst ti;
-    ti.pc = blk.pc + 4 * op_idx;
-    ti.cls = op.cls;
-    ti.srcDist[0] = op.srcDist[0];
-    ti.srcDist[1] = op.srcDist[1];
-    ti.hasDest = op.hasDest;
-    ti.memAddr = mem_addr;
-    ti.npc = ti.pc + 4;
-    return ti;
-}
-
-} // namespace detail
-
-inline TraceInst
-Workload::next()
-{
-    const StaticBlock &b = program_->block(curBlock_);
-    ++generated_;
-
-    if (opIdx_ < b.ops.size()) {
-        const StaticOp &op = b.ops[opIdx_];
-        Addr mem = isMemory(op.cls) ? memAddress(op) : 0;
-        TraceInst ti = detail::makeBodyInst(b, opIdx_, mem);
-        ++opIdx_;
-        return ti;
+    const StaticBlock &b = prog.block(curBlock);
+    const auto nops = static_cast<std::uint32_t>(b.ops.size());
+    std::uint32_t oi = opIdx;
+    unsigned m = 0;
+    for (; m < n && oi < nops; ++m, ++oi) {
+        const StaticOp &op = b.ops[oi];
+        TraceInst ti;
+        ti.pc = b.pc + 4 * oi;
+        ti.cls = op.cls;
+        ti.srcDist[0] = op.srcDist[0];
+        ti.srcDist[1] = op.srcDist[1];
+        ti.hasDest = op.hasDest;
+        ti.memAddr = isMemory(op.cls) ? memAddr(op) : 0;
+        ti.npc = ti.pc + 4;
+        *out[m] = ti;
     }
-    return nextTerminator(b);
+    opIdx = oi;
+    if (m < n) { // room left in the group: emit the terminator
+        const bool taken =
+            b.term == TermKind::CondBranch && condTaken(curBlock);
+        *out[m++] = terminator(prog, b, taken);
+    }
+    return m;
 }
 
 inline unsigned
 Workload::nextGroup(TraceInst *const *out, unsigned n)
 {
-    const StaticBlock &b = program_->block(curBlock_);
-    const std::uint32_t nops =
-        static_cast<std::uint32_t>(b.ops.size());
-    std::uint32_t oi = opIdx_;
-    unsigned m = 0;
-    while (m < n && oi < nops) {
-        const StaticOp &op = b.ops[oi];
-        Addr mem = isMemory(op.cls) ? memAddress(op) : 0;
-        *out[m] = detail::makeBodyInst(b, oi, mem);
-        ++m;
-        ++oi;
-    }
-    opIdx_ = oi;
+    const unsigned m = walk_.fill(
+        *program_, out, n,
+        [this](const StaticOp &op) { return memAddress(op); },
+        [this](std::uint32_t block_idx) {
+            const bool taken = evalCondBranch(block_idx);
+            globalHist_ = (globalHist_ << 1) | (taken ? 1 : 0);
+            return taken;
+        });
     generated_ += m;
-    if (m < n) { // room left in the group: emit the terminator
-        ++generated_;
-        *out[m] = nextTerminator(b);
-        ++m;
-    }
     return m;
+}
+
+inline TraceInst
+Workload::next()
+{
+    TraceInst ti;
+    TraceInst *out = &ti;
+    nextGroup(&out, 1);
+    return ti;
 }
 
 } // namespace stsim

@@ -1,23 +1,19 @@
 /**
  * @file
  * Randomized equivalence tests for the bitmask-first hot path: the
- * last-producer table against the slotOf-probe reference semantics,
- * the two-level ScanMask against a brute-force bit set, and the
- * batched nextGroup walkers against serial next() streams.
+ * two-level ScanMask against a brute-force bit set, and the batched
+ * nextGroup walkers against serial next() streams.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/scan_mask.hh"
-#include "pipeline/producer_table.hh"
 #include "trace/profile.hh"
 #include "trace/static_program.hh"
 #include "trace/workload.hh"
@@ -39,25 +35,6 @@ hotpathProgram(std::uint64_t seed)
     return std::make_shared<const StaticProgram>(p);
 }
 
-/**
- * Reference model for the producer table: the exact map from live
- * producer seq to slot. "Live" means dispatched, has a destination,
- * and not yet completed/erased — the same population the core keeps
- * in the table via insert-at-dispatch / erase-at-complete-or-squash.
- */
-struct ProducerRef
-{
-    std::map<InstSeq, std::uint32_t> live;
-
-    void
-    forEachLive(const std::function<void(InstSeq, std::uint32_t)> &fn)
-        const
-    {
-        for (const auto &[seq, slot] : live)
-            fn(seq, slot);
-    }
-};
-
 bool
 sameInst(const TraceInst &a, const TraceInst &b)
 {
@@ -69,93 +46,6 @@ sameInst(const TraceInst &a, const TraceInst &b)
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------
-// ProducerTable vs reference map
-// ---------------------------------------------------------------------
-
-/// Forced-tiny initial table so random traffic exercises the
-/// grow-on-collision and wrap paths, mirroring the controller
-/// equivalence pattern: drive both models with one event stream and
-/// compare after every step.
-TEST(ProducerTable, RandomizedEquivalenceWithTinyTable)
-{
-    Rng rng(0x9e3779b97f4a7c15ull);
-    ProducerTable tab;
-    tab.init(2); // far below any realistic window: forces growth
-    ProducerRef ref;
-
-    InstSeq next_seq = 1;
-    std::vector<InstSeq> active; // insertion order, oldest first
-
-    auto checkAll = [&] {
-        // Every live producer must hit with its exact slot...
-        for (const auto &[seq, slot] : ref.live)
-            ASSERT_EQ(tab.lookup(seq), slot) << "seq " << seq;
-        // ...and a sample of dead/never-inserted seqs must miss.
-        for (int i = 0; i < 8; ++i) {
-            InstSeq probe = rng.below(next_seq + 64);
-            if (!ref.live.count(probe))
-                ASSERT_EQ(tab.lookup(probe), ProducerTable::kNoSlot)
-                    << "stale hit for seq " << probe;
-        }
-    };
-
-    for (int step = 0; step < 4000; ++step) {
-        const std::uint64_t roll = rng.below(100);
-        if (roll < 55 || active.empty()) {
-            // Dispatch: in-order seq assignment, arbitrary slot.
-            const InstSeq seq = next_seq++;
-            const auto slot = static_cast<std::uint32_t>(rng.below(256));
-            ref.live.emplace(seq, slot);
-            active.push_back(seq);
-            tab.insert(seq, slot, [&](auto &&fn) {
-                ref.forEachLive(fn);
-            });
-        } else if (roll < 85) {
-            // Complete: erase a random live producer.
-            const std::size_t i = rng.below(active.size());
-            const InstSeq seq = active[i];
-            active.erase(active.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-            ref.live.erase(seq);
-            tab.erase(seq);
-        } else {
-            // Squash: drop the youngest few, like drop_young().
-            std::uint64_t n = 1 + rng.below(8);
-            while (n-- && !active.empty()) {
-                const InstSeq seq = active.back();
-                active.pop_back();
-                ref.live.erase(seq);
-                tab.erase(seq);
-            }
-        }
-        checkAll();
-    }
-    // The tiny seed table must actually have grown under load.
-    EXPECT_GT(tab.cellCount(), 2u);
-}
-
-/// erase() of a seq that aliases a different live entry's cell must
-/// not disturb that entry (seq-match guard).
-TEST(ProducerTable, EraseIsSeqExact)
-{
-    ProducerTable tab;
-    tab.init(2);
-    ProducerRef ref;
-    ref.live = {{10, 1}};
-    tab.insert(10, 1, [&](auto &&fn) { ref.forEachLive(fn); });
-    // Erase seqs that map to the same cell but were never inserted.
-    for (InstSeq s = 0; s < 64; ++s)
-        if (s != 10)
-            tab.erase(s);
-    EXPECT_EQ(tab.lookup(10), 1u);
-    // Re-inserting the same seq updates in place.
-    tab.insert(10, 7, [&](auto &&fn) {
-        fn(InstSeq{10}, std::uint32_t{7});
-    });
-    EXPECT_EQ(tab.lookup(10), 7u);
-}
 
 // ---------------------------------------------------------------------
 // ScanMask vs brute force

@@ -401,3 +401,110 @@ TEST(Snapshot, CorruptedFieldIsFatal)
     FatalCaptureScope capture;
     EXPECT_THROW(b.restoreSnapshot(snap), FatalError);
 }
+
+namespace
+{
+
+/**
+ * A C2 image taken mid-measurement while fetch runs down a wrong
+ * path: instructions in flight, a live wrong-path cursor and tracked
+ * branches in the controller.
+ */
+std::string
+wrongPathImage()
+{
+    Simulator a(smallConfig("C2"));
+    a.runWarmup();
+    for (int i = 0; i < 300; ++i)
+        a.core().tick();
+    std::string snap = a.saveSnapshot();
+    for (int i = 0; i < 10'000; ++i) {
+        if (snap.find("\nhas_wrong_cursor 1\n") != std::string::npos)
+            break;
+        a.core().tick();
+        snap = a.saveSnapshot();
+    }
+    return snap;
+}
+
+/** Overwrite the value of the first `key value` line at or after
+ *  @p from. */
+void
+setValue(std::string &img, const std::string &key,
+         const std::string &value, std::size_t from = 0)
+{
+    const std::string needle = "\n" + key + " ";
+    std::size_t pos = img.find(needle, from);
+    ASSERT_NE(pos, std::string::npos) << key;
+    pos += needle.size();
+    img.replace(pos, img.find('\n', pos) - pos, value);
+}
+
+/** Restoring @p img must fail with a structured error naming @p key. */
+void
+expectRejected(const std::string &img, const std::string &key)
+{
+    Simulator b(smallConfig("C2"));
+    FatalCaptureScope capture;
+    try {
+        b.restoreSnapshot(img);
+        ADD_FAILURE() << "image with a bad " << key << " was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+    }
+}
+
+} // namespace
+
+/// Pins one snapshot image byte for byte (FNV-1a 64 over the text):
+/// any change to what a snapshot holds, or to the simulation that
+/// reached it, changes the digest.
+TEST(Snapshot, WrongPathImageIsPinned)
+{
+    const std::string img = wrongPathImage();
+    ASSERT_NE(img.find("\nhas_wrong_cursor 1\n"), std::string::npos);
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : img) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    EXPECT_EQ(h, 0xb0fbe52e4f57e948ull) << img.size() << " bytes";
+}
+
+TEST(Snapshot, OutOfRangeConfIsFatal)
+{
+    std::string img = wrongPathImage();
+    setValue(img, "conf", "4");
+    expectRejected(img, "conf");
+}
+
+TEST(Snapshot, OutOfRangeInstRasTopIsFatal)
+{
+    std::string img = wrongPathImage();
+    setValue(img, "ras_top",
+             std::to_string(smallConfig("C2").bpred.rasEntries));
+    expectRejected(img, "ras_top");
+}
+
+TEST(Snapshot, OutOfRangeCallStackIsFatal)
+{
+    for (const char *section : {"\n[workload]\n", "\n[wrong_cursor]\n"}) {
+        SCOPED_TRACE(section);
+        std::string img = wrongPathImage();
+        const std::size_t at = img.find(section);
+        ASSERT_NE(at, std::string::npos);
+        setValue(img, "call_stack", "1 4000000000", at);
+        expectRejected(img, "call_stack");
+    }
+}
+
+TEST(Snapshot, OutOfRangeRasTopIsFatal)
+{
+    std::string img = wrongPathImage();
+    const std::size_t ras = img.find("\n[ras]\n");
+    ASSERT_NE(ras, std::string::npos);
+    setValue(img, "top",
+             std::to_string(smallConfig("C2").bpred.rasEntries), ras);
+    expectRejected(img, "RAS top");
+}

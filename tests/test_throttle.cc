@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
+#include "core/state_serde.hh"
 #include "throttle/controller.hh"
 #include "throttle/policy.hh"
 
@@ -376,7 +378,10 @@ class ReferenceController
 };
 
 /** Drive both controllers through one random fetch/resolve/squash
- *  stream, asserting equivalence after every event. */
+ *  stream, asserting equivalence after every event. Every 300 events
+ *  the stream continues on a fresh controller restored from a snapshot
+ *  of the current one, so loadState's replay is held to the same
+ *  reference. */
 void
 runEquivalenceStream(const SpecControlConfig &cfg, std::uint64_t seed,
                      int events)
@@ -439,6 +444,20 @@ runEquivalenceStream(const SpecControlConfig &cfg, std::uint64_t seed,
         check(i);
         if (::testing::Test::HasFatalFailure())
             return;
+
+        if (i % 300 == 299) {
+            serde::StateWriter w;
+            c.saveState(w);
+            const std::string image = w.take();
+            SpeculationController restored(cfg);
+            serde::StateReader r(image);
+            restored.loadState(r);
+            r.finish();
+            c = std::move(restored);
+            check(i);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
     }
 }
 

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 
+#include "common/rng.hh"
 #include "trace/profile.hh"
 #include "trace/static_program.hh"
 #include "trace/workload.hh"
@@ -31,7 +32,89 @@ smallProgram()
     return std::make_shared<const StaticProgram>(p);
 }
 
+/** FNV-1a 64 over every TraceInst field, each widened to 8 bytes. */
+struct StreamDigest
+{
+    std::uint64_t h = 14695981039346656037ull;
+
+    void
+    mix(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (i * 8)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    }
+
+    void
+    add(const TraceInst &t)
+    {
+        mix(t.pc);
+        mix(static_cast<std::uint64_t>(t.cls));
+        mix(t.srcDist[0]);
+        mix(t.srcDist[1]);
+        mix(t.hasDest);
+        mix(t.memAddr);
+        mix(t.taken);
+        mix(t.target);
+        mix(t.npc);
+    }
+};
+
+/** Feed @p count instructions of @p gen into @p d through nextGroup,
+ *  cycling the group size over 1..8 so both the one-instruction path
+ *  and full fetch-width groups are pinned. */
+template <typename Gen>
+void
+digestGroups(Gen &gen, int count, StreamDigest &d)
+{
+    TraceInst buf[8];
+    TraceInst *out[8];
+    for (unsigned i = 0; i < 8; ++i)
+        out[i] = &buf[i];
+    for (int done = 0, call = 0; done < count; ++call) {
+        const unsigned m = gen.nextGroup(out, 1 + call % 8);
+        for (unsigned i = 0; i < m; ++i)
+            d.add(buf[i]);
+        done += static_cast<int>(m);
+    }
+}
+
 } // namespace
+
+/// Pins the generated instruction streams byte for byte: the first
+/// 200K correct-path instructions of two benchmarks, then 16 wrong-path
+/// cursor streams from block starts, mid-block ops and terminators,
+/// each with its own seed. Any change to a stream, or to the order of
+/// RNG draws behind it, changes the digest.
+TEST(WorkloadStream, DigestIsPinned)
+{
+    StreamDigest d;
+    std::shared_ptr<const StaticProgram> prog;
+    std::unique_ptr<Workload> w;
+    for (const char *bench : {"go", "gcc"}) {
+        prog = std::make_shared<const StaticProgram>(findProfile(bench));
+        w = std::make_unique<Workload>(prog, 17);
+        digestGroups(*w, 200'000, d);
+        d.mix(w->generated());
+    }
+
+    Rng rng(0x5eed);
+    for (int stream = 0; stream < 16; ++stream) {
+        // Move the correct path on so each cursor inherits a different
+        // global history.
+        digestGroups(*w, 1 + static_cast<int>(rng.below(64)), d);
+        const auto blk =
+            static_cast<std::uint32_t>(rng.below(prog->numBlocks()));
+        const StaticBlock &b = prog->block(blk);
+        // Offsets 0..ops.size(): the block start, any body op, or the
+        // terminator itself.
+        const Addr start = b.pc + 4 * rng.below(b.ops.size() + 1);
+        WrongPathCursor c(*w, start, rng.next());
+        digestGroups(c, 3'000, d);
+    }
+    EXPECT_EQ(d.h, 0x36d1eb841e0cbc9dull);
+}
 
 TEST(Profiles, EightSpecBenchmarks)
 {
