@@ -10,6 +10,11 @@
 #      from-scratch dump, through both the dump and sharded-run paths.
 #   3. A memoized sweep runs its warmup exactly once for the whole wave
 #      and still commits byte-identical results.
+#   4. A memoized sweep over 3 warmup classes x 4 run lengths, each
+#      class's jobs contiguous, on 4 workers: workers waiting on one
+#      class's warmup warm the next classes instead (helpers), and the
+#      wave still runs one warmup per class and commits byte-identical
+#      results.
 #
 # CI runs this on every PR; locally:
 #
@@ -26,6 +31,15 @@ fi
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
+
+# expect_warmups ERR_FILE TEXT: the memoized dump's stderr reports TEXT.
+expect_warmups() {
+    grep -qF "$2" "$1" || {
+        echo "snapshot_equivalence: expected '$2':" >&2
+        cat "$1" >&2
+        exit 1
+    }
+}
 
 # 1. Memoized golden matrix == scratch golden matrix. Small run
 # lengths: this is an equivalence check, not a perf demo.
@@ -58,12 +72,24 @@ cmp "$TMP/s_scratch.jsonl" "$TMP/s_fork_merged.jsonl"
 "$RUNNER" dump --manifest "$TMP/sweep.jsonl" --memoize-warmup \
     --out "$TMP/s_memo.jsonl" 2> "$TMP/s_memo.err"
 cmp "$TMP/s_scratch.jsonl" "$TMP/s_memo.jsonl"
-grep -q "1 warmup(s) for 3 jobs" "$TMP/s_memo.err" || {
-    echo "snapshot_equivalence: expected exactly 1 memoized warmup:" >&2
-    cat "$TMP/s_memo.err" >&2
-    exit 1
-}
+expect_warmups "$TMP/s_memo.err" "1 warmup(s) for 3 jobs"
+
+# 4. Memoized sweep with more classes than one worker warms at a time.
+# The 50K-instruction warmups outlast the other workers' job starts, so
+# they find their class being warmed and warm the next classes.
+for c in 1 2 3; do
+    for n in 2000 3000 4000 5000; do
+        "$RUNNER" manifest --suite golden --insts "$n" --warmup 50000 \
+            2>/dev/null | sed -n "${c}p"
+    done
+done > "$TMP/classes.jsonl"
+"$RUNNER" dump --manifest "$TMP/classes.jsonl" --jobs 4 \
+    --out "$TMP/c_scratch.jsonl"
+"$RUNNER" dump --manifest "$TMP/classes.jsonl" --jobs 4 --memoize-warmup \
+    --out "$TMP/c_memo.jsonl" 2> "$TMP/c_memo.err"
+cmp "$TMP/c_scratch.jsonl" "$TMP/c_memo.jsonl"
+expect_warmups "$TMP/c_memo.err" "3 warmup(s) for 12 jobs"
 
 echo "snapshot_equivalence: memoized matrix, forked sweep (dump and" \
-     "sharded run), and memoized sweep are all bit-identical to" \
-     "from-scratch dumps"
+     "sharded run), memoized sweep and memoized 3-class sweep are all" \
+     "bit-identical to from-scratch dumps"

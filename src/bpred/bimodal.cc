@@ -51,11 +51,7 @@ void
 Bimodal::loadState(serde::StateReader &r)
 {
     r.begin("bimodal");
-    std::vector<std::uint64_t> v = r.u64Vec("pht");
-    if (v.size() != pht_.size())
-        stsim_fatal("state: bimodal PHT size mismatch (snapshot %zu, "
-                    "configured %zu)",
-                    v.size(), pht_.size());
+    std::vector<std::uint64_t> v = r.u64Vec("pht", pht_.size());
     for (std::size_t i = 0; i < pht_.size(); ++i)
         pht_[i].set(static_cast<unsigned>(v[i]));
     r.end("bimodal");

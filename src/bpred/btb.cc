@@ -94,14 +94,11 @@ void
 Btb::loadState(serde::StateReader &r)
 {
     r.begin("btb");
-    std::vector<std::uint64_t> valid = r.u64Vec("valid");
-    std::vector<std::uint64_t> tag = r.u64Vec("tag");
-    std::vector<std::uint64_t> target = r.u64Vec("target");
-    std::vector<std::uint64_t> lastUse = r.u64Vec("last_use");
-    if (valid.size() != entries_.size())
-        stsim_fatal("state: BTB size mismatch (snapshot %zu, "
-                    "configured %zu)",
-                    valid.size(), entries_.size());
+    const std::size_t n = entries_.size();
+    std::vector<std::uint64_t> valid = r.u64Vec("valid", n);
+    std::vector<std::uint64_t> tag = r.u64Vec("tag", n);
+    std::vector<std::uint64_t> target = r.u64Vec("target", n);
+    std::vector<std::uint64_t> lastUse = r.u64Vec("last_use", n);
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         entries_[i].valid = valid[i] != 0;
         entries_[i].tag = tag[i];

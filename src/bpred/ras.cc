@@ -47,11 +47,7 @@ void
 Ras::loadState(serde::StateReader &r)
 {
     r.begin("ras");
-    std::vector<std::uint64_t> stack = r.u64Vec("stack");
-    if (stack.size() != stack_.size())
-        stsim_fatal("state: RAS size mismatch (snapshot %zu, "
-                    "configured %zu)",
-                    stack.size(), stack_.size());
+    std::vector<std::uint64_t> stack = r.u64Vec("stack", stack_.size());
     for (std::size_t i = 0; i < stack_.size(); ++i)
         stack_[i] = stack[i];
     const std::uint64_t top = r.u64("top");

@@ -75,7 +75,7 @@ Tlb::loadState(serde::StateReader &r)
 {
     r.begin("tlb");
     std::vector<std::uint64_t> vpn = r.u64Vec("vpn");
-    std::vector<std::uint64_t> lastUse = r.u64Vec("last_use");
+    std::vector<std::uint64_t> lastUse = r.u64Vec("last_use", vpn.size());
     if (vpn.size() > capacity_)
         stsim_fatal("state: TLB snapshot has %zu entries but only %zu "
                     "fit",

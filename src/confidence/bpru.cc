@@ -113,13 +113,10 @@ void
 BpruEstimator::loadState(serde::StateReader &r)
 {
     r.begin("confidence");
-    std::vector<std::uint64_t> valid = r.u64Vec("valid");
-    std::vector<std::uint64_t> tag = r.u64Vec("tag");
-    std::vector<std::uint64_t> counter = r.u64Vec("counter");
-    if (valid.size() != table_.size())
-        stsim_fatal("state: BPRU table size mismatch (snapshot %zu, "
-                    "configured %zu)",
-                    valid.size(), table_.size());
+    const std::size_t n = table_.size();
+    std::vector<std::uint64_t> valid = r.u64Vec("valid", n);
+    std::vector<std::uint64_t> tag = r.u64Vec("tag", n);
+    std::vector<std::uint64_t> counter = r.u64Vec("counter", n);
     for (std::size_t i = 0; i < table_.size(); ++i) {
         table_[i].valid = valid[i] != 0;
         table_[i].tag = static_cast<std::uint32_t>(tag[i]);

@@ -64,11 +64,7 @@ void
 JrsEstimator::loadState(serde::StateReader &r)
 {
     r.begin("confidence");
-    std::vector<std::uint64_t> v = r.u64Vec("mdc");
-    if (v.size() != table_.size())
-        stsim_fatal("state: JRS table size mismatch (snapshot %zu, "
-                    "configured %zu)",
-                    v.size(), table_.size());
+    std::vector<std::uint64_t> v = r.u64Vec("mdc", table_.size());
     for (std::size_t i = 0; i < table_.size(); ++i)
         table_[i].set(static_cast<unsigned>(v[i]));
     r.end("confidence");

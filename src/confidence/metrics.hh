@@ -114,11 +114,11 @@ class ConfMetrics
     loadState(serde::StateReader &r)
     {
         r.begin("conf_metrics");
-        std::vector<std::uint64_t> c = r.u64Vec("correct_by_level");
-        std::vector<std::uint64_t> m = r.u64Vec("miss_by_level");
+        std::vector<std::uint64_t> c = r.u64Vec("correct_by_level", 4);
+        std::vector<std::uint64_t> m = r.u64Vec("miss_by_level", 4);
         for (std::size_t i = 0; i < 4; ++i) {
-            correctByLevel_[i] = c.at(i);
-            missByLevel_[i] = m.at(i);
+            correctByLevel_[i] = c[i];
+            missByLevel_[i] = m[i];
         }
         r.end("conf_metrics");
     }

@@ -24,7 +24,8 @@ namespace
 /**
  * Reorder-window size: normally a small multiple of the worker count,
  * but pinnable via STSIM_REORDER_WINDOW so tests can force the
- * degenerate window=1 gate and the exact 2*workers boundary.
+ * degenerate window=1 gate and the exact 2*workers boundary. It also
+ * caps the classes a memoized wave's helpers keep live.
  */
 std::size_t
 reorderWindow(std::size_t workers)
@@ -39,25 +40,28 @@ reorderWindow(std::size_t workers)
 }
 
 /**
- * One warmup-equivalence class of a memoized wave: whichever of its
- * jobs starts first runs the warmup and publishes the snapshot; every
- * other job of the class waits for it, and every job (builder
- * included) forks a fresh Simulator from the snapshot. The builder is
- * never gate-blocked (it already passed the start gate), so waiting on
- * it cannot deadlock the reorder window.
+ * One warmup-equivalence class of a memoized wave. Its warmup runs
+ * once, with its first job's config, and every job of the class forks
+ * a fresh Simulator from the published snapshot. A job whose class is
+ * Unbuilt warms it. A job whose class another worker is warming does
+ * not sleep: it warms the first Unbuilt class of the wave instead, if
+ * fewer than `window` classes are live, then re-checks its own. A
+ * warmup never waits on anything, so no waiter can deadlock the
+ * reorder window.
  */
 struct WarmupClass
 {
     enum class State : std::uint8_t
     {
         Unbuilt,  ///< nobody has claimed the warmup yet
-        Building, ///< a job is running the warmup now
+        Building, ///< a worker is running the warmup now
         Ready,    ///< snapshot is published
-        Aborted,  ///< the builder threw; waiters must bail out
+        Aborted,  ///< the warmup threw; waiters must bail out
     };
 
     State state = State::Unbuilt;
     std::string snapshot;
+    std::size_t firstJob = 0;  ///< whose config runs the warmup
     std::size_t remaining = 0; ///< jobs still needing the snapshot
 };
 
@@ -103,14 +107,17 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
     pool.parallelFor(names.size(), [&](std::size_t i) {
         Simulator::programFor(names[i]);
     });
+    const std::size_t window = reorderWindow(pool.workers());
 
-    // Memoized warmup: group the wave by warmup class up front. The
-    // key computation is pure config serialization -- trivial next to
-    // a single simulated cycle.
+    // Memoized warmup: group the wave by warmup class up front, in
+    // first-appearance order. The key computation is pure config
+    // serialization -- trivial next to a single simulated cycle.
     std::mutex cacheMu;
     std::condition_variable cacheCv;
     std::vector<WarmupClass> classes;
     std::vector<std::size_t> jobClass(jobs.size(), 0);
+    std::size_t unclaimed = 0; // no class before it is Unbuilt
+    std::size_t live = 0; // Building, or Ready with jobs to restore
     if (opts.memoizeWarmup) {
         std::map<std::string, std::size_t> byKey;
         for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -118,7 +125,7 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
             auto [it, inserted] =
                 byKey.emplace(std::move(key), classes.size());
             if (inserted)
-                classes.emplace_back();
+                classes.emplace_back().firstJob = i;
             jobClass[i] = it->second;
             ++classes[it->second].remaining;
         }
@@ -134,56 +141,77 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
     obs::Counter &jobsCompleted =
         obs::Registry::instance().counter("runjobs.jobs_completed");
 
+    /**
+     * Claim Unbuilt class @p c, warm it with @p lock released, and
+     * publish its snapshot (or Aborted, rethrowing the warmup's
+     * exception). Returns, or throws, with @p lock held.
+     */
+    auto warmClass = [&](std::size_t c,
+                         std::unique_lock<std::mutex> &lock) {
+        WarmupClass &wc = classes[c];
+        wc.state = WarmupClass::State::Building;
+        ++live;
+        lock.unlock();
+        memoMisses.inc();
+        std::string snap;
+        try {
+            TRACE_SPAN("job.warmup");
+            Simulator warm(jobs[wc.firstJob].cfg);
+            warm.runWarmup(cancel);
+            snap = warm.saveSnapshot();
+        } catch (...) {
+            lock.lock();
+            wc.state = WarmupClass::State::Aborted;
+            cacheCv.notify_all();
+            throw;
+        }
+        lock.lock();
+        wc.snapshot = std::move(snap);
+        wc.state = WarmupClass::State::Ready;
+        ++stats.warmupsRun;
+        cacheCv.notify_all();
+    };
+
+    /** Whether a helper may claim a class now (`cacheMu` held). */
+    auto canHelp = [&] {
+        while (unclaimed < classes.size() &&
+               classes[unclaimed].state != WarmupClass::State::Unbuilt)
+            ++unclaimed;
+        return unclaimed < classes.size() && live < window;
+    };
+
     /** Run job @p i forked from its class's (possibly fresh) warmup. */
     auto runMemoized = [&](std::size_t i) {
         WarmupClass &wc = classes[jobClass[i]];
-        bool builder = false;
         {
             std::unique_lock<std::mutex> lock(cacheMu);
-            if (wc.state == WarmupClass::State::Unbuilt) {
-                wc.state = WarmupClass::State::Building;
-                builder = true;
-            } else {
-                cacheCv.wait(lock, [&] {
-                    return wc.state == WarmupClass::State::Ready ||
-                           wc.state == WarmupClass::State::Aborted;
-                });
+            while (wc.state != WarmupClass::State::Ready) {
                 if (wc.state == WarmupClass::State::Aborted)
                     throw JobCancelled();
+                // Warming its own class is the progress guarantee, so
+                // the `window` cap only limits help for other classes.
+                if (wc.state == WarmupClass::State::Unbuilt)
+                    warmClass(jobClass[i], lock);
+                else if (canHelp())
+                    warmClass(unclaimed, lock);
+                else
+                    cacheCv.wait(lock, [&] {
+                        return wc.state != WarmupClass::State::Building ||
+                               canHelp();
+                    });
             }
         }
-        if (builder)
-            memoMisses.inc();
-        else
+        // The warmup is the first job's miss, whoever ran it; every
+        // other job of the class is a hit.
+        if (i != wc.firstJob)
             memoHits.inc();
-        if (builder) {
-            try {
-                TRACE_SPAN("job.warmup");
-                Simulator warm(jobs[i].cfg);
-                warm.runWarmup(cancel);
-                std::string snap = warm.saveSnapshot();
-                std::lock_guard<std::mutex> lock(cacheMu);
-                wc.snapshot = std::move(snap);
-                wc.state = WarmupClass::State::Ready;
-                ++stats.warmupsRun;
-                cacheCv.notify_all();
-            } catch (...) {
-                {
-                    std::lock_guard<std::mutex> lock(cacheMu);
-                    wc.state = WarmupClass::State::Aborted;
-                }
-                cacheCv.notify_all();
-                throw;
-            }
-        }
 
-        // Every job of the class -- the builder included -- forks a
-        // fresh machine from the snapshot, so the restore path is
-        // exercised on all of them and memoized results are bitwise
-        // identical to scratch results. The snapshot string is stable
-        // here: it is only freed when the last job of the class
-        // decrements `remaining`, which cannot happen before this job
-        // has restored.
+        // Every job of the class forks a fresh machine from the
+        // snapshot, so the restore path is exercised on all of them
+        // and memoized results are bitwise identical to scratch
+        // results. The snapshot string is stable here: it is only
+        // freed when the last job of the class decrements `remaining`,
+        // which cannot happen before this job has restored.
         Simulator sim(jobs[i].cfg);
         sim.restoreSnapshot(wc.snapshot);
         SimResults r;
@@ -196,6 +224,8 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
             if (--wc.remaining == 0) {
                 wc.snapshot.clear();
                 wc.snapshot.shrink_to_fit();
+                --live;
+                cacheCv.notify_all(); // a helper may claim a class now
             }
         }
         return r;
@@ -212,7 +242,6 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
     std::size_t next = 0; // commit frontier (submission order)
     std::map<std::size_t, SimResults> pending;
     bool aborted = false; // a job threw: frontier will never advance
-    const std::size_t window = reorderWindow(pool.workers());
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         pool.submit([&, i] {

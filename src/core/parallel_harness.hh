@@ -73,12 +73,18 @@ struct RunOptions
 
     /**
      * Warmup once per warmup-equivalence class
-     * (Simulator::warmupClassKey) and fork every job of the class from
-     * the in-memory snapshot. Every job -- including the one that ran
-     * the warmup -- restores into a fresh Simulator from the snapshot,
-     * so a memoized wave is bitwise identical to a scratch wave; only
-     * the repeated warmups are saved. Snapshots are reference-counted
-     * and freed as soon as the last job of a class has restored.
+     * (Simulator::warmupClassKey), with the config of the class's
+     * first job, and fork every job of the class from the in-memory
+     * snapshot. Every job restores into a fresh Simulator from the
+     * snapshot, so a memoized wave is bitwise identical to a scratch
+     * wave; only the repeated warmups are saved.
+     *
+     * Warmups run side by side: a job whose class another worker is
+     * warming warms the wave's next unwarmed class (first-appearance
+     * order) instead of waiting, as long as fewer than reorder-window
+     * classes are being warmed or still hold a snapshot, then
+     * re-checks its own. A snapshot is freed as soon as the last job
+     * of its class has restored.
      */
     bool memoizeWarmup = false;
 

@@ -8,6 +8,7 @@
 
 #include "core/state_serde.hh"
 
+#include <algorithm>
 #include <charconv>
 
 #include "common/logging.hh"
@@ -341,7 +342,9 @@ StateReader::u64Vec(const char *key)
     TokenScan scan(v, key, ln);
     std::uint64_t n = parseTokenU64(scan.next(), key, ln);
     std::vector<std::uint64_t> out;
-    out.reserve(n);
+    // Each value takes at least two bytes of the line (" x"), so a
+    // damaged image's huge count cannot reserve more than it holds.
+    out.reserve(std::min<std::uint64_t>(n, v.size() / 2));
     for (std::uint64_t i = 0; i < n; ++i)
         out.push_back(parseTokenU64(scan.next(), key, ln));
     scan.done();
@@ -356,11 +359,38 @@ StateReader::dblVec(const char *key)
     TokenScan scan(v, key, ln);
     std::uint64_t n = parseTokenU64(scan.next(), key, ln);
     std::vector<double> out;
-    out.reserve(n);
+    out.reserve(std::min<std::uint64_t>(n, v.size() / 2));
     for (std::uint64_t i = 0; i < n; ++i)
         out.push_back(doubleFromHex(scan.next()));
     scan.done();
     return out;
+}
+
+std::vector<std::uint64_t>
+StateReader::u64Vec(const char *key, std::size_t n)
+{
+    std::vector<std::uint64_t> out = u64Vec(key);
+    expectCount(key, out.size(), n);
+    return out;
+}
+
+std::vector<double>
+StateReader::dblVec(const char *key, std::size_t n)
+{
+    std::vector<double> out = dblVec(key);
+    expectCount(key, out.size(), n);
+    return out;
+}
+
+void
+StateReader::expectCount(const char *key, std::size_t got,
+                         std::size_t want)
+{
+    if (got != want) {
+        stsim_fatal("state: line %zu: array '%s' has %zu values, "
+                    "expected %zu",
+                    lineNo_ - 1, key, got, want);
+    }
 }
 
 void

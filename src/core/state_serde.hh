@@ -114,6 +114,14 @@ class StateReader
     std::vector<std::uint64_t> u64Vec(const char *key);
     std::vector<double> dblVec(const char *key);
 
+    /**
+     * As above, for an array whose length the configuration (or a
+     * sibling array) fixes: fatals unless N == @p n, so a loader may
+     * index its tables with the result.
+     */
+    std::vector<std::uint64_t> u64Vec(const char *key, std::size_t n);
+    std::vector<double> dblVec(const char *key, std::size_t n);
+
     /** Expect the end marker and end of input. */
     void finish();
 
@@ -126,6 +134,8 @@ class StateReader
     /** Split `key rest`; fatal unless key matches. */
     std::string_view value(const char *key);
     [[noreturn]] void fail(const char *what, std::string_view got);
+    /** Fatal unless the array just read has @p want values. */
+    void expectCount(const char *key, std::size_t got, std::size_t want);
 
     std::string_view image_;
     std::size_t pos_ = 0;

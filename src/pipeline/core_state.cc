@@ -39,13 +39,9 @@ void
 loadStats(serde::StateReader &r, CoreStats &s)
 {
     r.begin("core_stats");
-    std::vector<std::uint64_t> v = r.u64Vec("counters");
     std::size_t n = 0;
     visitFields(s, [&](const char *, Counter &) { ++n; });
-    if (v.size() != n)
-        stsim_fatal("state: core stats count mismatch (snapshot %zu, "
-                    "expected %zu)",
-                    v.size(), n);
+    std::vector<std::uint64_t> v = r.u64Vec("counters", n);
     std::size_t i = 0;
     visitFields(s, [&](const char *, Counter &c) { c = v[i++]; });
     r.end("core_stats");
@@ -333,12 +329,7 @@ Core::loadState(serde::StateReader &r)
     lsqBasePos_ = r.u64("lsq_base_pos");
     robBasePos_ = r.u64("rob_base_pos");
     readyStores_ = static_cast<unsigned>(r.u64("ready_stores"));
-    std::vector<std::uint64_t> rw = r.u64Vec("ready_words");
-    if (rw.size() != readyWords_.size())
-        stsim_fatal("state: ready bitmap size mismatch (snapshot %zu "
-                    "words, configured %zu)",
-                    rw.size(), readyWords_.size());
-    readyWords_ = std::move(rw);
+    readyWords_ = r.u64Vec("ready_words", readyWords_.size());
 
     for (WbBucket &b : wbCal_)
         b.clear();

@@ -175,18 +175,14 @@ void
 PowerModel::loadState(serde::StateReader &r)
 {
     r.begin("power");
-    std::vector<double> ue = r.dblVec("unit_energy");
-    std::vector<double> uw = r.dblVec("unit_wasted");
-    std::vector<double> as = r.dblVec("activity_sum");
-    std::vector<std::uint64_t> tc = r.u64Vec("touched_cycles");
-    if (ue.size() != kNumPUnits || tc.size() != kNumPUnits)
-        stsim_fatal("state: power unit count mismatch (snapshot %zu, "
-                    "model %zu)",
-                    ue.size(), kNumPUnits);
+    std::vector<double> ue = r.dblVec("unit_energy", kNumPUnits);
+    std::vector<double> uw = r.dblVec("unit_wasted", kNumPUnits);
+    std::vector<double> as = r.dblVec("activity_sum", kNumPUnits);
+    std::vector<std::uint64_t> tc = r.u64Vec("touched_cycles", kNumPUnits);
     for (std::size_t i = 0; i < kNumPUnits; ++i) {
         unitEnergyAcc_[i] = ue[i];
-        unitWasted_[i] = uw.at(i);
-        activitySum_[i] = as.at(i);
+        unitWasted_[i] = uw[i];
+        activitySum_[i] = as[i];
         touchedCycles_[i] = tc[i];
     }
     cycles_ = r.u64("cycles");

@@ -267,11 +267,7 @@ SpeculationController::loadState(serde::StateReader &r)
 {
     r.begin("controller");
     std::vector<std::uint64_t> seq = r.u64Vec("seq");
-    std::vector<std::uint64_t> lvl = r.u64Vec("lvl");
-    if (seq.size() != lvl.size())
-        stsim_fatal("state: controller seq/lvl length mismatch "
-                    "(%zu vs %zu)",
-                    seq.size(), lvl.size());
+    std::vector<std::uint64_t> lvl = r.u64Vec("lvl", seq.size());
 
     // Back to the constructed state, then replay the live set.
     buf_.assign(256, Tracked{});

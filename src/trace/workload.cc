@@ -176,11 +176,7 @@ template <typename T>
 void
 loadSizedVec(serde::StateReader &r, const char *key, std::vector<T> &out)
 {
-    std::vector<std::uint64_t> v = r.u64Vec(key);
-    if (v.size() != out.size())
-        stsim_fatal("state: workload %s length mismatch (snapshot %zu, "
-                    "program %zu)",
-                    key, v.size(), out.size());
+    std::vector<std::uint64_t> v = r.u64Vec(key, out.size());
     for (std::size_t i = 0; i < v.size(); ++i)
         out[i] = static_cast<T>(v[i]);
 }

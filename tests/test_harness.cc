@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the experiment harness and the parallel experiment engine:
- * baseline caching and invalidation, suite averaging, the RunPool, and
- * thread-count-independent (bitwise-identical) matrix results.
+ * baseline caching and invalidation, suite averaging, the RunPool,
+ * thread-count-independent (bitwise-identical) matrix results, and the
+ * warmup scheduling of memoized waves.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +17,12 @@
 
 #include "core/cancel.hh"
 #include "core/harness.hh"
+#include "core/job_serde.hh"
 #include "core/parallel_harness.hh"
 #include "core/results_sink.hh"
 #include "core/run_pool.hh"
 #include "core/simulator.hh"
+#include "obs/metrics.hh"
 
 using namespace stsim;
 
@@ -358,4 +361,161 @@ TEST(RunJobsAbort, NullTokenAndUnfiredTokenAreHarmless)
     }
     for (std::size_t i = 0; i < jobs.size(); ++i)
         expectSameResults(plain[i], tokened[i]);
+}
+
+//
+// Memoized-wave warmup scheduling. A worker whose class another worker
+// is still warming warms the next unclaimed class instead, while fewer
+// than `window` classes are live. These waves have more classes than
+// workers and warmups long enough that jobs wait on one another, so
+// helpers do claim classes; the window-1 wave is the no-helper path.
+//
+
+namespace
+{
+
+constexpr std::size_t kSweepClasses = 5;
+constexpr std::size_t kSweepLengths = 3;
+
+/** 5 (benchmark, policy) warmup classes x 3 run lengths, each class's
+ *  jobs contiguous. */
+std::vector<SimJob>
+sweepJobs()
+{
+    const std::pair<const char *, const char *> classes[kSweepClasses] = {
+        {"go", "C2"},
+        {"go", "PG"},
+        {"crafty", "C2"},
+        {"gcc", "baseline"},
+        {"twolf", "C2"},
+    };
+    std::vector<SimJob> jobs;
+    for (const auto &[bench, exp] : classes) {
+        for (std::uint64_t n : {2'000u, 3'000u, 4'000u}) {
+            SimJob j;
+            j.cfg = tinyConfig();
+            j.cfg.benchmark = bench;
+            j.cfg.warmupInstructions = 30'000;
+            j.cfg.maxInstructions = n;
+            Experiment::byName(exp).applyTo(j.cfg);
+            j.experiment = exp;
+            jobs.push_back(std::move(j));
+        }
+    }
+    return jobs;
+}
+
+/** Each committed record, bit-exact through its JSON encoding. */
+struct RecordSink : ResultsSink
+{
+    std::vector<std::string> records;
+
+    void
+    write(std::uint64_t, const SimResults &r) override
+    {
+        records.push_back(serde::toJson(r));
+    }
+};
+
+/** sweepJobs() run from scratch, once per test binary. */
+const std::vector<std::string> &
+sweepScratch()
+{
+    static const std::vector<std::string> records = [] {
+        RecordSink scratch;
+        runJobs(sweepJobs(), scratch, 4);
+        return scratch.records;
+    }();
+    return records;
+}
+
+/**
+ * Run @p jobs as a memoized wave on 4 workers and expect the scratch
+ * wave's records, one warmup per class, and memo counters that grow by
+ * one miss per class and one hit per other job.
+ */
+void
+expectMemoizedMatchesScratch(const std::vector<SimJob> &jobs,
+                             const std::vector<std::string> &scratch)
+{
+    obs::Counter &misses =
+        obs::Registry::instance().counter("runjobs.warmup_memo_misses");
+    obs::Counter &hits =
+        obs::Registry::instance().counter("runjobs.warmup_memo_hits");
+    const std::uint64_t misses0 = misses.value();
+    const std::uint64_t hits0 = hits.value();
+
+    RunOptions opts;
+    opts.workers = 4;
+    opts.memoizeWarmup = true;
+    RecordSink memo;
+    StreamStats stats = runJobs(jobs, memo, opts);
+
+    ASSERT_EQ(memo.records.size(), scratch.size());
+    for (std::size_t i = 0; i < scratch.size(); ++i)
+        EXPECT_EQ(memo.records[i], scratch[i]) << "job " << i;
+    EXPECT_EQ(stats.warmupsRun, kSweepClasses);
+    EXPECT_EQ(misses.value() - misses0, kSweepClasses);
+    EXPECT_EQ(hits.value() - hits0, jobs.size() - kSweepClasses);
+}
+
+} // namespace
+
+TEST(MemoizedWave, ClassContiguousWaveMatchesScratchAtEveryWindow)
+{
+    const std::vector<SimJob> jobs = sweepJobs();
+    ASSERT_EQ(sweepScratch().size(), kSweepClasses * kSweepLengths);
+
+    SCOPED_TRACE("default window");
+    expectMemoizedMatchesScratch(jobs, sweepScratch());
+    // Window 1 admits no helper; window 2 admits one live class more
+    // than the one being warmed.
+    for (const char *window : {"1", "2"}) {
+        SCOPED_TRACE(std::string("window ") + window);
+        ScopedEnv env("STSIM_REORDER_WINDOW", window);
+        expectMemoizedMatchesScratch(jobs, sweepScratch());
+    }
+}
+
+TEST(MemoizedWave, RoundRobinWaveMatchesScratch)
+{
+    const std::vector<SimJob> contiguous = sweepJobs();
+    ASSERT_EQ(sweepScratch().size(), contiguous.size());
+
+    // A job's record does not depend on its position in the wave.
+    std::vector<SimJob> jobs;
+    std::vector<std::string> expected;
+    for (std::size_t len = 0; len < kSweepLengths; ++len) {
+        for (std::size_t c = 0; c < kSweepClasses; ++c) {
+            jobs.push_back(contiguous[c * kSweepLengths + len]);
+            expected.push_back(sweepScratch()[c * kSweepLengths + len]);
+        }
+    }
+    expectMemoizedMatchesScratch(jobs, expected);
+}
+
+TEST(MemoizedWave, CancelFromFirstWriteReleasesEveryWorker)
+{
+    // The token fires while helpers are mid-warmup and jobs wait on
+    // their classes: every worker must bail out, or this test hangs.
+    struct CancelOnWrite : ResultsSink
+    {
+        explicit CancelOnWrite(CancelToken &t) : token(t) {}
+
+        void
+        write(std::uint64_t, const SimResults &) override
+        {
+            token.cancel();
+        }
+
+        CancelToken &token;
+    };
+    CancelToken token;
+    CancelOnWrite sink(token);
+    RunOptions opts;
+    opts.workers = 4;
+    opts.memoizeWarmup = true;
+    opts.cancel = &token;
+    EXPECT_THROW(runJobs(sweepJobs(), sink, opts), JobCancelled);
+    EXPECT_TRUE(token.cancelled());
 }

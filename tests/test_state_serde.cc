@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
 
 #include "common/logging.hh"
@@ -200,9 +201,18 @@ TEST(StateSerde, VersionMismatchIsFatal)
 TEST(StateSerde, ShortArrayIsFatal)
 {
     FatalCaptureScope capture;
-    serde::StateReader r("stsim-state 1\n[s]\nv 3 1 2\n[/s]\nend\n");
-    r.begin("s");
-    EXPECT_THROW(r.u64Vec("v"), FatalError);
+    // A declared count far beyond the line must not be reserved up
+    // front: it is an error, not an allocation failure.
+    for (const char *count : {"3", "99999999999999"}) {
+        SCOPED_TRACE(count);
+        const std::string img = std::string("stsim-state 1\n[s]\nv ") +
+                                count + " 1 2\nd " + count +
+                                " 0x1p+0\n[/s]\nend\n";
+        serde::StateReader r(img);
+        r.begin("s");
+        EXPECT_THROW(r.u64Vec("v"), FatalError);
+        EXPECT_THROW(r.dblVec("d"), FatalError);
+    }
 }
 
 //
@@ -440,18 +450,23 @@ setValue(std::string &img, const std::string &key,
     img.replace(pos, img.find('\n', pos) - pos, value);
 }
 
-/** Restoring @p img must fail with a structured error naming @p key. */
+/** Restoring @p img into a simulator of @p cfg must fail with a
+ *  structured error containing @p what. */
 void
-expectRejected(const std::string &img, const std::string &key)
+expectRejected(const std::string &img, const std::string &what,
+               const SimConfig &cfg = smallConfig("C2"))
 {
-    Simulator b(smallConfig("C2"));
+    Simulator b(cfg);
     FatalCaptureScope capture;
     try {
         b.restoreSnapshot(img);
-        ADD_FAILURE() << "image with a bad " << key << " was accepted";
+        ADD_FAILURE() << "image accepted; expected an error with '"
+                      << what << "'";
     } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
             << e.what();
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << "unstructured error: " << e.what();
     }
 }
 
@@ -507,4 +522,114 @@ TEST(Snapshot, OutOfRangeRasTopIsFatal)
     setValue(img, "top",
              std::to_string(smallConfig("C2").bpred.rasEntries), ras);
     expectRejected(img, "RAS top");
+}
+
+namespace
+{
+
+/** A snapshot taken at the end of @p cfg's warmup. */
+std::string
+warmImage(const SimConfig &cfg)
+{
+    Simulator a(cfg);
+    a.runWarmup();
+    return a.saveSnapshot();
+}
+
+} // namespace
+
+TEST(Snapshot, OutOfRangeMruWayIsFatal)
+{
+    // access() and probe() read the set's ways at mru_way first.
+    const CacheConfig dl1 = smallConfig("C2").memory.dl1;
+    const std::size_t sets = dl1.sizeBytes / dl1.lineBytes / dl1.ways;
+    const std::string warm = warmImage(smallConfig("C2"));
+    for (std::size_t bad : {dl1.ways, std::size_t{200}}) {
+        SCOPED_TRACE(bad);
+        std::string img = warm;
+        const std::size_t at = img.find("\n[cache]\nname dl1\n");
+        ASSERT_NE(at, std::string::npos);
+        std::string mru = std::to_string(sets);
+        for (std::size_t i = 0; i < sets; ++i)
+            mru += " " + std::to_string(bad);
+        setValue(img, "mru_way", mru, at);
+        expectRejected(img, "mru_way");
+    }
+}
+
+/// Every array whose length the configuration, or a sibling array,
+/// fixes must have that length: the loaders index their tables and the
+/// sibling arrays with it. A short array is a structured error naming
+/// the key and both counts, never a heap overflow or an uncaught
+/// std::out_of_range.
+TEST(Snapshot, WrongLengthArrayIsFatal)
+{
+    const SimConfig c2 = smallConfig("C2");
+    const SimConfig pg = smallConfig("PG"); // JRS confidence
+    SimConfig bimodal = smallConfig("C2");
+    bimodal.bpred.kind = BpredConfig::Kind::Bimodal;
+    const std::string c2Img = wrongPathImage();
+    const std::string pgImg = warmImage(pg);
+    const std::string bimodalImg = warmImage(bimodal);
+
+    struct Case
+    {
+        const SimConfig &cfg;
+        const std::string &img;
+        const char *section; ///< the array is the first `key` after it
+        const char *key;
+    };
+    const Case cases[] = {
+        {c2, c2Img, "[workload]", "loop_count"},
+        {c2, c2Img, "[gshare]", "pht"},
+        {bimodal, bimodalImg, "[bimodal]", "pht"},
+        {c2, c2Img, "[btb]", "valid"},
+        {c2, c2Img, "[btb]", "tag"},
+        {c2, c2Img, "[btb]", "target"},
+        {c2, c2Img, "[btb]", "last_use"},
+        {c2, c2Img, "[ras]", "stack"},
+        {c2, c2Img, "[confidence]", "valid"},
+        {c2, c2Img, "[confidence]", "tag"},
+        {c2, c2Img, "[confidence]", "counter"},
+        {pg, pgImg, "[confidence]", "mdc"},
+        {c2, c2Img, "[cache]\nname il1", "tag"},
+        {c2, c2Img, "[cache]\nname dl1", "last_use"},
+        {c2, c2Img, "[cache]\nname l2", "flags"},
+        {c2, c2Img, "[cache]\nname dl1", "mru_way"},
+        {c2, c2Img, "[tlb]", "last_use"},
+        {c2, c2Img, "[power]", "unit_energy"},
+        {c2, c2Img, "[power]", "unit_wasted"},
+        {c2, c2Img, "[power]", "activity_sum"},
+        {c2, c2Img, "[power]", "touched_cycles"},
+        {c2, c2Img, "[controller]", "lvl"},
+        {c2, c2Img, "[core_stats]", "counters"},
+        {c2, c2Img, "[conf_metrics]", "correct_by_level"},
+        {c2, c2Img, "[conf_metrics]", "miss_by_level"},
+        {c2, c2Img, "[core]", "ready_words"},
+    };
+    for (const Case &c : cases) {
+        const std::string anchor = std::string("\n") + c.section + "\n";
+        SCOPED_TRACE(anchor + c.key);
+        std::string img = c.img;
+        const std::size_t at = img.find(anchor);
+        ASSERT_NE(at, std::string::npos);
+
+        // `key N v1 .. vN` becomes `key 1 v1`, or `key 0` when N is 1.
+        const std::string needle = std::string("\n") + c.key + " ";
+        const std::size_t line = img.find(needle, at);
+        ASSERT_NE(line, std::string::npos);
+        const std::size_t val = line + needle.size();
+        const std::size_t eol = img.find('\n', val);
+        std::istringstream in(img.substr(val, eol - val));
+        std::string count, first;
+        in >> count >> first;
+        ASSERT_FALSE(first.empty());
+        const std::string kept = count == "1" ? "0" : "1";
+        img.replace(val, eol - val, kept == "0" ? kept : "1 " + first);
+
+        expectRejected(img,
+                       std::string("array '") + c.key + "' has " + kept +
+                           " values, expected " + count,
+                       c.cfg);
+    }
 }
