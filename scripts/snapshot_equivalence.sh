@@ -10,11 +10,12 @@
 #      from-scratch dump, through both the dump and sharded-run paths.
 #   3. A memoized sweep runs its warmup exactly once for the whole wave
 #      and still commits byte-identical results.
-#   4. A memoized sweep over 3 warmup classes x 4 run lengths, each
+#   4. A memoized sweep over 6 warmup classes x 3 run lengths, each
 #      class's jobs contiguous, on 4 workers: workers waiting on one
-#      class's warmup warm the next classes instead (helpers), and the
-#      wave still runs one warmup per class and commits byte-identical
-#      results.
+#      class's warmup warm the next classes instead (helpers), workers
+#      that have committed a job warm the next unclaimed class before
+#      taking another (warm-ahead), and the wave still runs one warmup
+#      per class and commits byte-identical results.
 #
 # CI runs this on every PR; locally:
 #
@@ -74,12 +75,16 @@ cmp "$TMP/s_scratch.jsonl" "$TMP/s_fork_merged.jsonl"
 cmp "$TMP/s_scratch.jsonl" "$TMP/s_memo.jsonl"
 expect_warmups "$TMP/s_memo.err" "1 warmup(s) for 3 jobs"
 
-# 4. Memoized sweep with more classes than one worker warms at a time.
-# The 50K-instruction warmups outlast the other workers' job starts, so
-# they find their class being warmed and warm the next classes.
-for c in 1 2 3; do
-    for n in 2000 3000 4000 5000; do
-        "$RUNNER" manifest --suite golden --insts "$n" --warmup 50000 \
+# 4. Memoized sweep with more classes than workers. The first job warms
+# class 1 while the other three workers find it being warmed and warm
+# classes 2-4 as helpers. Class 1's 20K-instruction warmup is short
+# next to the others' 100K, so its forks commit while classes 5 and 6
+# are still unclaimed, and the committing workers warm them ahead.
+for c in 1 2 3 4 5 6; do
+    warmup=100000
+    [ "$c" = 1 ] && warmup=20000
+    for n in 2000 3000 4000; do
+        "$RUNNER" manifest --suite golden --insts "$n" --warmup "$warmup" \
             2>/dev/null | sed -n "${c}p"
     done
 done > "$TMP/classes.jsonl"
@@ -88,8 +93,8 @@ done > "$TMP/classes.jsonl"
 "$RUNNER" dump --manifest "$TMP/classes.jsonl" --jobs 4 --memoize-warmup \
     --out "$TMP/c_memo.jsonl" 2> "$TMP/c_memo.err"
 cmp "$TMP/c_scratch.jsonl" "$TMP/c_memo.jsonl"
-expect_warmups "$TMP/c_memo.err" "3 warmup(s) for 12 jobs"
+expect_warmups "$TMP/c_memo.err" "6 warmup(s) for 18 jobs"
 
 echo "snapshot_equivalence: memoized matrix, forked sweep (dump and" \
-     "sharded run), memoized sweep and memoized 3-class sweep are all" \
+     "sharded run), memoized sweep and memoized 6-class sweep are all" \
      "bit-identical to from-scratch dumps"

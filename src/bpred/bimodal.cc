@@ -51,7 +51,8 @@ void
 Bimodal::loadState(serde::StateReader &r)
 {
     r.begin("bimodal");
-    std::vector<std::uint64_t> v = r.u64Vec("pht", pht_.size());
+    std::vector<std::uint64_t> v =
+        r.u64Vec("pht", pht_.size(), pht_.front().maxValue());
     for (std::size_t i = 0; i < pht_.size(); ++i)
         pht_[i].set(static_cast<unsigned>(v[i]));
     r.end("bimodal");

@@ -95,7 +95,7 @@ Btb::loadState(serde::StateReader &r)
 {
     r.begin("btb");
     const std::size_t n = entries_.size();
-    std::vector<std::uint64_t> valid = r.u64Vec("valid", n);
+    std::vector<std::uint64_t> valid = r.u64Vec("valid", n, 1);
     std::vector<std::uint64_t> tag = r.u64Vec("tag", n);
     std::vector<std::uint64_t> target = r.u64Vec("target", n);
     std::vector<std::uint64_t> lastUse = r.u64Vec("last_use", n);

@@ -59,7 +59,8 @@ void
 Gshare::loadState(serde::StateReader &r)
 {
     r.begin("gshare");
-    std::vector<std::uint64_t> v = r.u64Vec("pht", pht_.size());
+    std::vector<std::uint64_t> v =
+        r.u64Vec("pht", pht_.size(), pht_.front().maxValue());
     for (std::size_t i = 0; i < pht_.size(); ++i)
         pht_[i].set(static_cast<unsigned>(v[i]));
     r.end("gshare");

@@ -131,24 +131,18 @@ Cache::loadState(serde::StateReader &r)
     std::vector<std::uint64_t> tag = r.u64Vec("tag", lines_.size());
     std::vector<std::uint64_t> lastUse =
         r.u64Vec("last_use", lines_.size());
-    std::vector<std::uint64_t> flags = r.u64Vec("flags", lines_.size());
-    std::vector<std::uint64_t> mru = r.u64Vec("mru_way", mruWay_.size());
+    std::vector<std::uint64_t> flags = r.u64Vec("flags", lines_.size(), 3);
+    // access() and probe() index the set's ways with mru_way.
+    std::vector<std::uint64_t> mru =
+        r.u64Vec("mru_way", mruWay_.size(), cfg_.ways - 1);
     for (std::size_t i = 0; i < lines_.size(); ++i) {
         lines_[i].tag = tag[i];
         lines_[i].lastUse = lastUse[i];
         lines_[i].valid = (flags[i] & 1) != 0;
         lines_[i].wrongPathFill = (flags[i] & 2) != 0;
     }
-    // access() and probe() index the set's ways with it.
-    for (std::size_t i = 0; i < mruWay_.size(); ++i) {
-        if (mru[i] >= cfg_.ways)
-            stsim_fatal("state: cache '%s' set %zu mru_way %llu out of "
-                        "range (%zu ways)",
-                        cfg_.name.c_str(), i,
-                        static_cast<unsigned long long>(mru[i]),
-                        cfg_.ways);
+    for (std::size_t i = 0; i < mruWay_.size(); ++i)
         mruWay_[i] = static_cast<std::uint8_t>(mru[i]);
-    }
     useClock_ = r.u64("use_clock");
     accesses_ = r.u64("accesses");
     misses_ = r.u64("misses");

@@ -114,9 +114,9 @@ BpruEstimator::loadState(serde::StateReader &r)
 {
     r.begin("confidence");
     const std::size_t n = table_.size();
-    std::vector<std::uint64_t> valid = r.u64Vec("valid", n);
-    std::vector<std::uint64_t> tag = r.u64Vec("tag", n);
-    std::vector<std::uint64_t> counter = r.u64Vec("counter", n);
+    std::vector<std::uint64_t> valid = r.u64Vec("valid", n, 1);
+    std::vector<std::uint64_t> tag = r.u64Vec("tag", n, UINT32_MAX);
+    std::vector<std::uint64_t> counter = r.u64Vec("counter", n, UINT8_MAX);
     for (std::size_t i = 0; i < table_.size(); ++i) {
         table_[i].valid = valid[i] != 0;
         table_[i].tag = static_cast<std::uint32_t>(tag[i]);

@@ -64,7 +64,8 @@ void
 JrsEstimator::loadState(serde::StateReader &r)
 {
     r.begin("confidence");
-    std::vector<std::uint64_t> v = r.u64Vec("mdc", table_.size());
+    std::vector<std::uint64_t> v =
+        r.u64Vec("mdc", table_.size(), table_.front().maxValue());
     for (std::size_t i = 0; i < table_.size(); ++i)
         table_[i].set(static_cast<unsigned>(v[i]));
     r.end("confidence");

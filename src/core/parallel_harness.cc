@@ -22,32 +22,40 @@ namespace
 {
 
 /**
- * Reorder-window size: normally a small multiple of the worker count,
- * but pinnable via STSIM_REORDER_WINDOW so tests can force the
- * degenerate window=1 gate and the exact 2*workers boundary. It also
- * caps the classes a memoized wave's helpers keep live.
+ * Reorder-window size for a wave of @p jobs: normally a small multiple
+ * of the worker count, but pinnable via STSIM_REORDER_WINDOW so tests
+ * can force the degenerate window=1 gate and the exact 2*workers
+ * boundary. It also caps the classes a memoized wave keeps live. A
+ * window wider than the wave admits nothing more, so it is capped at
+ * the job count.
  */
 std::size_t
-reorderWindow(std::size_t workers)
+reorderWindow(std::size_t workers, std::size_t jobs)
 {
+    std::size_t window = std::max<std::size_t>(std::size_t{2} * workers, 4);
     if (const char *s = std::getenv("STSIM_REORDER_WINDOW")) {
+        // strtoull silently wraps negative input, so parse signed.
         char *end = nullptr;
-        unsigned long long v = std::strtoull(s, &end, 10);
+        long long v = std::strtoll(s, &end, 10);
         if (end && *end == '\0' && v >= 1)
-            return static_cast<std::size_t>(v);
+            window = static_cast<std::size_t>(v);
+        else
+            stsim_warn("ignoring bad STSIM_REORDER_WINDOW='%s'", s);
     }
-    return std::max<std::size_t>(std::size_t{2} * workers, 4);
+    return std::min(window, jobs);
 }
 
 /**
  * One warmup-equivalence class of a memoized wave. Its warmup runs
  * once, with its first job's config, and every job of the class forks
  * a fresh Simulator from the published snapshot. A job whose class is
- * Unbuilt warms it. A job whose class another worker is warming does
- * not sleep: it warms the first Unbuilt class of the wave instead, if
- * fewer than `window` classes are live, then re-checks its own. A
- * warmup never waits on anything, so no waiter can deadlock the
- * reorder window.
+ * Unbuilt warms it. Otherwise a worker claims the first Unbuilt class
+ * of the wave only while fewer than `window` classes are live, at two
+ * points: a job whose class another worker is warming warms it
+ * instead of sleeping, then re-checks its own; and a job that has
+ * committed its record warms one class before its worker takes
+ * another job. A warmup never waits on anything, so no waiter can
+ * deadlock the reorder window.
  */
 struct WarmupClass
 {
@@ -107,7 +115,7 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
     pool.parallelFor(names.size(), [&](std::size_t i) {
         Simulator::programFor(names[i]);
     });
-    const std::size_t window = reorderWindow(pool.workers());
+    const std::size_t window = reorderWindow(pool.workers(), jobs.size());
 
     // Memoized warmup: group the wave by warmup class up front, in
     // first-appearance order. The key computation is pure config
@@ -243,13 +251,25 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
     std::map<std::size_t, SimResults> pending;
     bool aborted = false; // a job threw: frontier will never advance
 
+    // A job whose result will never reach `pending` leaves the
+    // frontier stuck: release every gate-blocked worker or pool.wait()
+    // would deadlock instead of rethrowing.
+    auto abortWave = [&] {
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            aborted = true;
+        }
+        gate.notify_all();
+    };
+
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         pool.submit([&, i] {
             {
                 TRACE_SPAN("job.queued");
                 std::unique_lock<std::mutex> lock(mu);
+                // next <= i until job i commits, so this cannot wrap.
                 gate.wait(lock,
-                          [&] { return aborted || i < next + window; });
+                          [&] { return aborted || i - next < window; });
                 if (aborted)
                     return;
             }
@@ -282,44 +302,57 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
                     r = sim.run(cancel);
                 }
             } catch (...) {
-                // This job's result will never reach `pending`, so the
-                // frontier is stuck: release every gate-blocked worker
-                // or pool.wait() would deadlock instead of rethrowing.
-                {
-                    std::lock_guard<std::mutex> lock(mu);
-                    aborted = true;
-                }
-                gate.notify_all();
+                abortWave();
                 throw; // surfaces through pool.wait()
             }
             r.experiment = jobs[i].experiment;
 
-            TRACE_SPAN("job.commit");
-            std::lock_guard<std::mutex> lock(mu);
-            if (aborted)
-                return;
-            if (!opts.memoizeWarmup && !opts.fromSnapshot)
-                ++stats.warmupsRun; // scratch jobs warm up themselves
-            jobsCompleted.inc();
-            pending.emplace(i, std::move(r));
-            stats.maxPending =
-                std::max(stats.maxPending, pending.size());
-            while (!pending.empty() && pending.begin()->first == next) {
-                // Consume the record before writing, and mark the
-                // abort while still holding the lock on a throwing
-                // write: no drain (they are serialized under `mu`,
-                // which also spares sinks their own locking) can ever
-                // re-attempt an index or commit past a failure.
-                SimResults out = std::move(pending.begin()->second);
-                pending.erase(pending.begin());
-                const std::size_t idx = next++;
-                gate.notify_all();
-                try {
-                    sink.write(idx, out);
-                } catch (...) {
-                    aborted = true;
+            {
+                TRACE_SPAN("job.commit");
+                std::lock_guard<std::mutex> lock(mu);
+                if (aborted)
+                    return;
+                if (!opts.memoizeWarmup && !opts.fromSnapshot)
+                    ++stats.warmupsRun; // scratch jobs warm themselves
+                jobsCompleted.inc();
+                pending.emplace(i, std::move(r));
+                stats.maxPending =
+                    std::max(stats.maxPending, pending.size());
+                while (!pending.empty() &&
+                       pending.begin()->first == next) {
+                    // Consume the record before writing, and mark the
+                    // abort while still holding the lock on a throwing
+                    // write: no drain (they are serialized under `mu`,
+                    // which also spares sinks their own locking) can
+                    // ever re-attempt an index or commit past a
+                    // failure.
+                    SimResults out = std::move(pending.begin()->second);
+                    pending.erase(pending.begin());
+                    const std::size_t idx = next++;
                     gate.notify_all();
-                    throw; // lock released by unwinding
+                    try {
+                        sink.write(idx, out);
+                    } catch (...) {
+                        aborted = true;
+                        gate.notify_all();
+                        throw; // lock released by unwinding
+                    }
+                }
+            }
+
+            // Warm ahead: with this job's record already handed over,
+            // the worker warms the wave's next unclaimed class before
+            // taking another job, so later classes' warmups overlap
+            // the forks of earlier ones instead of waiting for their
+            // first job to pass the gate.
+            if (opts.memoizeWarmup) {
+                try {
+                    std::unique_lock<std::mutex> lock(cacheMu);
+                    if (canHelp())
+                        warmClass(unclaimed, lock);
+                } catch (...) {
+                    abortWave();
+                    throw;
                 }
             }
         });

@@ -79,12 +79,15 @@ struct RunOptions
      * snapshot, so a memoized wave is bitwise identical to a scratch
      * wave; only the repeated warmups are saved.
      *
-     * Warmups run side by side: a job whose class another worker is
-     * warming warms the wave's next unwarmed class (first-appearance
-     * order) instead of waiting, as long as fewer than reorder-window
-     * classes are being warmed or still hold a snapshot, then
-     * re-checks its own. A snapshot is freed as soon as the last job
-     * of its class has restored.
+     * Warmups run side by side. A worker warms the wave's next
+     * unwarmed class (first-appearance order) when its job's class
+     * is being warmed by another worker, instead of waiting, and
+     * after each job it commits, before taking the next job. Either
+     * claim needs fewer than reorder-window classes live (being
+     * warmed, or holding a snapshot some job has yet to restore), so
+     * at a window of 1 neither claims while any class is live. A
+     * snapshot is freed as soon as the last job of its class has
+     * restored.
      */
     bool memoizeWarmup = false;
 

@@ -275,11 +275,8 @@ Simulator::restoreSnapshot(std::string_view image)
                     "(benchmark/seed/machine/predictor/throttle config "
                     "must match; only run length and power parameters "
                     "may differ)");
-    std::uint64_t phase = r.u64("phase");
-    if (phase > static_cast<std::uint64_t>(Phase::Measure))
-        stsim_fatal("state: bad simulator phase %llu",
-                    static_cast<unsigned long long>(phase));
-    phase_ = static_cast<Phase>(phase);
+    phase_ = static_cast<Phase>(
+        r.u64("phase", static_cast<std::uint64_t>(Phase::Measure)));
     workload_->loadState(r);
     bpred_->loadState(r);
     if (confidence_)

@@ -140,78 +140,116 @@ StateWriter::take()
 namespace
 {
 
+template <typename T>
+T
+parseToken(std::string_view tok, const char *key, std::size_t lineNo)
+{
+    T v = 0;
+    auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(),
+                                   v, 10);
+    if (ec != std::errc() || p != tok.data() + tok.size()) {
+        stsim_fatal("state: line %zu: bad integer for '%s': '%.*s'",
+                    lineNo, key, static_cast<int>(tok.size()),
+                    tok.data());
+    }
+    return v;
+}
+
+/** The fatal for value @p v, read for @p key on line @p lineNo, above
+ *  @p max. Kept out of line: the check runs once per array value. */
+[[noreturn]] void
+outOfRange(std::uint64_t v, std::uint64_t max, const char *key,
+           std::size_t lineNo)
+{
+    stsim_fatal("state: line %zu: '%s' value %llu is out of range "
+                "(max %llu)",
+                lineNo, key, static_cast<unsigned long long>(v),
+                static_cast<unsigned long long>(max));
+}
+
+/**
+ * Scans the decimal token at @p p, which is not a space, and leaves
+ * @p p just past it. Digits are accumulated as they are passed; a
+ * token with any other byte, or long enough to overflow (20 digits or
+ * more), is decided by parseToken, so exactly what std::from_chars
+ * accepts as a whole token is accepted.
+ */
 std::uint64_t
-parseTokenU64(std::string_view tok, const char *key, std::size_t lineNo)
+scanU64(const char *&p, const char *end, const char *key,
+        std::size_t lineNo)
 {
+    const char *tok = p;
     std::uint64_t v = 0;
-    auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(),
-                                   v, 10);
-    if (ec != std::errc() || p != tok.data() + tok.size()) {
-        stsim_fatal("state: line %zu: bad integer for '%s': '%.*s'",
-                    lineNo, key, static_cast<int>(tok.size()),
-                    tok.data());
+    for (; p != end && static_cast<unsigned>(*p - '0') < 10; ++p)
+        v = v * 10 + static_cast<unsigned>(*p - '0');
+    if ((p != end && *p != ' ') || p - tok >= 20) {
+        while (p != end && *p != ' ')
+            ++p;
+        return parseToken<std::uint64_t>(std::string_view(tok, p - tok),
+                                         key, lineNo);
     }
     return v;
 }
 
-std::int64_t
-parseTokenI64(std::string_view tok, const char *key, std::size_t lineNo)
+/**
+ * Reads the `N v1 .. vN` value text of array line @p key in one pass:
+ * runs of spaces separate tokens, the count is checked against what
+ * the line can hold before the result is allocated, and
+ * @p scanValue(p, end) parses each value where the scan finds it.
+ */
+template <typename T, typename ScanValue>
+std::vector<T>
+scanArray(std::string_view text, const char *key, std::size_t lineNo,
+          ScanValue scanValue)
 {
-    std::int64_t v = 0;
-    auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(),
-                                   v, 10);
-    if (ec != std::errc() || p != tok.data() + tok.size()) {
-        stsim_fatal("state: line %zu: bad integer for '%s': '%.*s'",
-                    lineNo, key, static_cast<int>(tok.size()),
-                    tok.data());
+    const char *p = text.data();
+    const char *const end = p + text.size();
+    auto skipSpaces = [&] {
+        while (p != end && *p == ' ')
+            ++p;
+    };
+    auto shorter = [&] {
+        stsim_fatal("state: line %zu: array '%s' is shorter than its "
+                    "declared count",
+                    lineNo, key);
+    };
+    skipSpaces();
+    if (p == end)
+        shorter();
+    const std::uint64_t n = scanU64(p, end, key, lineNo);
+    // Each value takes at least two bytes of the line (" x"), so a
+    // damaged image's huge count cannot allocate more than it holds.
+    if (n > static_cast<std::uint64_t>(end - p) / 2)
+        shorter();
+    std::vector<T> out(n);
+    for (T &x : out) {
+        skipSpaces();
+        if (p == end)
+            shorter();
+        x = scanValue(p, end);
     }
-    return v;
+    skipSpaces();
+    if (p != end) {
+        stsim_fatal("state: line %zu: array '%s' has trailing tokens "
+                    "beyond its declared count",
+                    lineNo, key);
+    }
+    return out;
 }
 
-/** Space-separated token scanner over one line's value text. */
-class TokenScan
+/** The values of array line @p key, each checked against @p max. */
+std::vector<std::uint64_t>
+scanU64Array(std::string_view text, const char *key, std::size_t lineNo,
+             std::uint64_t max)
 {
-  public:
-    TokenScan(std::string_view text, const char *key,
-              std::size_t lineNo)
-        : text_(text), key_(key), lineNo_(lineNo)
-    {
-    }
-
-    std::string_view
-    next()
-    {
-        while (pos_ < text_.size() && text_[pos_] == ' ')
-            ++pos_;
-        if (pos_ >= text_.size()) {
-            stsim_fatal("state: line %zu: array '%s' is shorter than "
-                        "its declared count",
-                        lineNo_, key_);
-        }
-        std::size_t start = pos_;
-        while (pos_ < text_.size() && text_[pos_] != ' ')
-            ++pos_;
-        return text_.substr(start, pos_ - start);
-    }
-
-    void
-    done()
-    {
-        while (pos_ < text_.size() && text_[pos_] == ' ')
-            ++pos_;
-        if (pos_ != text_.size()) {
-            stsim_fatal("state: line %zu: array '%s' has trailing "
-                        "tokens beyond its declared count",
-                        lineNo_, key_);
-        }
-    }
-
-  private:
-    std::string_view text_;
-    const char *key_;
-    std::size_t lineNo_;
-    std::size_t pos_ = 0;
-};
+    return scanArray<std::uint64_t>(
+        text, key, lineNo, [&](const char *&p, const char *end) {
+            const std::uint64_t v = scanU64(p, end, key, lineNo);
+            if (v > max)
+                outOfRange(v, max, key, lineNo);
+            return v;
+        });
+}
 
 } // namespace
 
@@ -302,13 +340,22 @@ StateReader::value(const char *key)
 std::uint64_t
 StateReader::u64(const char *key)
 {
-    return parseTokenU64(value(key), key, lineNo_ - 1);
+    return parseToken<std::uint64_t>(value(key), key, lineNo_ - 1);
+}
+
+std::uint64_t
+StateReader::u64(const char *key, std::uint64_t max)
+{
+    const std::uint64_t v = u64(key);
+    if (v > max)
+        outOfRange(v, max, key, lineNo_ - 1);
+    return v;
 }
 
 std::int64_t
 StateReader::i64(const char *key)
 {
-    return parseTokenI64(value(key), key, lineNo_ - 1);
+    return parseToken<std::int64_t>(value(key), key, lineNo_ - 1);
 }
 
 bool
@@ -338,38 +385,28 @@ std::vector<std::uint64_t>
 StateReader::u64Vec(const char *key)
 {
     std::string_view v = value(key);
-    std::size_t ln = lineNo_ - 1;
-    TokenScan scan(v, key, ln);
-    std::uint64_t n = parseTokenU64(scan.next(), key, ln);
-    std::vector<std::uint64_t> out;
-    // Each value takes at least two bytes of the line (" x"), so a
-    // damaged image's huge count cannot reserve more than it holds.
-    out.reserve(std::min<std::uint64_t>(n, v.size() / 2));
-    for (std::uint64_t i = 0; i < n; ++i)
-        out.push_back(parseTokenU64(scan.next(), key, ln));
-    scan.done();
-    return out;
+    return scanU64Array(v, key, lineNo_ - 1, UINT64_MAX);
 }
 
 std::vector<double>
 StateReader::dblVec(const char *key)
 {
     std::string_view v = value(key);
-    std::size_t ln = lineNo_ - 1;
-    TokenScan scan(v, key, ln);
-    std::uint64_t n = parseTokenU64(scan.next(), key, ln);
-    std::vector<double> out;
-    out.reserve(std::min<std::uint64_t>(n, v.size() / 2));
-    for (std::uint64_t i = 0; i < n; ++i)
-        out.push_back(doubleFromHex(scan.next()));
-    scan.done();
-    return out;
+    return scanArray<double>(
+        v, key, lineNo_ - 1, [](const char *&p, const char *end) {
+            const char *tok = p;
+            while (p != end && *p != ' ')
+                ++p;
+            return doubleFromHex(std::string_view(tok, p - tok));
+        });
 }
 
 std::vector<std::uint64_t>
-StateReader::u64Vec(const char *key, std::size_t n)
+StateReader::u64Vec(const char *key, std::size_t n, std::uint64_t max)
 {
-    std::vector<std::uint64_t> out = u64Vec(key);
+    std::string_view v = value(key);
+    std::vector<std::uint64_t> out =
+        scanU64Array(v, key, lineNo_ - 1, max);
     expectCount(key, out.size(), n);
     return out;
 }

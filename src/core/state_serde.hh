@@ -105,6 +105,11 @@ class StateReader
     void end(const char *section);
 
     std::uint64_t u64(const char *key);
+    /**
+     * As above, but fatals unless the value is at most @p max, so a
+     * loader may narrow it into its field without wrapping it.
+     */
+    std::uint64_t u64(const char *key, std::uint64_t max);
     std::int64_t i64(const char *key);
     bool boolean(const char *key);
     double dbl(const char *key);
@@ -117,9 +122,11 @@ class StateReader
     /**
      * As above, for an array whose length the configuration (or a
      * sibling array) fixes: fatals unless N == @p n, so a loader may
-     * index its tables with the result.
+     * index its tables with the result, and unless every value is at
+     * most @p max, so it may narrow them into its fields.
      */
-    std::vector<std::uint64_t> u64Vec(const char *key, std::size_t n);
+    std::vector<std::uint64_t> u64Vec(const char *key, std::size_t n,
+                                      std::uint64_t max = UINT64_MAX);
     std::vector<double> dblVec(const char *key, std::size_t n);
 
     /** Expect the end marker and end of input. */

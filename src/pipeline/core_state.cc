@@ -14,6 +14,8 @@
  * never stopped.
  */
 
+#include <algorithm>
+#include <climits>
 #include <vector>
 
 #include "core/state_serde.hh"
@@ -120,15 +122,22 @@ loadInst(serde::StateReader &r, DynInst &di, std::size_t ras_entries)
 {
     r.begin("inst");
     di.seq = r.u64("seq");
-    unpackFlags(r.u64("flags"), di);
-    di.waitingOn = static_cast<std::uint8_t>(r.u64("waiting_on"));
+    unpackFlags(r.u64("flags", 0xff), di);
+    di.waitingOn = static_cast<std::uint8_t>(r.u64("waiting_on", UINT8_MAX));
     di.clearConsumers();
-    for (std::uint64_t s : r.u64Vec("consumers"))
+    for (std::uint64_t s : r.u64Vec("consumers")) {
+        // A consumer is stored as its 32-bit distance past this seq.
+        if (s <= di.seq || s - di.seq >= UINT32_MAX)
+            stsim_fatal("state: inst %llu consumer %llu out of range",
+                        static_cast<unsigned long long>(di.seq),
+                        static_cast<unsigned long long>(s));
         di.addConsumer(s);
+    }
     di.ti.pc = r.u64("pc");
-    di.ti.cls = static_cast<InstClass>(r.u64("cls"));
-    di.ti.srcDist[0] = static_cast<std::uint8_t>(r.u64("src0"));
-    di.ti.srcDist[1] = static_cast<std::uint8_t>(r.u64("src1"));
+    di.ti.cls = static_cast<InstClass>(
+        r.u64("cls", static_cast<std::uint64_t>(InstClass::Nop)));
+    di.ti.srcDist[0] = static_cast<std::uint8_t>(r.u64("src0", UINT8_MAX));
+    di.ti.srcDist[1] = static_cast<std::uint8_t>(r.u64("src1", UINT8_MAX));
     di.ti.hasDest = r.boolean("has_dest");
     di.ti.memAddr = r.u64("mem_addr");
     di.ti.taken = r.boolean("taken");
@@ -145,9 +154,9 @@ loadInst(serde::StateReader &r, DynInst &di, std::size_t ras_entries)
     di.pred.btbHit = r.boolean("btb_hit");
     di.pred.dir.taken = r.boolean("dir_taken");
     di.pred.dir.counter =
-        static_cast<unsigned>(r.u64("dir_counter"));
+        static_cast<std::uint8_t>(r.u64("dir_counter", UINT8_MAX));
     di.pred.dir.counterMax =
-        static_cast<unsigned>(r.u64("dir_counter_max"));
+        static_cast<std::uint8_t>(r.u64("dir_counter_max", UINT8_MAX));
     di.pred.histBefore = r.u64("hist_before");
     const std::uint64_t ras_top = r.u64("ras_top");
     if (ras_top >= ras_entries)
@@ -157,12 +166,8 @@ loadInst(serde::StateReader &r, DynInst &di, std::size_t ras_entries)
                     static_cast<unsigned long long>(ras_top), ras_entries);
     di.pred.rasCp.top = static_cast<std::uint32_t>(ras_top);
     di.pred.rasCp.topValue = r.u64("ras_top_value");
-    const std::uint64_t conf = r.u64("conf");
-    if (conf > static_cast<std::uint64_t>(ConfLevel::VLC))
-        stsim_fatal("state: inst %llu conf %llu out of range (4 levels)",
-                    static_cast<unsigned long long>(di.seq),
-                    static_cast<unsigned long long>(conf));
-    di.conf = static_cast<ConfLevel>(conf);
+    di.conf = static_cast<ConfLevel>(
+        r.u64("conf", static_cast<std::uint64_t>(ConfLevel::VLC)));
     r.end("inst");
 }
 
@@ -317,6 +322,16 @@ Core::loadState(serde::StateReader &r)
                         static_cast<unsigned long long>(s));
         loadInst(r, slots_[s], deps_.bpred->ras().size());
     }
+    // The seq -> slot ring grows until every live seq has its own
+    // cell, which two equal seqs never do.
+    std::vector<InstSeq> seqs;
+    for (std::uint64_t s : live)
+        seqs.push_back(slots_[s].seq);
+    std::sort(seqs.begin(), seqs.end());
+    if (auto dup = std::adjacent_find(seqs.begin(), seqs.end());
+        dup != seqs.end())
+        stsim_fatal("state: two live insts have seq %llu",
+                    static_cast<unsigned long long>(*dup));
     inflightCount_ = live.size();
     seqSlot_.init(slots_.size() + 512, 0);
     for (std::uint64_t s : live)
@@ -328,7 +343,7 @@ Core::loadState(serde::StateReader &r)
     loadRing(r, "lsq", lsq_, slots_.size());
     lsqBasePos_ = r.u64("lsq_base_pos");
     robBasePos_ = r.u64("rob_base_pos");
-    readyStores_ = static_cast<unsigned>(r.u64("ready_stores"));
+    readyStores_ = static_cast<unsigned>(r.u64("ready_stores", UINT_MAX));
     readyWords_ = r.u64Vec("ready_words", readyWords_.size());
 
     for (WbBucket &b : wbCal_)
@@ -386,11 +401,8 @@ Core::loadState(serde::StateReader &r)
         blockedLoadMask_.set(slots_[*slot].lsqPos);
     }
 
-    std::uint64_t mode = r.u64("fetch_mode");
-    if (mode > static_cast<std::uint64_t>(FetchMode::WaitBranch))
-        stsim_fatal("state: bad fetch mode %llu",
-                    static_cast<unsigned long long>(mode));
-    fetchMode_ = static_cast<FetchMode>(mode);
+    fetchMode_ = static_cast<FetchMode>(r.u64(
+        "fetch_mode", static_cast<std::uint64_t>(FetchMode::WaitBranch)));
     wrongCursor_.reset();
     if (r.boolean("has_wrong_cursor"))
         wrongCursor_.emplace(*deps_.workload, r);

@@ -267,7 +267,8 @@ SpeculationController::loadState(serde::StateReader &r)
 {
     r.begin("controller");
     std::vector<std::uint64_t> seq = r.u64Vec("seq");
-    std::vector<std::uint64_t> lvl = r.u64Vec("lvl", seq.size());
+    std::vector<std::uint64_t> lvl =
+        r.u64Vec("lvl", seq.size(), kNumLevels - 1);
 
     // Back to the constructed state, then replay the live set.
     buf_.assign(256, Tracked{});
@@ -283,14 +284,8 @@ SpeculationController::loadState(serde::StateReader &r)
     noSelectBarrier_ = decodeBarrier_ = kInvalidSeq;
     refreshLevels();
 
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        if (lvl[i] >= kNumLevels)
-            stsim_fatal("state: controller entry %zu has bad "
-                        "confidence level %llu",
-                        i,
-                        static_cast<unsigned long long>(lvl[i]));
+    for (std::size_t i = 0; i < seq.size(); ++i)
         onCondBranchFetched(seq[i], static_cast<ConfLevel>(lvl[i]));
-    }
     if (cfg_.mode == SpecControlMode::None && !seq.empty())
         stsim_fatal("state: controller snapshot has %zu tracked "
                     "branches but this config has no speculation "

@@ -1,5 +1,7 @@
 #include "workload.hh"
 
+#include <limits>
+
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "core/state_serde.hh"
@@ -171,12 +173,14 @@ Workload::memAddress(const StaticOp &op)
 namespace
 {
 
-/** Restore a sized per-block/per-slot vector, validating its length. */
+/** Restore a sized per-block/per-slot vector, validating its length
+ *  and that every value fits @p T. */
 template <typename T>
 void
 loadSizedVec(serde::StateReader &r, const char *key, std::vector<T> &out)
 {
-    std::vector<std::uint64_t> v = r.u64Vec(key, out.size());
+    std::vector<std::uint64_t> v =
+        r.u64Vec(key, out.size(), std::numeric_limits<T>::max());
     for (std::size_t i = 0; i < v.size(); ++i)
         out[i] = static_cast<T>(v[i]);
 }
@@ -195,6 +199,16 @@ loadCallStack(serde::StateReader &r, const StaticProgram &prog,
                         static_cast<unsigned long long>(blk),
                         prog.numBlocks());
     out.assign(cs.begin(), cs.end());
+}
+
+/** Restore a walker's position in block @p blk: at most one past its
+ *  last body op, which is where the terminator is emitted. */
+std::uint32_t
+loadOpIdx(serde::StateReader &r, const StaticProgram &prog,
+          std::uint32_t blk)
+{
+    return static_cast<std::uint32_t>(
+        r.u64("op_idx", prog.block(blk).ops.size()));
 }
 
 } // namespace
@@ -231,7 +245,7 @@ Workload::loadState(serde::StateReader &r)
                     static_cast<unsigned long long>(cur_block),
                     static_cast<std::size_t>(program_->numBlocks()));
     walk_.curBlock = static_cast<std::uint32_t>(cur_block);
-    walk_.opIdx = static_cast<std::uint32_t>(r.u64("op_idx"));
+    walk_.opIdx = loadOpIdx(r, *program_, walk_.curBlock);
     globalHist_ = r.u64("global_hist");
     generated_ = r.u64("generated");
     loadSizedVec(r, "loop_count", loopCount_);
@@ -278,7 +292,7 @@ WrongPathCursor::WrongPathCursor(const Workload &workload,
         stsim_fatal("state: wrong-path cursor block %llu out of range",
                     static_cast<unsigned long long>(cur_block));
     walk_.curBlock = static_cast<std::uint32_t>(cur_block);
-    walk_.opIdx = static_cast<std::uint32_t>(r.u64("op_idx"));
+    walk_.opIdx = loadOpIdx(r, *program_, walk_.curBlock);
     specHist_ = r.u64("spec_hist");
     loadCallStack(r, *program_, walk_.callStack);
     r.end("wrong_cursor");

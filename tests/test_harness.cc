@@ -364,11 +364,13 @@ TEST(RunJobsAbort, NullTokenAndUnfiredTokenAreHarmless)
 }
 
 //
-// Memoized-wave warmup scheduling. A worker whose class another worker
-// is still warming warms the next unclaimed class instead, while fewer
-// than `window` classes are live. These waves have more classes than
-// workers and warmups long enough that jobs wait on one another, so
-// helpers do claim classes; the window-1 wave is the no-helper path.
+// Memoized-wave warmup scheduling. While fewer than `window` classes
+// are live, a worker warms the next unclaimed class when its job's
+// class is being warmed by another worker, and after each job it
+// commits. These waves have more classes than workers and warmups
+// long enough that jobs wait on one another, so both claims happen;
+// at window 1 only the committing worker warms ahead, once the live
+// class is spent.
 //
 
 namespace
@@ -468,12 +470,30 @@ TEST(MemoizedWave, ClassContiguousWaveMatchesScratchAtEveryWindow)
 
     SCOPED_TRACE("default window");
     expectMemoizedMatchesScratch(jobs, sweepScratch());
-    // Window 1 admits no helper; window 2 admits one live class more
-    // than the one being warmed.
+    // At window 1 a class is warmed ahead only once no class is live,
+    // so this class-contiguous wave keeps at most one; window 2 admits
+    // one live class more.
     for (const char *window : {"1", "2"}) {
         SCOPED_TRACE(std::string("window ") + window);
         ScopedEnv env("STSIM_REORDER_WINDOW", window);
         expectMemoizedMatchesScratch(jobs, sweepScratch());
+    }
+}
+
+TEST(MemoizedWave, WrappedReorderWindowMatchesScratch)
+{
+    // "-1" used to wrap to SIZE_MAX, and so did an explicit SIZE_MAX:
+    // the gate's `i < next + window` then overflowed after the first
+    // commit and no further job could start. Both are now a window
+    // no wider than the wave (the bad value is ignored with a warning).
+    const std::vector<std::string> &scratch = sweepScratch();
+    for (const char *window : {"-1", "18446744073709551615"}) {
+        SCOPED_TRACE(std::string("window ") + window);
+        ScopedEnv env("STSIM_REORDER_WINDOW", window);
+        RecordSink plain;
+        runJobs(sweepJobs(), plain, 4);
+        EXPECT_EQ(plain.records, scratch);
+        expectMemoizedMatchesScratch(sweepJobs(), scratch);
     }
 }
 

@@ -9,7 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <iterator>
+#include <map>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -213,6 +219,127 @@ TEST(StateSerde, ShortArrayIsFatal)
         EXPECT_THROW(r.u64Vec("v"), FatalError);
         EXPECT_THROW(r.dblVec("d"), FatalError);
     }
+}
+
+namespace
+{
+
+std::string
+showValue(std::uint64_t v)
+{
+    return std::to_string(v);
+}
+
+std::string
+showValue(double v)
+{
+    return serde::doubleToHex(v);
+}
+
+/**
+ * Reads the image whose only array line is `v TEXT` with @p read, and
+ * returns "ok" and the values, or the fatal message it raised.
+ */
+template <typename Read>
+std::string
+readArrayLine(const std::string &text, Read read)
+{
+    const std::string img =
+        "stsim-state 1\n[s]\nv " + text + "\n[/s]\nend\n";
+    FatalCaptureScope capture;
+    try {
+        serde::StateReader r(img);
+        r.begin("s");
+        std::string out = "ok";
+        for (const auto &x : read(r))
+            out += " " + showValue(x);
+        return out;
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+}
+
+std::string
+readU64Line(const std::string &text)
+{
+    return readArrayLine(text, [](serde::StateReader &r) {
+        return r.u64Vec("v");
+    });
+}
+
+std::string
+readDblLine(const std::string &text)
+{
+    return readArrayLine(text, [](serde::StateReader &r) {
+        return r.dblVec("v");
+    });
+}
+
+const std::string kShortLine =
+    "state: line 3: array 'v' is shorter than its declared count";
+
+} // namespace
+
+/// An array token is read exactly as std::from_chars (integers) or
+/// strtod (doubles) reads it as a whole token, in the count and in
+/// the values, and every rejection keeps its message.
+TEST(StateSerde, ArrayTokensMatchFromChars)
+{
+    const std::string tokens[] = {
+        "0",     "007", "+1", "-1", "1x", "x", std::string(19, '9'),
+        "18446744073709551615", "18446744073709551616",
+        std::string(25, '7'),
+    };
+    for (const std::string &tok : tokens) {
+        SCOPED_TRACE("token '" + tok + "'");
+        std::uint64_t val = 0;
+        const char *last = tok.data() + tok.size();
+        const auto [p, ec] = std::from_chars(tok.data(), last, val);
+        const bool ok = ec == std::errc() && p == last;
+        const std::string bad =
+            "state: line 3: bad integer for 'v': '" + tok + "'";
+
+        // A value: `v 3 1 TOK 2`.
+        EXPECT_EQ(readU64Line("3 1 " + tok + " 2"),
+                  ok ? "ok 1 " + std::to_string(val) + " 2" : bad);
+
+        // The count, followed by min(count, 8) values.
+        std::string u64s = tok, dbls = tok, u64Want = "ok",
+                    dblWant = "ok";
+        for (std::uint64_t i = 0; i < std::min<std::uint64_t>(val, 8);
+             ++i) {
+            u64s += " 5";
+            dbls += " 0x1.4p+2";
+            u64Want += " 5";
+            dblWant += " 0x1.4p+2";
+        }
+        if (ok && val > 8)
+            u64Want = dblWant = kShortLine;
+        EXPECT_EQ(readU64Line(u64s), ok ? u64Want : bad);
+        EXPECT_EQ(readDblLine(dbls), ok ? dblWant : bad);
+    }
+
+    for (const char *tok : {"0x1p+0", "-0x1.8p+1", "0x0p+0", "-0x0p+0",
+                            "inf", "1.5", "0x1p", "0x1p+0x", "x"}) {
+        SCOPED_TRACE(std::string("double '") + tok + "'");
+        char *end = nullptr;
+        const double val = std::strtod(tok, &end);
+        EXPECT_EQ(readDblLine(std::string("2 ") + tok + " 0x1p+0"),
+                  *end == '\0'
+                      ? "ok " + showValue(val) + " 0x1p+0"
+                      : std::string("serde: bad double '") + tok + "'");
+    }
+
+    // Runs of spaces separate tokens; an empty token is no token.
+    EXPECT_EQ(readU64Line("  3   1  2   3  "), "ok 1 2 3");
+    EXPECT_EQ(readDblLine(" 2  0x1p+0   0x1p+1 "), "ok 0x1p+0 0x1p+1");
+    EXPECT_EQ(readU64Line("0 "), "ok");
+    EXPECT_EQ(readU64Line("3 1  2"), kShortLine);
+    EXPECT_EQ(readU64Line(""), kShortLine);
+    EXPECT_EQ(readDblLine("  "), kShortLine);
+    EXPECT_EQ(readU64Line("2 1 2 3"),
+              "state: line 3: array 'v' has trailing tokens beyond its "
+              "declared count");
 }
 
 //
@@ -632,4 +759,321 @@ TEST(Snapshot, WrongLengthArrayIsFatal)
                            " values, expected " + count,
                        c.cfg);
     }
+}
+
+/// A value that does not fit the field it restores into is an error
+/// naming the key: it used to be narrowed, wrapped or clamped into a
+/// different value (or, for `cls`, kept as no instruction class), so
+/// the restored machine silently differed from the image.
+TEST(Snapshot, NarrowedValueIsFatal)
+{
+    const SimConfig c2 = smallConfig("C2");
+    const SimConfig pg = smallConfig("PG"); // JRS confidence
+    SimConfig bimodal = smallConfig("C2");
+    bimodal.bpred.kind = BpredConfig::Kind::Bimodal;
+    const std::string c2Img = wrongPathImage();
+    const std::string pgImg = warmImage(pg);
+    const std::string bimodalImg = warmImage(bimodal);
+
+    struct Case
+    {
+        const SimConfig &cfg;
+        const std::string &img;
+        const char *section; ///< the line is the first `key` after it
+        const char *key;
+        std::size_t token; ///< 1 is the value, or an array's count
+        const char *value;
+    };
+    const Case cases[] = {
+        {c2, c2Img, "[inst]", "flags", 1, "256"},
+        {c2, c2Img, "[inst]", "waiting_on", 1, "300"},
+        {c2, c2Img, "[inst]", "cls", 1, "200"},
+        {c2, c2Img, "[inst]", "src0", 1, "300"},
+        {c2, c2Img, "[inst]", "src1", 1, "256"},
+        {c2, c2Img, "[inst]", "dir_counter", 1, "4294967297"},
+        {c2, c2Img, "[inst]", "dir_counter_max", 1, "256"},
+        {c2, c2Img, "[core]", "ready_stores", 1, "4294967297"},
+        {c2, c2Img, "[workload]", "op_idx", 1, "4294967297"},
+        {c2, c2Img, "[wrong_cursor]", "op_idx", 1, "4294967297"},
+        {c2, c2Img, "[workload]", "loop_count", 2, "65536"},
+        {c2, c2Img, "[workload]", "chaos_wild", 2, "256"},
+        {c2, c2Img, "[workload]", "bias_streak", 2, "4294967297"},
+        {c2, c2Img, "[workload]", "stream_pos", 2, "4294967297"},
+        {c2, c2Img, "[gshare]", "pht", 2, "4"},
+        {bimodal, bimodalImg, "[bimodal]", "pht", 2, "4"},
+        {c2, c2Img, "[btb]", "valid", 2, "2"},
+        {c2, c2Img, "[confidence]", "valid", 2, "2"},
+        {c2, c2Img, "[confidence]", "tag", 2, "4294967297"},
+        {c2, c2Img, "[confidence]", "counter", 2, "256"},
+        {pg, pgImg, "[confidence]", "mdc", 2, "16"},
+        {c2, c2Img, "[cache]\nname dl1", "flags", 2, "4"},
+    };
+    for (const Case &c : cases) {
+        const std::string anchor = std::string("\n") + c.section + "\n";
+        SCOPED_TRACE(anchor + c.key + " token " + std::to_string(c.token) +
+                     " = " + c.value);
+        std::string img = c.img;
+        const std::size_t at = img.find(anchor);
+        ASSERT_NE(at, std::string::npos);
+        const std::string needle = std::string("\n") + c.key + " ";
+        const std::size_t line = img.find(needle, at);
+        ASSERT_NE(line, std::string::npos);
+        const std::size_t eol = img.find('\n', line + 1);
+        std::istringstream in(img.substr(line + 1, eol - line - 1));
+        std::vector<std::string> toks;
+        for (std::string t; in >> t;)
+            toks.push_back(t);
+        ASSERT_LT(c.token, toks.size());
+        toks[c.token] = c.value;
+        std::string edited = toks[0];
+        for (std::size_t i = 1; i < toks.size(); ++i)
+            edited += " " + toks[i];
+        img.replace(line + 1, eol - line - 1, edited);
+
+        expectRejected(img,
+                       std::string("'") + c.key + "' value " + c.value +
+                           " is out of range",
+                       c.cfg);
+    }
+}
+
+/// A consumer is kept as its distance past the producer's seq, which
+/// must be positive and fit 32 bits.
+TEST(Snapshot, OutOfRangeConsumerIsFatal)
+{
+    const std::string warm = wrongPathImage();
+    const std::size_t at = warm.find("\n[inst]\nseq ");
+    ASSERT_NE(at, std::string::npos);
+    const std::uint64_t seq =
+        std::stoull(warm.substr(at + std::strlen("\n[inst]\nseq ")));
+    for (std::uint64_t consumer : {std::uint64_t{0}, seq,
+                                   seq + std::uint64_t{UINT32_MAX}}) {
+        SCOPED_TRACE(consumer);
+        std::string img = warm;
+        setValue(img, "consumers", "1 " + std::to_string(consumer), at);
+        expectRejected(img, "consumer " + std::to_string(consumer));
+    }
+}
+
+/// Two live instructions with one seq would make the seq -> slot ring
+/// grow forever on the next collision.
+TEST(Snapshot, DuplicateLiveSeqIsFatal)
+{
+    std::string img = wrongPathImage();
+    const std::string first = "\n[inst]\nseq ";
+    const std::size_t a = img.find(first);
+    ASSERT_NE(a, std::string::npos);
+    const std::size_t b = img.find(first, a + 1);
+    ASSERT_NE(b, std::string::npos);
+    const std::size_t vb = b + first.size();
+    const std::string seq =
+        img.substr(a + first.size(), img.find('\n', a + 1 + first.size()) -
+                                         a - first.size());
+    img.replace(vb, img.find('\n', vb) - vb, seq);
+    expectRejected(img, "two live insts have seq " + seq);
+}
+
+//
+// Snapshot-image mutation fuzz
+//
+
+namespace
+{
+
+std::vector<std::string>
+splitOn(const std::string &s, char sep)
+{
+    std::vector<std::string> out;
+    std::size_t pos = 0;
+    for (;;) {
+        const std::size_t at = s.find(sep, pos);
+        out.push_back(s.substr(pos, at - pos));
+        if (at == std::string::npos)
+            return out;
+        pos = at + 1;
+    }
+}
+
+std::string
+joinOn(const std::vector<std::string> &parts, char sep)
+{
+    std::string out;
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+        if (i)
+            out += sep;
+        out += parts[i];
+    }
+    return out;
+}
+
+bool
+isDecimal(const std::string &tok)
+{
+    return !tok.empty() &&
+           tok.find_first_not_of("0123456789") == std::string::npos;
+}
+
+bool
+isHexFloat(const std::string &tok)
+{
+    const std::string t = tok[0] == '-' ? tok.substr(1) : tok;
+    return t.rfind("0x", 0) == 0 || t == "inf" || t == "nan";
+}
+
+/** Value lines the saver derives from other restored fields instead
+ *  of writing them back verbatim. */
+bool
+isDerivedLine(const std::string &key)
+{
+    // The slots not in free_slots, in ascending order.
+    return key == "live_slots";
+}
+
+} // namespace
+
+/// Deterministic mutation fuzz over a whole snapshot image: a C2
+/// image with instructions in flight and a wrong-path cursor, one
+/// token of one value line rewritten per mutation (a canonical value
+/// of the token's own kind, junk, or the token deleted or
+/// duplicated). Each mutated image must fail to restore with a
+/// structured error, or restore to a machine whose saved image
+/// repeats the mutated line byte for byte: restore may not narrow,
+/// wrap or drop a value. Junk never restores. The restored machines
+/// are not run; nothing checks yet that the core's fields agree with
+/// one another.
+TEST(SnapshotFuzz, MutatedImageFailsOrRoundTrips)
+{
+    const SimConfig cfg = smallConfig("C2");
+    const std::string image = wrongPathImage();
+    ASSERT_NE(image.find("\nhas_wrong_cursor 1\n"), std::string::npos);
+    std::vector<std::string> lines = splitOn(image, '\n');
+    ASSERT_EQ(lines.back(), "");
+    lines.pop_back();
+
+    // Mutable lines, grouped by section path and key so that each key
+    // is drawn as often as any other, however many lines carry it.
+    std::map<std::string, std::vector<std::size_t>> byKey;
+    std::vector<std::string> path;
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        const std::string &l = lines[i];
+        if (l.rfind("[/", 0) == 0) {
+            path.pop_back();
+        } else if (l[0] == '[') {
+            path.push_back(l);
+        } else {
+            const std::vector<std::string> toks = splitOn(l, ' ');
+            if (toks.size() >= 2 &&
+                (isDecimal(toks[1]) || isHexFloat(toks[1])))
+                byKey[joinOn(path, '/') + " " + toks[0]].push_back(i);
+        }
+    }
+    ASSERT_GT(byKey.size(), 100u);
+    std::vector<const std::vector<std::size_t> *> groups;
+    std::vector<std::string> groupNames;
+    for (const auto &[name, at] : byKey) {
+        groupNames.push_back(name);
+        groups.push_back(&at);
+    }
+
+    // Canonical tokens: decimal integers without leading zeros at the
+    // edges of the field types, and "%a" hex-floats.
+    const std::string kIntegers[] = {
+        "0",          "1",          "255",
+        "256",        "4294967295", "4294967296",
+        "4294967297", "18446744073709551615", "18446744073709551616",
+    };
+    std::vector<std::string> doubles;
+    for (double d : {0.0, -1.0, 3.0, 1e308, 5e-324, HUGE_VAL})
+        doubles.push_back(serde::doubleToHex(d));
+    const char *const kJunk[] = {"x", "1x", "-", "0x", "0x1p+0x", "."};
+
+    // Every key first meets every integer edge once, on a line and
+    // token of its own drawn at random; random mutations of every
+    // kind make up the rest.
+    constexpr std::size_t kMutations = 2'000;
+    const std::size_t sweep = groups.size() * std::size(kIntegers);
+    ASSERT_LT(sweep, kMutations);
+    std::mt19937_64 rng(20030208);
+    auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    std::map<std::string, std::string> failures; // group -> example
+    std::size_t restored = 0;
+    for (std::size_t m = 0; m < kMutations; ++m) {
+        const std::size_t g = m < sweep ? m / std::size(kIntegers)
+                                        : pick(groups.size());
+        const std::size_t edge =
+            m < sweep ? m % std::size(kIntegers) : pick(std::size(kIntegers));
+        const std::size_t li = (*groups[g])[pick(groups[g]->size())];
+        std::vector<std::string> toks = splitOn(lines[li], ' ');
+        const std::size_t t = 1 + pick(toks.size() - 1);
+        bool junk = false;
+        switch (m < sweep ? 0 : pick(4)) {
+        case 0:
+            toks[t] = isDecimal(toks[t])
+                          ? kIntegers[edge]
+                          : doubles[edge % doubles.size()];
+            break;
+        case 1:
+            toks[pick(2) ? t : 0] = kJunk[pick(std::size(kJunk))];
+            junk = true;
+            break;
+        case 2:
+            toks.erase(toks.begin() + t);
+            break;
+        default:
+            toks.insert(toks.begin() + t, toks[t]);
+            break;
+        }
+        const std::string mutated = joinOn(toks, ' ');
+        std::vector<std::string> img = lines;
+        img[li] = mutated;
+
+        Simulator sim(cfg);
+        std::string resaved;
+        try {
+            FatalCaptureScope capture;
+            sim.restoreSnapshot(joinOn(img, '\n') + "\n");
+            resaved = sim.saveSnapshot();
+        } catch (const FatalError &) {
+            continue;
+        } catch (const std::exception &e) {
+            failures.emplace(groupNames[g],
+                             std::string("unstructured error: ") +
+                                 e.what());
+            continue;
+        }
+        ++restored;
+        const std::string key = toks[0];
+        if (junk) {
+            failures.emplace(groupNames[g], "junk restored: '" +
+                                                mutated.substr(0, 80) +
+                                                "'");
+            continue;
+        }
+        const std::vector<std::string> back = splitOn(resaved, '\n');
+        const std::string got = li < back.size() ? back[li] : "";
+        if (got != mutated && !isDerivedLine(key)) {
+            // Name the first token that changed, not the whole line.
+            const std::vector<std::string> gotToks = splitOn(got, ' ');
+            std::size_t d = 0;
+            while (d < toks.size() && d < gotToks.size() &&
+                   toks[d] == gotToks[d])
+                ++d;
+            failures.emplace(
+                groupNames[g],
+                "token " + std::to_string(d) + " '" +
+                    (d < toks.size() ? toks[d] : "") +
+                    "' saved back as '" +
+                    (d < gotToks.size() ? gotToks[d] : "") + "'");
+        }
+    }
+    std::string report;
+    for (const auto &[name, example] : failures)
+        report += "\n  " + name + ": " + example;
+    EXPECT_TRUE(failures.empty()) << failures.size() << " keys:" << report;
+    // Canonical in-range values must mostly restore, or the fuzz tests
+    // only the rejection paths.
+    EXPECT_GT(restored, kMutations / 4)
+        << restored << " mutations restored";
 }
