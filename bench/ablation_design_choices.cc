@@ -1,7 +1,7 @@
 /**
  * @file
- * Ablation study of the design choices DESIGN.md calls out, built
- * around the headline configuration C2:
+ * Ablation study of three design choices behind the headline
+ * configuration C2:
  *
  *  1. estimator quality — C2 under the realistic BPRU estimator vs a
  *     perfect (oracle) estimator: how much of the remaining E-D gap

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Snapshot/fork equivalence gate: the warmup checkpoint API must never
-# change a result byte. Three properties, each enforced with cmp:
+# Snapshot/fork equivalence gate: the warmup checkpoint API and the
+# memoized wave must never change a result byte. Five properties, each
+# enforced with cmp:
 #
 #   1. A memoized dump of the pinned golden matrix (every job its own
 #      warmup class: policies change warmup behavior) is byte-identical
@@ -11,11 +12,15 @@
 #   3. A memoized sweep runs its warmup exactly once for the whole wave
 #      and still commits byte-identical results.
 #   4. A memoized sweep over 6 warmup classes x 3 run lengths, each
-#      class's jobs contiguous, on 4 workers: workers waiting on one
-#      class's warmup warm the next classes instead (helpers), workers
-#      that have committed a job warm the next unclaimed class before
-#      taking another (warm-ahead), and the wave still runs one warmup
+#      class's jobs contiguous, on 4 workers: each class is one task
+#      (one warmup, then one measured sweep to its longest run), the
+#      classes run side by side, and the wave still runs one warmup
 #      per class and commits byte-identical results.
+#   5. A memoized sweep over 2 warmup classes x 3 run lengths x 2 cc3
+#      idle factors, the classes interleaved, on 4 workers: each
+#      class's sweep meters its second idle factor with an extra power
+#      meter, and the wave runs one warmup per class and commits
+#      byte-identical results.
 #
 # CI runs this on every PR; locally:
 #
@@ -75,11 +80,10 @@ cmp "$TMP/s_scratch.jsonl" "$TMP/s_fork_merged.jsonl"
 cmp "$TMP/s_scratch.jsonl" "$TMP/s_memo.jsonl"
 expect_warmups "$TMP/s_memo.err" "1 warmup(s) for 3 jobs"
 
-# 4. Memoized sweep with more classes than workers. The first job warms
-# class 1 while the other three workers find it being warmed and warm
-# classes 2-4 as helpers. Class 1's 20K-instruction warmup is short
-# next to the others' 100K, so its forks commit while classes 5 and 6
-# are still unclaimed, and the committing workers warm them ahead.
+# 4. Memoized sweep with more classes than workers. Classes 1-4 start
+# side by side; class 1's 20K-instruction warmup is short next to the
+# others' 100K, so its worker moves on to class 5 while classes 2-4
+# are still warming, and class 6 starts as the next worker frees up.
 for c in 1 2 3 4 5 6; do
     warmup=100000
     [ "$c" = 1 ] && warmup=20000
@@ -95,6 +99,34 @@ done > "$TMP/classes.jsonl"
 cmp "$TMP/c_scratch.jsonl" "$TMP/c_memo.jsonl"
 expect_warmups "$TMP/c_memo.err" "6 warmup(s) for 18 jobs"
 
+# 5. Memoized sweep over run lengths and power: per class, 3 run
+# lengths x cc3 idle factors 0.10 (the manifest's) and 0.20, the two
+# classes interleaved in the manifest. Each class is one machine whose
+# sweep collects every job at its own run length and reads the 0.20
+# jobs' energy from an extra meter.
+idle10='"idleFactor":"0x1.999999999999ap-4"'
+idle20='"idleFactor":"0x1.999999999999ap-3"'
+for n in 2000 3000 4000; do
+    "$RUNNER" manifest --suite golden --insts "$n" --warmup 20000 \
+        2>/dev/null > "$TMP/golden_$n.jsonl"
+    for line in 3 8; do
+        for idle in "$idle10" "$idle20"; do
+            sed -n "${line}p" "$TMP/golden_$n.jsonl" |
+                sed "s/$idle10/$idle/"
+        done
+    done
+done > "$TMP/power.jsonl"
+grep -qF "$idle20" "$TMP/power.jsonl" || {
+    echo "snapshot_equivalence: idle factor substitution failed" >&2
+    exit 1
+}
+"$RUNNER" dump --manifest "$TMP/power.jsonl" --jobs 4 \
+    --out "$TMP/p_scratch.jsonl"
+"$RUNNER" dump --manifest "$TMP/power.jsonl" --jobs 4 --memoize-warmup \
+    --out "$TMP/p_memo.jsonl" 2> "$TMP/p_memo.err"
+cmp "$TMP/p_scratch.jsonl" "$TMP/p_memo.jsonl"
+expect_warmups "$TMP/p_memo.err" "2 warmup(s) for 12 jobs"
+
 echo "snapshot_equivalence: memoized matrix, forked sweep (dump and" \
-     "sharded run), memoized sweep and memoized 6-class sweep are all" \
-     "bit-identical to from-scratch dumps"
+     "sharded run), memoized sweep, memoized 6-class sweep and memoized" \
+     "power sweep are all bit-identical to from-scratch dumps"

@@ -14,9 +14,13 @@
  * The original BPRU derives its signal from a data-value predictor;
  * this implementation reproduces the table structure, level mapping
  * and fallback exactly, with the counter trained directly on
- * prediction correctness (see DESIGN.md substitution #3). The update
- * weights are calibrated so the estimator lands near the paper's
- * measured quality (SPEC ≈ 60%, PVN ≈ 45% with an 8 KB gshare).
+ * prediction correctness (the synthetic workloads carry no data
+ * values). The paper measures SPEC ≈ 60% / PVN ≈ 45% with an 8 KB
+ * gshare; on these workloads the default weights measure 36.9% /
+ * 29.9% (500K measured / 150K warmup instructions, runSeed 42). No
+ * update rule scanned by `conf_estimators --scan` exceeds 29.4% PVN,
+ * so the gap is in how the workloads cluster mispredictions, not in
+ * the weights (ROADMAP item 1).
  */
 
 #ifndef STSIM_CONFIDENCE_BPRU_HH
@@ -35,7 +39,7 @@ namespace stsim
 class BpruEstimator : public ConfidenceEstimator
 {
   public:
-    /** Tuning knobs; defaults reproduce the paper's reported quality. */
+    /** Tuning knobs; the defaults are the update rule measured above. */
     struct Params
     {
         unsigned missInc = 2;   ///< counter += on a misprediction

@@ -22,15 +22,14 @@ namespace
 {
 
 /**
- * Reorder-window size for a wave of @p jobs: normally a small multiple
- * of the worker count, but pinnable via STSIM_REORDER_WINDOW so tests
- * can force the degenerate window=1 gate and the exact 2*workers
- * boundary. It also caps the classes a memoized wave keeps live. A
- * window wider than the wave admits nothing more, so it is capped at
- * the job count.
+ * Reorder-window size for a wave of @p tasks: normally a small
+ * multiple of the worker count, but pinnable via STSIM_REORDER_WINDOW
+ * so tests can force the degenerate window=1 gate and the exact
+ * 2*workers boundary. A window wider than the wave admits nothing
+ * more, so it is capped at the task count.
  */
 std::size_t
-reorderWindow(std::size_t workers, std::size_t jobs)
+reorderWindow(std::size_t workers, std::size_t tasks)
 {
     std::size_t window = std::max<std::size_t>(std::size_t{2} * workers, 4);
     if (const char *s = std::getenv("STSIM_REORDER_WINDOW")) {
@@ -42,36 +41,8 @@ reorderWindow(std::size_t workers, std::size_t jobs)
         else
             stsim_warn("ignoring bad STSIM_REORDER_WINDOW='%s'", s);
     }
-    return std::min(window, jobs);
+    return std::min(window, tasks);
 }
-
-/**
- * One warmup-equivalence class of a memoized wave. Its warmup runs
- * once, with its first job's config, and every job of the class forks
- * a fresh Simulator from the published snapshot. A job whose class is
- * Unbuilt warms it. Otherwise a worker claims the first Unbuilt class
- * of the wave only while fewer than `window` classes are live, at two
- * points: a job whose class another worker is warming warms it
- * instead of sleeping, then re-checks its own; and a job that has
- * committed its record warms one class before its worker takes
- * another job. A warmup never waits on anything, so no waiter can
- * deadlock the reorder window.
- */
-struct WarmupClass
-{
-    enum class State : std::uint8_t
-    {
-        Unbuilt,  ///< nobody has claimed the warmup yet
-        Building, ///< a worker is running the warmup now
-        Ready,    ///< snapshot is published
-        Aborted,  ///< the warmup threw; waiters must bail out
-    };
-
-    State state = State::Unbuilt;
-    std::string snapshot;
-    std::size_t firstJob = 0;  ///< whose config runs the warmup
-    std::size_t remaining = 0; ///< jobs still needing the snapshot
-};
 
 } // namespace
 
@@ -115,33 +86,32 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
     pool.parallelFor(names.size(), [&](std::size_t i) {
         Simulator::programFor(names[i]);
     });
-    const std::size_t window = reorderWindow(pool.workers(), jobs.size());
 
-    // Memoized warmup: group the wave by warmup class up front, in
-    // first-appearance order. The key computation is pure config
-    // serialization -- trivial next to a single simulated cycle.
-    std::mutex cacheMu;
-    std::condition_variable cacheCv;
-    std::vector<WarmupClass> classes;
-    std::vector<std::size_t> jobClass(jobs.size(), 0);
-    std::size_t unclaimed = 0; // no class before it is Unbuilt
-    std::size_t live = 0; // Building, or Ready with jobs to restore
+    // A task is the jobs one machine runs: one job, or in a memoized
+    // wave one warmup class (first-appearance order), which warms up
+    // once and serves every job of the class from one measured sweep.
+    // The key computation is pure config serialization -- trivial next
+    // to a single simulated cycle.
+    std::vector<std::vector<std::size_t>> tasks;
     if (opts.memoizeWarmup) {
         std::map<std::string, std::size_t> byKey;
         for (std::size_t i = 0; i < jobs.size(); ++i) {
-            std::string key = Simulator::warmupClassKey(jobs[i].cfg);
-            auto [it, inserted] =
-                byKey.emplace(std::move(key), classes.size());
+            auto [it, inserted] = byKey.emplace(
+                Simulator::warmupClassKey(jobs[i].cfg), tasks.size());
             if (inserted)
-                classes.emplace_back().firstJob = i;
-            jobClass[i] = it->second;
-            ++classes[it->second].remaining;
+                tasks.emplace_back();
+            tasks[it->second].push_back(i);
         }
+    } else {
+        tasks.resize(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            tasks[i].push_back(i);
     }
+    const std::size_t window = reorderWindow(pool.workers(), tasks.size());
 
-    // Lifecycle accounting lives at job granularity: one counter inc
-    // or span per job, never per instruction, so the engine's hot
-    // path is untouched and results cannot be perturbed.
+    // Lifecycle accounting lives at task granularity: one counter inc
+    // or span per task or job, never per instruction, so the engine's
+    // hot path is untouched and results cannot be perturbed.
     obs::Counter &memoHits =
         obs::Registry::instance().counter("runjobs.warmup_memo_hits");
     obs::Counter &memoMisses =
@@ -149,109 +119,44 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
     obs::Counter &jobsCompleted =
         obs::Registry::instance().counter("runjobs.jobs_completed");
 
-    /**
-     * Claim Unbuilt class @p c, warm it with @p lock released, and
-     * publish its snapshot (or Aborted, rethrowing the warmup's
-     * exception). Returns, or throws, with @p lock held.
-     */
-    auto warmClass = [&](std::size_t c,
-                         std::unique_lock<std::mutex> &lock) {
-        WarmupClass &wc = classes[c];
-        wc.state = WarmupClass::State::Building;
-        ++live;
-        lock.unlock();
-        memoMisses.inc();
-        std::string snap;
-        try {
+    /** Run @p task on one machine: its jobs' results, in task order. */
+    auto runTask = [&](const std::vector<std::size_t> &task) {
+        Simulator sim(jobs[task.front()].cfg);
+        if (opts.fromSnapshot) {
+            sim.restoreSnapshot(*opts.fromSnapshot);
+        } else {
+            // Warmup and measurement run as two explicit phases on one
+            // machine; runWarmup() is a no-op-if-done prefix of run(),
+            // so this is the same simulation whether or not anyone is
+            // tracing.
             TRACE_SPAN("job.warmup");
-            Simulator warm(jobs[wc.firstJob].cfg);
-            warm.runWarmup(cancel);
-            snap = warm.saveSnapshot();
-        } catch (...) {
-            lock.lock();
-            wc.state = WarmupClass::State::Aborted;
-            cacheCv.notify_all();
-            throw;
+            sim.runWarmup(cancel);
         }
-        lock.lock();
-        wc.snapshot = std::move(snap);
-        wc.state = WarmupClass::State::Ready;
-        ++stats.warmupsRun;
-        cacheCv.notify_all();
-    };
-
-    /** Whether a helper may claim a class now (`cacheMu` held). */
-    auto canHelp = [&] {
-        while (unclaimed < classes.size() &&
-               classes[unclaimed].state != WarmupClass::State::Unbuilt)
-            ++unclaimed;
-        return unclaimed < classes.size() && live < window;
-    };
-
-    /** Run job @p i forked from its class's (possibly fresh) warmup. */
-    auto runMemoized = [&](std::size_t i) {
-        WarmupClass &wc = classes[jobClass[i]];
-        {
-            std::unique_lock<std::mutex> lock(cacheMu);
-            while (wc.state != WarmupClass::State::Ready) {
-                if (wc.state == WarmupClass::State::Aborted)
-                    throw JobCancelled();
-                // Warming its own class is the progress guarantee, so
-                // the `window` cap only limits help for other classes.
-                if (wc.state == WarmupClass::State::Unbuilt)
-                    warmClass(jobClass[i], lock);
-                else if (canHelp())
-                    warmClass(unclaimed, lock);
-                else
-                    cacheCv.wait(lock, [&] {
-                        return wc.state != WarmupClass::State::Building ||
-                               canHelp();
-                    });
-            }
-        }
-        // The warmup is the first job's miss, whoever ran it; every
-        // other job of the class is a hit.
-        if (i != wc.firstJob)
-            memoHits.inc();
-
-        // Every job of the class forks a fresh machine from the
-        // snapshot, so the restore path is exercised on all of them
-        // and memoized results are bitwise identical to scratch
-        // results. The snapshot string is stable here: it is only
-        // freed when the last job of the class decrements `remaining`,
-        // which cannot happen before this job has restored.
-        Simulator sim(jobs[i].cfg);
-        sim.restoreSnapshot(wc.snapshot);
-        SimResults r;
-        {
-            TRACE_SPAN("job.measure");
-            r = sim.run(cancel);
-        }
-        {
-            std::lock_guard<std::mutex> lock(cacheMu);
-            if (--wc.remaining == 0) {
-                wc.snapshot.clear();
-                wc.snapshot.shrink_to_fit();
-                --live;
-                cacheCv.notify_all(); // a helper may claim a class now
-            }
-        }
-        return r;
+        TRACE_SPAN("job.measure");
+        if (task.size() == 1)
+            return std::vector<SimResults>{sim.run(cancel)};
+        std::vector<SimConfig> cfgs;
+        cfgs.reserve(task.size());
+        for (std::size_t i : task)
+            cfgs.push_back(jobs[i].cfg);
+        return sim.runSweep(cfgs, cancel);
     };
 
     // In-order streaming commit with a bounded reorder window. A
-    // worker may not *start* job i until i is within `window` of the
-    // commit frontier, which caps the completed-but-unwritable set at
-    // `window` entries however large the wave is. The job at the
-    // frontier always passes the gate, so the oldest incomplete job is
-    // always running and the wave cannot deadlock.
+    // worker may not *start* task t until t is within `window` of the
+    // first unfinished task, which caps the tasks whose results are
+    // completed but unwritable however large the wave is. The first
+    // unfinished task always passes the gate and holds the commit
+    // frontier, so the wave cannot deadlock.
     std::mutex mu;
     std::condition_variable gate;
     std::size_t next = 0; // commit frontier (submission order)
+    std::size_t unfinished = 0; // first task not yet in `pending`
+    std::vector<bool> finished(tasks.size(), false);
     std::map<std::size_t, SimResults> pending;
-    bool aborted = false; // a job threw: frontier will never advance
+    bool aborted = false; // a task threw: frontier will never advance
 
-    // A job whose result will never reach `pending` leaves the
+    // A task whose results will never reach `pending` leaves the
     // frontier stuck: release every gate-blocked worker or pool.wait()
     // would deadlock instead of rethrowing.
     auto abortWave = [&] {
@@ -262,97 +167,70 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
         gate.notify_all();
     };
 
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        pool.submit([&, i] {
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        pool.submit([&, t] {
+            const std::vector<std::size_t> &task = tasks[t];
             {
                 TRACE_SPAN("job.queued");
                 std::unique_lock<std::mutex> lock(mu);
-                // next <= i until job i commits, so this cannot wrap.
-                gate.wait(lock,
-                          [&] { return aborted || i - next < window; });
+                // unfinished <= t until task t finishes: no wrap.
+                gate.wait(lock, [&] {
+                    return aborted || t - unfinished < window;
+                });
                 if (aborted)
                     return;
             }
-            SimResults r;
+            std::vector<SimResults> rs;
             try {
-                // The upfront check makes cancellation prompt for jobs
-                // that have not started; the token handed to run()
-                // covers the frontier job, which always holds a
-                // worker, so a fired token always surfaces.
+                // The upfront check makes cancellation prompt for tasks
+                // that have not started; the token handed to the
+                // simulator covers the first unfinished task, which
+                // always holds a worker, so a fired token surfaces.
                 if (cancel && cancel->cancelled())
                     throw JobCancelled();
-                if (opts.memoizeWarmup) {
-                    r = runMemoized(i);
-                } else if (opts.fromSnapshot) {
-                    Simulator sim(jobs[i].cfg);
-                    sim.restoreSnapshot(*opts.fromSnapshot);
-                    TRACE_SPAN("job.measure");
-                    r = sim.run(cancel);
-                } else {
-                    // Warmup and measurement run as two explicit
-                    // phases on one machine; runWarmup() is a no-op-
-                    // if-done prefix of run(), so this is the same
-                    // simulation whether or not anyone is tracing.
-                    Simulator sim(jobs[i].cfg);
-                    {
-                        TRACE_SPAN("job.warmup");
-                        sim.runWarmup(cancel);
-                    }
-                    TRACE_SPAN("job.measure");
-                    r = sim.run(cancel);
-                }
+                rs = runTask(task);
             } catch (...) {
                 abortWave();
                 throw; // surfaces through pool.wait()
             }
-            r.experiment = jobs[i].experiment;
-
-            {
-                TRACE_SPAN("job.commit");
-                std::lock_guard<std::mutex> lock(mu);
-                if (aborted)
-                    return;
-                if (!opts.memoizeWarmup && !opts.fromSnapshot)
-                    ++stats.warmupsRun; // scratch jobs warm themselves
-                jobsCompleted.inc();
-                pending.emplace(i, std::move(r));
-                stats.maxPending =
-                    std::max(stats.maxPending, pending.size());
-                while (!pending.empty() &&
-                       pending.begin()->first == next) {
-                    // Consume the record before writing, and mark the
-                    // abort while still holding the lock on a throwing
-                    // write: no drain (they are serialized under `mu`,
-                    // which also spares sinks their own locking) can
-                    // ever re-attempt an index or commit past a
-                    // failure.
-                    SimResults out = std::move(pending.begin()->second);
-                    pending.erase(pending.begin());
-                    const std::size_t idx = next++;
-                    gate.notify_all();
-                    try {
-                        sink.write(idx, out);
-                    } catch (...) {
-                        aborted = true;
-                        gate.notify_all();
-                        throw; // lock released by unwinding
-                    }
-                }
+            if (opts.memoizeWarmup) {
+                // The class's warmup is its first job's miss; every
+                // other job of the class is a hit.
+                memoMisses.inc();
+                memoHits.inc(task.size() - 1);
             }
 
-            // Warm ahead: with this job's record already handed over,
-            // the worker warms the wave's next unclaimed class before
-            // taking another job, so later classes' warmups overlap
-            // the forks of earlier ones instead of waiting for their
-            // first job to pass the gate.
-            if (opts.memoizeWarmup) {
+            TRACE_SPAN("job.commit");
+            std::lock_guard<std::mutex> lock(mu);
+            if (aborted)
+                return;
+            if (!opts.fromSnapshot)
+                ++stats.warmupsRun;
+            for (std::size_t k = 0; k < task.size(); ++k) {
+                rs[k].experiment = jobs[task[k]].experiment;
+                pending.emplace(task[k], std::move(rs[k]));
+            }
+            jobsCompleted.inc(task.size());
+            stats.maxPending = std::max(stats.maxPending, pending.size());
+            finished[t] = true;
+            while (unfinished < tasks.size() && finished[unfinished])
+                ++unfinished;
+            gate.notify_all();
+            while (!pending.empty() && pending.begin()->first == next) {
+                // Consume the record before writing, and mark the abort
+                // while still holding the lock on a throwing write: no
+                // drain (they are serialized under `mu`, which also
+                // spares sinks their own locking) can ever re-attempt
+                // an index or commit past a failure.
+                SimResults out = std::move(pending.begin()->second);
+                pending.erase(pending.begin());
+                const std::size_t idx = next++;
                 try {
-                    std::unique_lock<std::mutex> lock(cacheMu);
-                    if (canHelp())
-                        warmClass(unclaimed, lock);
+                    sink.write(idx, out);
                 } catch (...) {
-                    abortWave();
-                    throw;
+                    aborted = true;
+                    gate.notify_all();
+                    throw; // lock released by unwinding
                 }
             }
         });

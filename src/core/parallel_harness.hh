@@ -47,17 +47,21 @@ struct StreamStats
 {
     /**
      * High-water mark of results held for in-order commit. Bounded by
-     * the reorder window (a small multiple of the worker count), never
-     * by the number of jobs -- the "streaming, not accumulating"
-     * guarantee a big sweep relies on.
+     * the results of the tasks the reorder window admits (a small
+     * multiple of the worker count; a task is one job, or one warmup
+     * class of a memoized wave), never by the number of jobs alone --
+     * the "streaming, not accumulating" guarantee a big sweep relies
+     * on. A memoized wave whose classes interleave in the manifest
+     * also holds finished classes' later jobs until the frontier
+     * reaches them.
      */
     std::size_t maxPending = 0;
 
     /**
-     * Warmup phases actually executed (memoized waves only; equals the
-     * job count otherwise). With memoization this is the number of
-     * distinct warmup-equivalence classes -- at most one warmup per
-     * class, which is the memoization win being measured.
+     * Warmup phases actually executed: one per job in a scratch wave,
+     * one per distinct warmup-equivalence class in a memoized wave
+     * (the memoization win being measured), and none in a
+     * fromSnapshot wave.
      */
     std::size_t warmupsRun = 0;
 };
@@ -72,22 +76,20 @@ struct RunOptions
     const CancelToken *cancel = nullptr;
 
     /**
-     * Warmup once per warmup-equivalence class
-     * (Simulator::warmupClassKey), with the config of the class's
-     * first job, and fork every job of the class from the in-memory
-     * snapshot. Every job restores into a fresh Simulator from the
-     * snapshot, so a memoized wave is bitwise identical to a scratch
-     * wave; only the repeated warmups are saved.
+     * Simulate each warmup-equivalence class
+     * (Simulator::warmupClassKey) once: one machine warms up with the
+     * config of the class's first job, then one Simulator::runSweep
+     * measures to the class's longest run length and collects every
+     * job of the class at the cycle where its own run would stop, its
+     * energy read from a meter with its own power parameters. Jobs of
+     * a class differ only in run length and power, and the pipeline
+     * never reads the power model, so a memoized wave is bitwise
+     * identical to a scratch wave. No snapshot is saved or restored.
      *
-     * Warmups run side by side. A worker warms the wave's next
-     * unwarmed class (first-appearance order) when its job's class
-     * is being warmed by another worker, instead of waiting, and
-     * after each job it commits, before taking the next job. Either
-     * claim needs fewer than reorder-window classes live (being
-     * warmed, or holding a snapshot some job has yet to restore), so
-     * at a window of 1 neither claims while any class is live. A
-     * snapshot is freed as soon as the last job of its class has
-     * restored.
+     * A class is one task of the reorder window, so classes run side
+     * by side on the pool in first-appearance order. A class with
+     * many distinct power sets runs them all on one worker, and each
+     * extra power set repeats the power model's per-cycle work.
      */
     bool memoizeWarmup = false;
 
@@ -106,17 +108,18 @@ struct RunOptions
  * Run every job on a RunPool, committing each result to @p sink in
  * submission order as soon as its contiguous prefix has completed.
  *
- * Each job constructs its own Simulator, so the only shared state is
- * the read-mostly program cache (internally synchronized). Results
- * are independent of @p workers. Workers that run too far ahead of
- * the in-order commit frontier are paused (bounded reorder window),
- * which caps held results without limiting steady-state parallelism.
+ * Each task (one job, or one warmup class of a memoized wave)
+ * constructs its own Simulator, so the only shared state is the
+ * read-mostly program cache (internally synchronized). Results are
+ * independent of @p workers. Workers that run too far ahead of the
+ * first unfinished task are paused (bounded reorder window), which
+ * caps held results without limiting steady-state parallelism.
  *
  * sink.write() calls are serialized and in submission order;
  * sink.flush() runs once after the last write.
  *
- * When @p cancel is non-null, it is checked before each job starts
- * and polled inside Simulator::run; a fired token makes the wave
+ * When @p cancel is non-null, it is checked before each task starts
+ * and polled inside the simulator; a fired token makes the wave
  * throw JobCancelled out of this call after releasing every
  * gate-blocked worker (same path as a throwing job or sink). The
  * reorder window can be pinned with STSIM_REORDER_WINDOW (tests).

@@ -1,8 +1,11 @@
 #include "simulator.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <numeric>
 
 #include "common/logging.hh"
 #include "confidence/bpru.hh"
@@ -138,9 +141,78 @@ Simulator::~Simulator() = default;
 SimResults
 Simulator::run(const CancelToken *cancel)
 {
-    if (phase_ == Phase::Warmup)
-        runWarmup(cancel);
-    return runMeasure(cancel);
+    runWarmup(cancel);
+    return std::move(measure({{&cfg_, power_.get()}}, cancel).front());
+}
+
+namespace
+{
+
+/** Every power parameter's bytes: configs meter alike exactly when
+ *  these match (value equality would let +0.0 and -0.0 share). */
+std::string
+powerBits(const PowerParams &p)
+{
+    std::string bits;
+    visitFields(p, [&](const char *, const auto &field) {
+        bits.append(reinterpret_cast<const char *>(&field), sizeof field);
+    });
+    return bits;
+}
+
+} // namespace
+
+std::vector<SimResults>
+Simulator::runSweep(const std::vector<SimConfig> &cfgs,
+                    const CancelToken *cancel)
+{
+    // Check every config before the warmup they would wait on.
+    const std::string key = warmupClassKey(cfg_);
+    std::vector<PowerParams> powers;
+    powers.reserve(cfgs.size());
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        SimConfig f = cfgs[i];
+        f.finalize();
+        if (warmupClassKey(f) != key)
+            stsim_fatal("runSweep: config %zu (%s, runSeed %llu) is not in "
+                        "this machine's warmup class (%s, runSeed %llu): "
+                        "benchmark/seed/machine/predictor/throttle config "
+                        "must match; only run length and power parameters "
+                        "may differ",
+                        i, f.benchmark.c_str(),
+                        static_cast<unsigned long long>(f.runSeed),
+                        cfg_.benchmark.c_str(),
+                        static_cast<unsigned long long>(cfg_.runSeed));
+        powers.push_back(f.power);
+    }
+    runWarmup(cancel);
+
+    // One extra meter per distinct power set, detached on every exit
+    // (declared after the meters, so it runs first) so that power_
+    // never holds a pointer past its meter.
+    std::map<std::string, std::unique_ptr<PowerModel>> meters;
+    struct Detach
+    {
+        PowerModel &power;
+        ~Detach() { power.clearMeters(); }
+    } detach{*power_};
+    const std::string own = powerBits(cfg_.power);
+    std::vector<Stop> stops;
+    stops.reserve(cfgs.size());
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        std::string bits = powerBits(powers[i]);
+        const PowerModel *meter = power_.get();
+        if (bits != own) {
+            auto [it, fresh] = meters.try_emplace(std::move(bits));
+            if (fresh) {
+                it->second = std::make_unique<PowerModel>(powers[i]);
+                power_->addMeter(*it->second);
+            }
+            meter = it->second.get();
+        }
+        stops.push_back({&cfgs[i], meter});
+    }
+    return measure(stops, cancel);
 }
 
 void
@@ -171,67 +243,141 @@ Simulator::runWarmup(const CancelToken *cancel)
     phase_ = Phase::Measure;
 }
 
-SimResults
-Simulator::runMeasure(const CancelToken *cancel)
+std::vector<SimResults>
+Simulator::measure(const std::vector<Stop> &stops, const CancelToken *cancel)
 {
     stsim_assert(phase_ == Phase::Measure,
-                 "runMeasure before warmup completed");
+                 "measure before warmup completed");
     constexpr Cycle kCancelPollMask = 2047;
-    auto pollCancel = [&] {
-        if (cancel && (core_->now() & kCancelPollMask) == 0 &&
-            cancel->cancelled()) {
-            throw JobCancelled();
-        }
-    };
 
-    const Cycle max_cycles =
-        static_cast<Cycle>(cfg_.maxInstructions) * 64 + 1'000'000;
-    Cycle start = core_->now();
-    while (core_->stats().committedInsts < cfg_.maxInstructions) {
-        core_->tick();
-        pollCancel();
-        if (core_->now() - start > max_cycles)
-            stsim_panic("simulation ran away: %llu cycles for %llu insts",
-                        static_cast<unsigned long long>(core_->now() -
-                                                        start),
-                        static_cast<unsigned long long>(
-                            core_->stats().committedInsts));
+    // A shorter run is a prefix of a longer one: visit the stops by
+    // run length and collect each where its own run would stop.
+    auto length = [&](std::size_t i) {
+        return stops[i].cfg->maxInstructions;
+    };
+    std::vector<std::size_t> order(stops.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return length(a) < length(b);
+              });
+
+    std::vector<SimResults> out(stops.size());
+    const Cycle start = core_->now();
+    for (std::size_t k = 0; k < order.size();) {
+        // The shortest pending run's bound is where its own run would
+        // panic; every longer run's bound is looser.
+        const std::uint64_t target = length(order[k]);
+        const Cycle max_cycles =
+            static_cast<Cycle>(target) * 64 + 1'000'000;
+        while (core_->stats().committedInsts < target) {
+            core_->tick();
+            if (cancel && (core_->now() & kCancelPollMask) == 0 &&
+                cancel->cancelled()) {
+                throw JobCancelled();
+            }
+            if (core_->now() - start > max_cycles)
+                stsim_panic(
+                    "simulation ran away: %llu cycles for %llu insts",
+                    static_cast<unsigned long long>(core_->now() - start),
+                    static_cast<unsigned long long>(
+                        core_->stats().committedInsts));
+        }
+        // Every run whose target has committed stops at this cycle.
+        for (; k < order.size() &&
+               length(order[k]) <= core_->stats().committedInsts;
+             ++k) {
+            const Stop &stop = stops[order[k]];
+            SimResults &r = out[order[k]];
+            r = collect(*stop.meter);
+#ifndef NDEBUG
+            std::vector<std::string> bad = checkInvariants(*stop.cfg, r);
+            if (!bad.empty())
+                stsim_panic("record invariant violated: %s",
+                            bad.front().c_str());
+#endif
+        }
     }
 
+    // Flush the core's plain hot-path counters into the process-wide
+    // registry once per measure loop, not per collected run, so a sweep
+    // counts its machine once; the pipeline itself never touches an
+    // atomic, and results are unaffected (observability only).
+    const Core::HotCounters &h = core_->hotCounters();
+    obs::Registry &reg = obs::Registry::instance();
+    reg.counter("core.fetch_groups").inc(h.fetchGroups);
+    reg.counter("core.dispatch_src_waiting").inc(h.dispatchSrcWaiting);
+    reg.counter("core.dispatch_src_ready").inc(h.dispatchSrcReady);
+    return out;
+}
+
+SimResults
+Simulator::collect(const PowerModel &meter) const
+{
     SimResults r;
     r.benchmark = cfg_.benchmark;
     r.core = core_->stats();
     r.ipc = r.core.ipc();
-    r.seconds = power_->seconds();
-    r.avgPowerW = power_->avgPower();
-    r.energyJ = power_->totalEnergy();
+    r.seconds = meter.seconds();
+    r.avgPowerW = meter.avgPower();
+    r.energyJ = meter.totalEnergy();
     r.edProduct = r.energyJ * r.seconds;
     for (PUnit u : kAllPUnits) {
         auto i = static_cast<std::size_t>(u);
-        r.unitEnergyJ[i] = power_->unitEnergy(u);
-        r.unitWastedJ[i] = power_->unitWastedEnergy(u);
-        r.unitActivity[i] = power_->meanActivity(u);
+        r.unitEnergyJ[i] = meter.unitEnergy(u);
+        r.unitWastedJ[i] = meter.unitWastedEnergy(u);
+        r.unitActivity[i] = meter.meanActivity(u);
     }
-    r.wastedEnergyJ = power_->wastedEnergy();
+    r.wastedEnergyJ = meter.wastedEnergy();
     r.condMissRate = bpred_->condMissRate();
     r.spec = core_->confMetrics().spec();
     r.pvn = core_->confMetrics().pvn();
     r.il1MissRate = memory_->il1().missRate();
     r.dl1MissRate = memory_->dl1().missRate();
     r.l2MissRate = memory_->l2().missRate();
-
-    // Flush the core's plain hot-path counters into the process-wide
-    // registry once per run; the pipeline itself never touches an
-    // atomic, and results are unaffected (observability only).
-    {
-        const Core::HotCounters &h = core_->hotCounters();
-        obs::Registry &reg = obs::Registry::instance();
-        reg.counter("core.fetch_groups").inc(h.fetchGroups);
-        reg.counter("core.dispatch_src_waiting")
-            .inc(h.dispatchSrcWaiting);
-        reg.counter("core.dispatch_src_ready").inc(h.dispatchSrcReady);
-    }
     return r;
+}
+
+std::vector<std::string>
+checkInvariants(const SimConfig &cfg, const SimResults &r)
+{
+    std::vector<std::string> bad;
+    const CoreStats &c = r.core;
+    if (c.committedInsts < cfg.maxInstructions ||
+        c.committedInsts - cfg.maxInstructions >= cfg.core.commitWidth)
+        bad.push_back(detail::formatStr(
+            "committed %llu for %llu requested",
+            static_cast<unsigned long long>(c.committedInsts),
+            static_cast<unsigned long long>(cfg.maxInstructions)));
+    double units = 0.0;
+    for (double e : r.unitEnergyJ)
+        units += e;
+    if (!(std::abs(units - r.energyJ) <=
+          1e-12 * std::max(std::abs(units), std::abs(r.energyJ))))
+        bad.push_back(detail::formatStr(
+            "unit energies sum to %a, energyJ %a", units, r.energyJ));
+    if (!(0.0 <= r.wastedEnergyJ && r.wastedEnergyJ <= r.energyJ))
+        bad.push_back(detail::formatStr(
+            "wastedEnergyJ %a outside [0, energyJ %a]", r.wastedEnergyJ,
+            r.energyJ));
+    const struct
+    {
+        const char *stage;
+        Counter wrong, total;
+    } stages[] = {
+        {"fetch", c.fetchedWrongPath, c.fetchedInsts},
+        {"decode", c.decodedWrongPath, c.decodedInsts},
+        {"dispatch", c.dispatchedWrongPath, c.dispatchedInsts},
+        {"issue", c.issuedWrongPath, c.issuedInsts},
+    };
+    for (const auto &s : stages) {
+        if (s.wrong > s.total)
+            bad.push_back(detail::formatStr(
+                "%s wrong-path %llu > total %llu", s.stage,
+                static_cast<unsigned long long>(s.wrong),
+                static_cast<unsigned long long>(s.total)));
+    }
+    return bad;
 }
 
 std::string

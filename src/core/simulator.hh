@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "bpred/bpred_unit.hh"
 #include "cache/hierarchy.hh"
@@ -34,6 +35,17 @@
 
 namespace stsim
 {
+
+/**
+ * The record invariants every result meets, one line per violation
+ * (empty when @p r is sound): commits reach cfg.maxInstructions and
+ * overshoot it by less than the commit width; the per-unit energies
+ * sum to energyJ; 0 <= wastedEnergyJ <= energyJ; and wrong-path counts
+ * are at most the totals at fetch, decode, dispatch and issue. Debug
+ * builds check every result the simulator collects.
+ */
+std::vector<std::string> checkInvariants(const SimConfig &cfg,
+                                         const SimResults &r);
 
 /** Owns one simulated machine and runs it to completion. */
 class Simulator
@@ -52,6 +64,26 @@ class Simulator
      * token costs one never-taken branch per tick.
      */
     SimResults run(const CancelToken *cancel = nullptr);
+
+    /**
+     * One measured run that serves every config of @p cfgs: returns,
+     * in input order, the results each config's own run() from this
+     * machine would return, bit for bit. Like run(), finishes the
+     * warmup first if needed.
+     *
+     * The configs must share this machine's warmupClassKey() (fatal
+     * otherwise), so they differ only in maxInstructions and power.
+     * The pipeline never reads the power model, so the machine ticks
+     * once to the longest run length, collects each config's results
+     * at the cycle where its own run would stop, and reads its energy
+     * from a meter built from its own power parameters (one extra
+     * PowerModel per distinct set, fed the same per-cycle activity).
+     * A new power set can join only at the first measured cycle
+     * (fatal otherwise). Each extra meter repeats the power model's
+     * per-cycle work, which is 5-10% of a tick.
+     */
+    std::vector<SimResults> runSweep(const std::vector<SimConfig> &cfgs,
+                                     const CancelToken *cancel = nullptr);
 
     /**
      * Run (or finish) the warmup phase only: train predictors/caches,
@@ -84,8 +116,8 @@ class Simulator
      * cannot influence post-warmup architectural state masked out --
      * the measured-instruction budget and the power parameters (power
      * is purely observational and its accumulators are zeroed when
-     * warmup ends). Two jobs with equal keys may share one warmup
-     * snapshot.
+     * warmup ends). Two jobs with equal keys may share one warmup:
+     * fork from one snapshot, or run as one runSweep().
      */
     static std::string warmupClassKey(const SimConfig &cfg);
 
@@ -111,8 +143,21 @@ class Simulator
         Measure, ///< stats reset done; measuring
     };
 
-    /** The measurement loop + result assembly (phase_ == Measure). */
-    SimResults runMeasure(const CancelToken *cancel);
+    /** Where one config's measured run stops, and what meters it. */
+    struct Stop
+    {
+        const SimConfig *cfg;
+        const PowerModel *meter;
+    };
+
+    /** The measurement loop (phase_ == Measure): ticks until every
+     *  stop's maxInstructions has committed, collecting each stop's
+     *  results at its own last cycle. */
+    std::vector<SimResults> measure(const std::vector<Stop> &stops,
+                                    const CancelToken *cancel);
+
+    /** Results of the run so far, with energy from @p meter. */
+    SimResults collect(const PowerModel &meter) const;
 
     SimConfig cfg_;
     Phase phase_ = Phase::Warmup;

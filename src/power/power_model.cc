@@ -118,6 +118,31 @@ PowerModel::endCycleImpl()
 template void PowerModel::endCycleImpl<ClockGatingStyle::cc0>();
 template void PowerModel::endCycleImpl<ClockGatingStyle::cc3>();
 
+void
+PowerModel::feedMeters()
+{
+    // A meter's own scratch is clear between cycles, so handing it this
+    // cycle's sums is the record() stream it would have accumulated.
+    for (PowerModel *m : meters_) {
+        m->cycleCount_ = cycleCount_;
+        m->cycleWrong_ = cycleWrong_;
+        m->dirty_ = dirty_;
+        m->endCycle();
+    }
+}
+
+void
+PowerModel::addMeter(PowerModel &meter)
+{
+    if (cycles_ != 0 || meter.cycles_ != 0)
+        stsim_fatal("power: a meter attaches only at the first measured "
+                    "cycle (this model has metered %llu cycles, the "
+                    "meter %llu)",
+                    static_cast<unsigned long long>(cycles_),
+                    static_cast<unsigned long long>(meter.cycles_));
+    meters_.push_back(&meter);
+}
+
 double
 PowerModel::totalEnergy() const
 {

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -47,6 +48,11 @@ class StateReader;
  * touched dissipates a constant per-cycle idle energy, which is
  * accounted lazily from its untouched-cycle count when results are
  * read, so idle cycles cost no floating-point work at all.
+ *
+ * The pipeline only writes to the model, so one cycle's activity can
+ * be metered several ways: an attached meter (addMeter) closes each
+ * cycle on the same per-unit counts under its own parameters. With no
+ * meter attached that costs endCycle() one predictable branch.
  */
 class PowerModel
 {
@@ -80,6 +86,8 @@ class PowerModel
     void
     endCycle()
     {
+        if (!meters_.empty()) [[unlikely]]
+            feedMeters();
         if (cc0_)
             endCycleImpl<ClockGatingStyle::cc0>();
         else
@@ -120,6 +128,17 @@ class PowerModel
     void resetStats();
 
     /**
+     * From the next cycle on, close every cycle on @p meter too, with
+     * this cycle's per-unit counts: @p meter then accumulates exactly
+     * what a model with its parameters fed the same record() stream
+     * would. Both models must be at their first cycle (cycles() == 0,
+     * fatal otherwise). The model keeps a raw pointer: clearMeters()
+     * before @p meter dies.
+     */
+    void addMeter(PowerModel &meter);
+    void clearMeters() { meters_.clear(); }
+
+    /**
      * Checkpoint the energy accumulators (between ticks only: the
      * per-cycle scratch is empty then -- endCycle self-clears -- so
      * only the accumulators are state; the constants are rebuilt from
@@ -130,6 +149,7 @@ class PowerModel
 
   private:
     template <ClockGatingStyle Style> void endCycleImpl();
+    void feedMeters();
 
     PowerParams params_;
 
@@ -160,6 +180,8 @@ class PowerModel
     Counter cycles_ = 0;
     double totalWasted_ = 0.0;
     /// @}
+
+    std::vector<PowerModel *> meters_; ///< fed by endCycle (addMeter)
 };
 
 } // namespace stsim

@@ -48,8 +48,8 @@ PowerParams::calibratedDefaults()
 
     // Peak watts calibrated against the measured baseline activity
     // factors of the eight Table 2 workloads so that average power
-    // reproduces Table 1's breakdown of 56.4 W (see
-    // examples/power_calibration.cpp, which regenerates these).
+    // reproduces Table 1's breakdown of 56.4 W
+    // (examples/workload_calibration reports those factors).
     p.setPeak(PUnit::ICache, 15.32);
     p.setPeak(PUnit::Bpred, 7.93);
     p.setPeak(PUnit::Regfile, 2.34);

@@ -64,9 +64,9 @@ struct PowerParams
     }
 
     /**
-     * Calibrated defaults for the baseline core (see
-     * tools-style example `examples/power_calibration` and DESIGN.md
-     * substitution #2).
+     * Calibrated defaults for the baseline core: peak watts fitted so
+     * the baseline's measured activity factors (reported by
+     * `examples/workload_calibration`) reproduce Table 1's breakdown.
      */
     static PowerParams calibratedDefaults();
 

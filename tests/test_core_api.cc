@@ -1,14 +1,20 @@
 /**
  * @file
  * Tests for the public library layer: SimConfig finalization,
- * experiment registry, relative metrics and the bench harness.
+ * experiment registry, relative metrics, the bench harness, and
+ * Simulator::runSweep.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
+#include "core/cancel.hh"
 #include "core/experiment.hh"
 #include "core/harness.hh"
+#include "core/job_serde.hh"
+#include "core/parallel_harness.hh"
 #include "core/simulator.hh"
+#include "obs/metrics.hh"
 
 using namespace stsim;
 
@@ -182,4 +188,121 @@ TEST(Simulator, ConfKindNames)
     EXPECT_STREQ(confKindName(ConfKind::Bpru), "bpru");
     EXPECT_STREQ(confKindName(ConfKind::Jrs), "jrs");
     EXPECT_STREQ(confKindName(ConfKind::Perfect), "perfect");
+}
+
+//
+// Simulator::runSweep: one measured run serves several run lengths
+// and power configurations of one warmup class.
+//
+
+namespace
+{
+
+SimConfig
+sweepConfig(std::uint64_t insts)
+{
+    SimConfig cfg;
+    cfg.benchmark = "go";
+    Experiment::byName("C2").applyTo(cfg);
+    cfg.maxInstructions = insts;
+    cfg.warmupInstructions = 5'000;
+    return cfg;
+}
+
+/** A result bit for bit, through its JSON encoding. */
+std::string
+bits(const SimResults &r)
+{
+    return serde::toJson(r);
+}
+
+} // namespace
+
+TEST(RunSweep, MatchesScratchRunsInInputOrder)
+{
+    // Unsorted lengths with a duplicate, under three power sets: the
+    // machine's own, a cc3 variant and cc0.
+    std::vector<SimConfig> cfgs = {sweepConfig(6'000), sweepConfig(2'000),
+                                   sweepConfig(4'000), sweepConfig(2'000),
+                                   sweepConfig(4'000)};
+    cfgs[1].power.idleFactor = 0.2;
+    cfgs[1].power.frequencyHz = 2.0e9;
+    cfgs[2].power.style = ClockGatingStyle::cc0;
+    cfgs[4].power.idleFactor = 0.2;
+    cfgs[4].power.frequencyHz = 2.0e9;
+
+    Simulator sim(cfgs[0]);
+    std::vector<SimResults> swept = sim.runSweep(cfgs);
+    ASSERT_EQ(swept.size(), cfgs.size());
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        EXPECT_EQ(bits(swept[i]), bits(Simulator(cfgs[i]).run()))
+            << "config " << i;
+        EXPECT_TRUE(checkInvariants(cfgs[i], swept[i]).empty());
+    }
+    EXPECT_NE(bits(swept[1]), bits(swept[3])) << "power must matter";
+}
+
+TEST(RunSweep, ConfigFromAnotherClassIsFatal)
+{
+    SimConfig other = sweepConfig(2'000);
+    other.runSeed = 1234; // a different run: another warmup class
+    Simulator sim(sweepConfig(2'000));
+    FatalCaptureScope capture;
+    EXPECT_THROW(sim.runSweep({sweepConfig(3'000), other}), FatalError);
+}
+
+TEST(RunSweep, NewPowerSetAfterTheFirstMeasuredCycleIsFatal)
+{
+    Simulator sim(sweepConfig(2'000));
+    SimResults first = sim.run();
+    SimConfig cc0 = sweepConfig(3'000);
+    cc0.power.style = ClockGatingStyle::cc0;
+    {
+        FatalCaptureScope capture;
+        EXPECT_THROW(sim.runSweep({cc0}), FatalError);
+    }
+    // The machine's own power set may go on measuring.
+    std::vector<SimResults> more = sim.runSweep({sweepConfig(3'000)});
+    EXPECT_EQ(bits(more.front()), bits(Simulator(sweepConfig(3'000)).run()));
+    EXPECT_GE(more.front().core.committedInsts,
+              first.core.committedInsts);
+}
+
+TEST(RunSweep, CancelledSweepDetachesItsMeters)
+{
+    // The meters die with the cancelled call; ticking on afterwards
+    // must not feed them (a sanitizer build would flag the dangling
+    // pointer). The run is long enough to reach a cancel poll.
+    SimConfig cc0 = sweepConfig(20'000);
+    cc0.power.style = ClockGatingStyle::cc0;
+    Simulator sim(sweepConfig(20'000));
+    sim.runWarmup();
+    CancelToken token;
+    token.cancel();
+    EXPECT_THROW(sim.runSweep({sweepConfig(20'000), cc0}, &token),
+                 JobCancelled);
+    EXPECT_EQ(bits(sim.run()), bits(Simulator(sweepConfig(20'000)).run()));
+}
+
+TEST(RunSweep, HotCountersFlushOncePerMachine)
+{
+    // A memoized class of three run lengths is one machine: its
+    // fetch-group count is that of its longest job run alone.
+    obs::Counter &groups =
+        obs::Registry::instance().counter("core.fetch_groups");
+    std::vector<SimJob> jobs;
+    for (std::uint64_t n : {2'000u, 6'000u, 4'000u})
+        jobs.push_back({sweepConfig(n), "C2"});
+
+    std::uint64_t before = groups.value();
+    runJobs({jobs[1]}, 1);
+    const std::uint64_t alone = groups.value() - before;
+
+    RunOptions opts;
+    opts.workers = 1;
+    opts.memoizeWarmup = true;
+    before = groups.value();
+    runJobs(jobs, opts);
+    EXPECT_GT(alone, 0u);
+    EXPECT_EQ(groups.value() - before, alone);
 }

@@ -2,8 +2,9 @@
  * @file
  * Tests for the experiment harness and the parallel experiment engine:
  * baseline caching and invalidation, suite averaging, the RunPool,
- * thread-count-independent (bitwise-identical) matrix results, and the
- * warmup scheduling of memoized waves.
+ * thread-count-independent (bitwise-identical) matrix results,
+ * memoized waves (one measured sweep per warmup class) and the record
+ * invariants every wave's results meet.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "core/results_sink.hh"
 #include "core/run_pool.hh"
 #include "core/simulator.hh"
+#include "core/suites.hh"
 #include "obs/metrics.hh"
 
 using namespace stsim;
@@ -364,13 +366,13 @@ TEST(RunJobsAbort, NullTokenAndUnfiredTokenAreHarmless)
 }
 
 //
-// Memoized-wave warmup scheduling. While fewer than `window` classes
-// are live, a worker warms the next unclaimed class when its job's
-// class is being warmed by another worker, and after each job it
-// commits. These waves have more classes than workers and warmups
-// long enough that jobs wait on one another, so both claims happen;
-// at window 1 only the committing worker warms ahead, once the live
-// class is spent.
+// Memoized waves. Each warmup class runs on one machine: one warmup,
+// then one measured sweep that collects every job of the class at its
+// own run length, its energy read from a meter with its own power
+// parameters. These waves have more classes than workers, and the
+// jobs of each class vary run length, idle factor, clock frequency
+// and clock-gating style, so classes run side by side and every
+// sweep feeds extra meters.
 //
 
 namespace
@@ -378,9 +380,31 @@ namespace
 
 constexpr std::size_t kSweepClasses = 5;
 constexpr std::size_t kSweepLengths = 3;
+constexpr std::size_t kSweepPowers = 3;
+constexpr std::size_t kSweepPerClass = kSweepLengths * kSweepPowers;
 
-/** 5 (benchmark, policy) warmup classes x 3 run lengths, each class's
- *  jobs contiguous. */
+/** Power set @p k of a class's jobs: the calibrated cc3 default, a
+ *  cc3 variant with another idle factor and clock, or cc0. */
+void
+applyPower(SimConfig &cfg, std::size_t k)
+{
+    switch (k % kSweepPowers) {
+      case 0:
+        break;
+      case 1:
+        cfg.power.idleFactor = 0.2;
+        cfg.power.frequencyHz = 2.0e9;
+        break;
+      case 2:
+        cfg.power.style = ClockGatingStyle::cc0;
+        break;
+    }
+}
+
+/** 5 (benchmark, policy) warmup classes x 3 run lengths x 3 power
+ *  sets, each class's jobs contiguous. The power sets rotate with the
+ *  class, so a class's first job (whose config warms the machine) is
+ *  not always on the default power set. */
 std::vector<SimJob>
 sweepJobs()
 {
@@ -392,13 +416,15 @@ sweepJobs()
         {"twolf", "C2"},
     };
     std::vector<SimJob> jobs;
-    for (const auto &[bench, exp] : classes) {
-        for (std::uint64_t n : {2'000u, 3'000u, 4'000u}) {
+    for (std::size_t c = 0; c < kSweepClasses; ++c) {
+        const auto &[bench, exp] = classes[c];
+        for (std::size_t k = 0; k < kSweepPerClass; ++k) {
             SimJob j;
             j.cfg = tinyConfig();
             j.cfg.benchmark = bench;
             j.cfg.warmupInstructions = 30'000;
-            j.cfg.maxInstructions = n;
+            j.cfg.maxInstructions = 2'000 + 1'000 * (k % kSweepLengths);
+            applyPower(j.cfg, c + k / kSweepLengths);
             Experiment::byName(exp).applyTo(j.cfg);
             j.experiment = exp;
             jobs.push_back(std::move(j));
@@ -466,13 +492,12 @@ expectMemoizedMatchesScratch(const std::vector<SimJob> &jobs,
 TEST(MemoizedWave, ClassContiguousWaveMatchesScratchAtEveryWindow)
 {
     const std::vector<SimJob> jobs = sweepJobs();
-    ASSERT_EQ(sweepScratch().size(), kSweepClasses * kSweepLengths);
+    ASSERT_EQ(sweepScratch().size(), kSweepClasses * kSweepPerClass);
 
     SCOPED_TRACE("default window");
     expectMemoizedMatchesScratch(jobs, sweepScratch());
-    // At window 1 a class is warmed ahead only once no class is live,
-    // so this class-contiguous wave keeps at most one; window 2 admits
-    // one live class more.
+    // At window 1 the classes run one after another; window 2 admits
+    // one class more.
     for (const char *window : {"1", "2"}) {
         SCOPED_TRACE(std::string("window ") + window);
         ScopedEnv env("STSIM_REORDER_WINDOW", window);
@@ -505,10 +530,10 @@ TEST(MemoizedWave, RoundRobinWaveMatchesScratch)
     // A job's record does not depend on its position in the wave.
     std::vector<SimJob> jobs;
     std::vector<std::string> expected;
-    for (std::size_t len = 0; len < kSweepLengths; ++len) {
+    for (std::size_t k = 0; k < kSweepPerClass; ++k) {
         for (std::size_t c = 0; c < kSweepClasses; ++c) {
-            jobs.push_back(contiguous[c * kSweepLengths + len]);
-            expected.push_back(sweepScratch()[c * kSweepLengths + len]);
+            jobs.push_back(contiguous[c * kSweepPerClass + k]);
+            expected.push_back(sweepScratch()[c * kSweepPerClass + k]);
         }
     }
     expectMemoizedMatchesScratch(jobs, expected);
@@ -516,8 +541,12 @@ TEST(MemoizedWave, RoundRobinWaveMatchesScratch)
 
 TEST(MemoizedWave, CancelFromFirstWriteReleasesEveryWorker)
 {
-    // The token fires while helpers are mid-warmup and jobs wait on
-    // their classes: every worker must bail out, or this test hangs.
+    // The token fires while other classes are mid-warmup or
+    // mid-sweep: every worker must bail out, or this test hangs. At a
+    // window of 4 the fifth class cannot start before the first,
+    // which holds job 0, has committed, so the first write always
+    // leaves work to cancel.
+    ScopedEnv env("STSIM_REORDER_WINDOW", "4");
     struct CancelOnWrite : ResultsSink
     {
         explicit CancelOnWrite(CancelToken &t) : token(t) {}
@@ -538,4 +567,66 @@ TEST(MemoizedWave, CancelFromFirstWriteReleasesEveryWorker)
     opts.cancel = &token;
     EXPECT_THROW(runJobs(sweepJobs(), sink, opts), JobCancelled);
     EXPECT_TRUE(token.cancelled());
+}
+
+//
+// Record invariants (checkInvariants): commits reach the run length
+// and overshoot it by less than the commit width, per-unit energies
+// sum to energyJ, wasted energy lies in [0, energyJ], and wrong-path
+// counts stay within the totals -- for every record of the golden
+// suite and a shortened Figure 5 suite, scratch and memoized, and of
+// the power-variant sweep.
+//
+
+namespace
+{
+
+void
+expectInvariants(const std::vector<SimJob> &jobs, const RunOptions &opts)
+{
+    std::vector<SimResults> results = runJobs(jobs, opts);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        for (const std::string &bad : checkInvariants(jobs[i].cfg,
+                                                      results[i]))
+            ADD_FAILURE() << "job " << i << ": " << bad;
+    }
+}
+
+} // namespace
+
+TEST(RecordInvariants, HoldForSuitesAndPowerSweep)
+{
+    std::vector<SimJob> fig5 = suiteJobs("fig5");
+    for (SimJob &j : fig5) {
+        j.cfg.maxInstructions = 3'000;
+        j.cfg.warmupInstructions = 500;
+    }
+    for (bool memoize : {false, true}) {
+        SCOPED_TRACE(memoize ? "memoized" : "scratch");
+        RunOptions opts;
+        opts.workers = 4;
+        opts.memoizeWarmup = memoize;
+        expectInvariants(suiteJobs("golden"), opts);
+        expectInvariants(fig5, opts);
+        expectInvariants(sweepJobs(), opts);
+    }
+}
+
+TEST(RecordInvariants, ReportEachBrokenRule)
+{
+    SimConfig cfg = tinyConfig();
+    SimResults r = Simulator(cfg).run();
+    ASSERT_TRUE(checkInvariants(cfg, r).empty());
+
+    SimResults bad = r;
+    bad.core.committedInsts = cfg.maxInstructions - 1;
+    bad.unitEnergyJ[0] *= 2.0;
+    bad.wastedEnergyJ = bad.energyJ * 2.0;
+    bad.core.issuedWrongPath = bad.core.issuedInsts + 1;
+    EXPECT_EQ(checkInvariants(cfg, bad).size(), 4u);
+
+    bad = r;
+    bad.core.committedInsts = cfg.maxInstructions + cfg.core.commitWidth;
+    EXPECT_EQ(checkInvariants(cfg, bad).size(), 1u);
 }

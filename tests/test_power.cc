@@ -1,11 +1,14 @@
 /**
  * @file
  * Unit tests for the Wattch-style power model: cc3 scaling, idle
- * floor, energy accumulation, wrong-path attribution, size scaling.
+ * floor, energy accumulation, wrong-path attribution, size scaling,
+ * and extra meters fed the same activity.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
+#include "common/rng.hh"
 #include "power/power_model.hh"
 #include "power/power_params.hh"
 
@@ -125,6 +128,80 @@ TEST(PowerModel, ResetStats)
     EXPECT_DOUBLE_EQ(pm.totalEnergy(), 0.0);
     EXPECT_DOUBLE_EQ(pm.wastedEnergy(), 0.0);
     EXPECT_DOUBLE_EQ(pm.unitEnergy(PUnit::Alu), 0.0);
+}
+
+TEST(PowerModel, ExtraMeterMatchesStandaloneModelBitForBit)
+{
+    // The host meters under the calibrated cc3 defaults; each extra
+    // meter must see exactly what a model built from its own
+    // parameters sees when fed the same record() stream directly.
+    PowerParams cc3 = PowerParams::calibratedDefaults();
+    cc3.idleFactor = 0.2;
+    cc3.frequencyHz = 2.0e9;
+    PowerParams cc0 = PowerParams::calibratedDefaults();
+    cc0.style = ClockGatingStyle::cc0;
+
+    PowerModel host(PowerParams::calibratedDefaults());
+    PowerModel meter3(cc3), meter0(cc0);
+    PowerModel alone3(cc3), alone0(cc0);
+    host.addMeter(meter3);
+    host.addMeter(meter0);
+
+    Rng rng(7);
+    for (int cycle = 0; cycle < 20'000; ++cycle) {
+        host.beginCycle();
+        alone3.beginCycle();
+        alone0.beginCycle();
+        // A few units per cycle, sometimes the same unit twice and
+        // sometimes none at all (a fully quiet cycle).
+        for (std::uint64_t n = rng.below(6); n > 0; --n) {
+            auto u = static_cast<PUnit>(rng.below(kNumPUnits - 1));
+            double count = static_cast<double>(rng.below(5));
+            double wrong = static_cast<double>(
+                rng.below(static_cast<std::uint64_t>(count) + 1));
+            host.record(u, count, wrong);
+            alone3.record(u, count, wrong);
+            alone0.record(u, count, wrong);
+        }
+        host.endCycle();
+        alone3.endCycle();
+        alone0.endCycle();
+    }
+    host.clearMeters();
+
+    for (auto [meter, alone] : {std::pair{&meter3, &alone3},
+                                std::pair{&meter0, &alone0}}) {
+        ASSERT_EQ(meter->cycles(), alone->cycles());
+        EXPECT_EQ(meter->totalEnergy(), alone->totalEnergy());
+        EXPECT_EQ(meter->wastedEnergy(), alone->wastedEnergy());
+        EXPECT_EQ(meter->avgPower(), alone->avgPower());
+        EXPECT_EQ(meter->seconds(), alone->seconds());
+        for (PUnit u : kAllPUnits) {
+            EXPECT_EQ(meter->unitEnergy(u), alone->unitEnergy(u))
+                << punitName(u);
+            EXPECT_EQ(meter->unitWastedEnergy(u),
+                      alone->unitWastedEnergy(u))
+                << punitName(u);
+            EXPECT_EQ(meter->meanActivity(u), alone->meanActivity(u))
+                << punitName(u);
+        }
+    }
+    // The meters saw other parameters, not the host's numbers.
+    EXPECT_NE(meter3.totalEnergy(), host.totalEnergy());
+    EXPECT_NE(meter0.totalEnergy(), host.totalEnergy());
+}
+
+TEST(PowerModel, MeterAttachesOnlyAtTheFirstCycle)
+{
+    PowerModel host(simpleParams());
+    PowerModel meter(simpleParams());
+    host.beginCycle();
+    host.endCycle();
+    FatalCaptureScope capture;
+    EXPECT_THROW(host.addMeter(meter), FatalError);
+
+    PowerModel fresh(simpleParams());
+    EXPECT_THROW(fresh.addMeter(host), FatalError);
 }
 
 TEST(PowerParams, CalibratedDefaultsArePositive)
