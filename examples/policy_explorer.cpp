@@ -1,19 +1,20 @@
 /**
  * @file
- * Policy explorer: run any named experiment (or a custom policy built
- * from command-line switches) on chosen benchmarks and print the four
- * paper metrics against the cached baseline.
+ * Policy explorer: run any named experiment on chosen benchmarks and
+ * print the four paper metrics against each benchmark's baseline.
  *
  * Usage:
  *   policy_explorer [--exp NAME[,NAME...]] [--bench NAME|all]
  *                   [--insts N] [--bpru inc,dec,alloc] [--depth D]
  *                   [--out FILE] [--format jsonl|csv]
  *
- * A comma-separated experiment list runs as one parallel matrix wave
- * (STSIM_JOBS workers). With --out, every full SimResults is streamed
- * to FILE through the results sink as jobs complete (JSONL by default,
- * or CSV; .csv extensions auto-select CSV) -- the tables printed to
- * stdout stay the same.
+ * The baselines and every experiment run as one parallel wave
+ * (STSIM_JOBS workers), and each experiment prints one table with a row
+ * per benchmark and their average. With --out, every full SimResults
+ * -- the baselines first, then the experiments -- is streamed to FILE
+ * through the results sink as jobs complete (JSONL by default, or CSV;
+ * .csv extensions auto-select CSV). The tables printed to stdout stay
+ * the same.
  *
  * Examples:
  *   policy_explorer --exp C2 --bench all
@@ -24,172 +25,159 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/table.hh"
-#include "core/harness.hh"
-#include "core/parallel_harness.hh"
+#include "common/arg_parse.hh"
+#include "core/experiment.hh"
+#include "core/report.hh"
 #include "core/results_sink.hh"
+#include "trace/profile.hh"
 
 using namespace stsim;
+
+namespace
+{
+
+[[noreturn]] void
+usageError(const std::string &msg)
+{
+    std::fprintf(stderr, "policy_explorer: %s\n", msg.c_str());
+    std::exit(2);
+}
+
+args::Diag
+explorerDiag()
+{
+    args::Diag d;
+    d.missingValue = [](const char *flag) {
+        usageError(std::string(flag) + " needs a value");
+    };
+    d.unknown = [](const char *arg) {
+        usageError("unknown flag " + std::string(arg));
+    };
+    d.parseU64 = [](const char *flag, const char *value) {
+        char *end = nullptr;
+        std::uint64_t v = std::strtoull(value, &end, 10);
+        if (!*value || *value == '-' || *end != '\0')
+            usageError("bad " + std::string(flag) + " '" + value + "'");
+        return v;
+    };
+    d.notPositive = [](const char *flag) {
+        usageError(std::string(flag) + " must be positive");
+    };
+    return d;
+}
+
+/** Split "a,b,c" into its non-empty names. */
+std::vector<std::string>
+splitNames(const std::string &list)
+{
+    std::vector<std::string> names;
+    std::size_t pos = 0;
+    while (pos <= list.size()) {
+        std::size_t comma = list.find(',', pos);
+        if (comma == std::string::npos)
+            comma = list.size();
+        if (comma > pos)
+            names.push_back(list.substr(pos, comma - pos));
+        pos = comma + 1;
+    }
+    return names;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string exp_name = "C2";
+    std::string expList = "C2";
     std::string bench = "all";
-    std::string out_path;
+    std::string outPath;
     std::string format;
-    std::uint64_t insts = 0;
-    unsigned depth = 14;
-    BpruEstimator::Params bpru{};
-
-    for (int i = 1; i < argc; ++i) {
-        auto need = [&](const char *flag) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--exp")) {
-            exp_name = need("--exp");
-        } else if (!std::strcmp(argv[i], "--bench")) {
-            bench = need("--bench");
-        } else if (!std::strcmp(argv[i], "--insts")) {
-            insts = std::strtoull(need("--insts"), nullptr, 10);
-        } else if (!std::strcmp(argv[i], "--depth")) {
-            depth = static_cast<unsigned>(
-                std::strtoul(need("--depth"), nullptr, 10));
-        } else if (!std::strcmp(argv[i], "--out")) {
-            out_path = need("--out");
-        } else if (!std::strcmp(argv[i], "--format")) {
-            format = need("--format");
-        } else if (!std::strcmp(argv[i], "--bpru")) {
-            unsigned inc, dec, alloc;
-            if (std::sscanf(need("--bpru"), "%u,%u,%u", &inc, &dec,
-                            &alloc) != 3) {
-                std::fprintf(stderr, "--bpru wants inc,dec,alloc\n");
-                return 2;
-            }
-            bpru.missInc = inc;
-            bpru.correctDec = dec;
-            bpru.allocValue = alloc;
-        } else {
-            std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-            return 2;
-        }
-    }
-
     SimConfig base;
-    if (insts)
-        base.maxInstructions = insts;
-    base.pipelineDepth = depth;
-    base.bpruParams = bpru;
-    Harness h(base);
 
-    // --exp accepts a comma-separated list; the whole matrix runs as
-    // one parallel wave.
+    args::FlagSet fs(explorerDiag());
+    fs.str("--exp", "NAME[,NAME...]", &expList)
+        .str("--bench", "NAME|all", &bench)
+        .u64Positive("--insts", "N", &base.maxInstructions)
+        .u64("--depth", "D", &base.pipelineDepth)
+        .flag("--bpru", "inc,dec,alloc",
+              [&](const char *v) {
+                  unsigned inc, dec, alloc;
+                  char tail;
+                  if (std::sscanf(v, "%u,%u,%u%c", &inc, &dec, &alloc,
+                                  &tail) != 3)
+                      usageError("--bpru wants inc,dec,alloc");
+                  base.bpruParams.missInc = inc;
+                  base.bpruParams.correctDec = dec;
+                  base.bpruParams.allocValue = alloc;
+              })
+        .str("--out", "FILE", &outPath)
+        .str("--format", "jsonl|csv", &format);
+    fs.parse(argc, argv, 1);
+
     std::vector<Experiment> exps;
-    std::size_t pos = 0;
-    while (pos <= exp_name.size()) {
-        std::size_t comma = exp_name.find(',', pos);
-        if (comma == std::string::npos)
-            comma = exp_name.size();
-        if (comma > pos)
-            exps.push_back(
-                Experiment::byName(exp_name.substr(pos, comma - pos)));
-        pos = comma + 1;
-    }
-    if (exps.empty()) {
-        std::fprintf(stderr, "--exp needs at least one name\n");
-        return 2;
-    }
+    for (const std::string &name : splitNames(expList))
+        exps.push_back(Experiment::byName(name));
+    if (exps.empty())
+        usageError("--exp needs at least one name");
+    if (outPath.empty() && !format.empty())
+        usageError("--format requires --out");
+    const std::vector<std::string> benches =
+        bench == "all" ? benchmarkNames() : std::vector<std::string>{bench};
 
-    if (out_path.empty() && !format.empty()) {
-        std::fprintf(stderr, "--format requires --out\n");
-        return 2;
-    }
-
-    // Optional streaming sink: full per-run results go to disk as
-    // jobs complete; only the metric tables stay in memory.
-    std::unique_ptr<ResultsSink> sink =
-        out_path.empty()
-            ? std::unique_ptr<ResultsSink>(
-                  std::make_unique<NullResultsSink>())
-            : openSink(out_path, format);
-
-    auto addRow = [](TextTable &t, const std::string &name,
-                     const RelativeMetrics &m) {
-        t.addRow({name, TextTable::num(m.speedup, 3),
-                  TextTable::pct(m.powerSavings),
-                  TextTable::pct(m.energySavings),
-                  TextTable::pct(m.edImprovement)});
-    };
-
-    if (bench == "all") {
-        std::vector<Harness::SuiteRows> tables = h.runMatrix(exps, *sink);
-        for (std::size_t i = 0; i < exps.size(); ++i) {
-            TextTable t({"bench", "speedup", "power sav", "energy sav",
-                         "E-D impr"});
-            t.setTitle("Experiment " + exps[i].name + " (" +
-                       exps[i].description + ")");
-            for (const auto &[name, m] : tables[i])
-                addRow(t, name, m);
-            t.print(std::cout);
-            if (i + 1 < exps.size())
-                std::cout << "\n";
-        }
-    } else {
-        // Single-benchmark runs stream through the same commit path:
-        // one wave of jobs, each result written to the sink before its
-        // metrics row is derived.
-        std::vector<SimJob> jobs;
-        for (const Experiment &exp : exps) {
-            SimJob j;
-            j.cfg = std::as_const(h).baseConfig();
-            j.cfg.benchmark = bench;
+    // One wave: the baselines, then every experiment over the
+    // benchmarks -- the layout relativeGroups() compares.
+    std::vector<SimJob> jobs;
+    auto addJobs = [&](const Experiment &exp) {
+        for (const std::string &b : benches) {
+            SimJob j{base, exp.name};
+            j.cfg.benchmark = b;
             exp.applyTo(j.cfg);
-            j.experiment = exp.name;
             jobs.push_back(std::move(j));
         }
-        const SimResults &base_r = h.baseline(bench);
-        class SingleBenchTee : public TeeSink
+    };
+    addJobs(Experiment::byName("baseline"));
+    for (const Experiment &exp : exps)
+        addJobs(exp);
+
+    // Full per-run results go to --out as jobs complete.
+    std::unique_ptr<ResultsSink> sink =
+        outPath.empty() ? std::make_unique<NullResultsSink>()
+                        : openSink(outPath, format);
+    std::vector<SimResults> results(jobs.size());
+    class Keep : public TeeSink
+    {
+      public:
+        Keep(ResultsSink &inner, std::vector<SimResults> &out)
+            : TeeSink(inner), out_(out)
         {
-          public:
-            SingleBenchTee(ResultsSink &inner, const SimResults &base,
-                           std::vector<RelativeMetrics> &metrics)
-                : TeeSink(inner), base_(base), metrics_(metrics)
-            {
-            }
-
-          protected:
-            void
-            onResult(std::uint64_t, const SimResults &r) override
-            {
-                metrics_.push_back(RelativeMetrics::compute(base_, r));
-            }
-
-          private:
-            const SimResults &base_;
-            std::vector<RelativeMetrics> &metrics_;
-        };
-        std::vector<RelativeMetrics> metrics;
-        SingleBenchTee tee(*sink, base_r, metrics);
-        runJobs(jobs, tee);
-        for (std::size_t i = 0; i < exps.size(); ++i) {
-            TextTable t({"bench", "speedup", "power sav", "energy sav",
-                         "E-D impr"});
-            t.setTitle("Experiment " + exps[i].name + " (" +
-                       exps[i].description + ")");
-            addRow(t, bench, metrics[i]);
-            t.print(std::cout);
         }
+
+      protected:
+        void
+        onResult(std::uint64_t index, const SimResults &r) override
+        {
+            out_[index] = r;
+        }
+
+      private:
+        std::vector<SimResults> &out_;
+    };
+    Keep keep(*sink, results);
+    runJobs(jobs, keep);
+
+    std::vector<MetricGroup> groups = relativeGroups(jobs, results);
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+        const Experiment exp = Experiment::byName(groups[i].key);
+        TextTable t = relativeTable("bench", groups[i].rows);
+        t.setTitle("Experiment " + exp.name + " (" + exp.description + ")");
+        t.print(std::cout);
+        if (i + 1 < groups.size())
+            std::cout << "\n";
     }
     return 0;
 }

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "core/experiment.hh"
+#include "core/report.hh"
 #include "core/simulator.hh"
 
 using namespace stsim;

@@ -1,7 +1,7 @@
 /**
  * @file
- * ASCII table formatter used by the bench harnesses to print paper-style
- * tables (rows = benchmarks/experiments, columns = metrics).
+ * ASCII table formatter used by the suite reports and examples to print
+ * paper-style tables (rows = benchmarks/experiments, columns = metrics).
  */
 
 #ifndef STSIM_COMMON_TABLE_HH

@@ -17,8 +17,9 @@
  * prediction correctness (the synthetic workloads carry no data
  * values). The paper measures SPEC ≈ 60% / PVN ≈ 45% with an 8 KB
  * gshare; on these workloads the default weights measure 36.9% /
- * 29.9% (500K measured / 150K warmup instructions, runSeed 42). No
- * update rule scanned by `conf_estimators --scan` exceeds 29.4% PVN,
+ * 29.9% (the `conf` suite at its 2M measured / 200K warmup
+ * instructions, runSeed 42; 43.1% / 28.1% at 500K / 150K). No update
+ * rule of the `conf-scan` suite exceeds 29.4% PVN (at 300K / 200K),
  * so the gap is in how the workloads cluster mispredictions, not in
  * the weights (ROADMAP item 1).
  */

@@ -84,35 +84,4 @@ Experiment::byName(const std::string &name)
     return selective(name);
 }
 
-std::vector<Experiment>
-Experiment::figure3Series()
-{
-    std::vector<Experiment> v;
-    for (const char *n : {"A1", "A2", "A3", "A4", "A5", "A6"})
-        v.push_back(byName(n));
-    v.push_back(byName("PG")); // the paper's A7
-    return v;
-}
-
-std::vector<Experiment>
-Experiment::figure4Series()
-{
-    std::vector<Experiment> v;
-    for (const char *n :
-         {"B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8"})
-        v.push_back(byName(n));
-    v.push_back(byName("PG")); // the paper's B9
-    return v;
-}
-
-std::vector<Experiment>
-Experiment::figure5Series()
-{
-    std::vector<Experiment> v;
-    for (const char *n : {"C1", "C2", "C3", "C4", "C5", "C6"})
-        v.push_back(byName(n));
-    v.push_back(byName("PG")); // the paper's C7
-    return v;
-}
-
 } // namespace stsim

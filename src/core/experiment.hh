@@ -9,7 +9,6 @@
 #define STSIM_CORE_EXPERIMENT_HH
 
 #include <string>
-#include <vector>
 
 #include "core/sim_config.hh"
 
@@ -35,15 +34,6 @@ struct Experiment
      * Fatals on unknown names.
      */
     static Experiment byName(const std::string &name);
-
-    /** The Figure 3 series (A1..A6 plus PG as A7). */
-    static std::vector<Experiment> figure3Series();
-
-    /** The Figure 4 series (B1..B8 plus PG as B9). */
-    static std::vector<Experiment> figure4Series();
-
-    /** The Figure 5 series (C1..C6 plus PG as C7). */
-    static std::vector<Experiment> figure5Series();
 };
 
 } // namespace stsim

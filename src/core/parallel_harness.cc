@@ -8,7 +8,6 @@
 
 #include "common/logging.hh"
 #include "core/cancel.hh"
-#include "core/harness.hh"
 #include "core/results_sink.hh"
 #include "core/run_pool.hh"
 #include "core/simulator.hh"
@@ -277,99 +276,6 @@ runJobs(const std::vector<SimJob> &jobs, const RunOptions &opts)
     VectorSink sink(results);
     runJobs(jobs, sink, opts);
     return results;
-}
-
-//
-// Harness methods that fan out over the pool (kept here so the
-// serial harness core stays free of threading concerns).
-//
-
-void
-Harness::computeBaselines(unsigned workers)
-{
-    std::vector<SimJob> jobs;
-    std::vector<std::string> missing;
-    for (const std::string &b : benchmarks()) {
-        if (baselines_.count(b))
-            continue;
-        SimJob j;
-        j.cfg = base_;
-        j.cfg.benchmark = b;
-        Experiment::byName("baseline").applyTo(j.cfg);
-        j.experiment = "baseline";
-        jobs.push_back(std::move(j));
-        missing.push_back(b);
-    }
-    std::vector<SimResults> results = runJobs(jobs, workers);
-    for (std::size_t i = 0; i < missing.size(); ++i)
-        baselines_.emplace(missing[i], std::move(results[i]));
-}
-
-std::vector<Harness::SuiteRows>
-Harness::runMatrix(const std::vector<Experiment> &exps, unsigned workers)
-{
-    NullResultsSink sink;
-    return runMatrix(exps, sink, workers);
-}
-
-std::vector<Harness::SuiteRows>
-Harness::runMatrix(const std::vector<Experiment> &exps,
-                   ResultsSink &sink, unsigned workers)
-{
-    computeBaselines(workers);
-
-    const std::vector<std::string> &benches = benchmarks();
-    std::vector<SimJob> jobs;
-    jobs.reserve(exps.size() * benches.size());
-    for (const Experiment &exp : exps) {
-        for (const std::string &b : benches) {
-            SimJob j;
-            j.cfg = base_;
-            j.cfg.benchmark = b;
-            exp.applyTo(j.cfg);
-            j.experiment = exp.name;
-            jobs.push_back(std::move(j));
-        }
-    }
-
-    // Stream full results to the caller's sink while folding each one
-    // down to its four relative metrics as it commits — only the small
-    // metric tables stay resident, experiment-major, benchmark-minor.
-    class MetricsTee : public TeeSink
-    {
-      public:
-        MetricsTee(Harness &h, ResultsSink &inner,
-                   const std::vector<std::string> &benches,
-                   std::vector<SuiteRows> &tables)
-            : TeeSink(inner), h_(h), benches_(benches), tables_(tables)
-        {
-        }
-
-      protected:
-        void
-        onResult(std::uint64_t index, const SimResults &r) override
-        {
-            const std::string &bench = benches_[index % benches_.size()];
-            tables_[index / benches_.size()].emplace_back(
-                bench, RelativeMetrics::compute(
-                           h_.baselines_.at(bench), r));
-        }
-
-      private:
-        Harness &h_;
-        const std::vector<std::string> &benches_;
-        std::vector<SuiteRows> &tables_;
-    };
-
-    std::vector<SuiteRows> tables(exps.size());
-    for (SuiteRows &rows : tables)
-        rows.reserve(benches.size() + 1);
-    MetricsTee tee(*this, sink, benches, tables);
-    runJobs(jobs, tee, workers);
-
-    for (SuiteRows &rows : tables)
-        rows.emplace_back("Average", averageMetrics(rows));
-    return tables;
 }
 
 } // namespace stsim

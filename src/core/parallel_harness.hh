@@ -2,11 +2,12 @@
  * @file
  * Parallel experiment engine: turns lists of fully-specified
  * simulation jobs into results using a RunPool. All paths -- the
- * in-memory vector API, the Harness matrix waves, and the sharded
- * stsim_runner -- share one streaming commit path: results are handed
- * to a ResultsSink in submission order as jobs complete, behind a
- * bounded reorder window, so the output is bitwise identical for any
- * worker count and peak memory does not grow with matrix size.
+ * in-memory vector API the examples and tests use, and stsim_runner's
+ * dump, run and dispatch over a suite's manifest -- share one
+ * streaming commit path: results are handed to a ResultsSink in
+ * submission order as jobs complete, behind a bounded reorder window,
+ * so the output is bitwise identical for any worker count and peak
+ * memory does not grow with matrix size.
  */
 
 #ifndef STSIM_CORE_PARALLEL_HARNESS_HH

@@ -83,13 +83,6 @@ struct SimConfig
 
     /** Set once finalize() has run (guards double power scaling). */
     bool finalized = false;
-
-    /**
-     * Honour the REPRO_INSTRUCTIONS environment variable (used by the
-     * bench harnesses so full reproduction runs can be lengthened or
-     * shortened without rebuilds).
-     */
-    void applyEnvOverrides();
 };
 
 template <FieldsOf<SimConfig> S, typename V>

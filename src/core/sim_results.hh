@@ -1,7 +1,7 @@
 /**
  * @file
- * Results of one simulation run plus the baseline-relative metrics the
- * paper reports (speedup, power/energy savings, E-D improvement).
+ * Results of one simulation run. The baseline-relative metrics the
+ * paper reports are derived from two of them in core/report.hh.
  */
 
 #ifndef STSIM_CORE_SIM_RESULTS_HH
@@ -89,19 +89,6 @@ visitFields(S &s, V &&v)
     v("dl1MissRate", s.dl1MissRate);
     v("l2MissRate", s.l2MissRate);
 }
-
-/** Baseline-relative improvements, in percent (paper's four plots). */
-struct RelativeMetrics
-{
-    double speedup = 1.0;       ///< ratio (>1 is faster)
-    double powerSavings = 0.0;  ///< %
-    double energySavings = 0.0; ///< %
-    double edImprovement = 0.0; ///< %
-
-    /** Compute experiment-vs-baseline metrics. */
-    static RelativeMetrics compute(const SimResults &baseline,
-                                   const SimResults &experiment);
-};
 
 } // namespace stsim
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -51,19 +50,6 @@ SimConfig::finalize()
     if (confKind == ConfKind::Bpru || confKind == ConfKind::Jrs)
         budget += confBytes;
     power.scaleBpredSize(budget);
-}
-
-void
-SimConfig::applyEnvOverrides()
-{
-    if (const char *s = std::getenv("REPRO_INSTRUCTIONS")) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(s, &end, 10);
-        if (end && *end == '\0' && v >= 1000)
-            maxInstructions = v;
-        else
-            stsim_warn("ignoring bad REPRO_INSTRUCTIONS='%s'", s);
-    }
 }
 
 std::shared_ptr<const StaticProgram>
@@ -433,27 +419,6 @@ Simulator::restoreSnapshot(std::string_view image)
     core_->loadState(r);
     r.end("sim");
     r.finish();
-}
-
-RelativeMetrics
-RelativeMetrics::compute(const SimResults &baseline,
-                         const SimResults &experiment)
-{
-    RelativeMetrics m;
-    if (experiment.ipc > 0.0)
-        m.speedup = experiment.ipc / baseline.ipc;
-    if (baseline.avgPowerW > 0.0)
-        m.powerSavings = 100.0 *
-            (baseline.avgPowerW - experiment.avgPowerW) /
-            baseline.avgPowerW;
-    if (baseline.energyJ > 0.0)
-        m.energySavings = 100.0 *
-            (baseline.energyJ - experiment.energyJ) / baseline.energyJ;
-    if (baseline.edProduct > 0.0)
-        m.edImprovement = 100.0 *
-            (baseline.edProduct - experiment.edProduct) /
-            baseline.edProduct;
-    return m;
 }
 
 } // namespace stsim

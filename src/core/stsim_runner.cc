@@ -22,6 +22,7 @@
  *   snapshot --manifest FILE [--index I] [--out FILE]
  *   merge    --out FILE (--manifest FILE | --expect N) [--allow-dups]
  *            SHARD...
+ *   report   --suite NAME [FILE]
  *   dispatch --manifest FILE --dir DIR [--shards N] ...
  *   resume   --dir DIR ...
  *   serve-worker   (stdin/stdout job loop for stsim_serve --isolate)
@@ -33,6 +34,11 @@
  * workers are subprocesses tracked through a crash-safe journal,
  * failed or straggling shards retry, and a SIGKILLed dispatcher picks
  * up exactly where the journal ends via resume.
+ *
+ * report closes the loop: it reads the complete record stream of a
+ * suite's manifest (dump or merge output) and prints the suite's paper
+ * tables (core/report.hh), so every figure runs through the same
+ * manifest -> dump|run|dispatch -> report path.
  *
  * snapshot / --from-snapshot / --memoize-warmup expose the warmup
  * checkpoint API (core/state_serde.hh): `snapshot` runs one job's
@@ -64,6 +70,7 @@
 #include "common/logging.hh"
 #include "core/job_serde.hh"
 #include "core/parallel_harness.hh"
+#include "core/report.hh"
 #include "core/results_sink.hh"
 #include "core/simulator.hh"
 #include "core/suites.hh"
@@ -71,6 +78,7 @@
 #include "dist/shard_scheduler.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "pipeline/core_config.hh"
 
 using namespace stsim;
 
@@ -80,6 +88,9 @@ namespace
 void
 printUsage(std::FILE *to)
 {
+    std::string suites;
+    for (const std::string &n : suiteNames())
+        suites += (suites.empty() ? "" : ", ") + n;
     std::fprintf(to,
         "usage:\n"
         "  stsim_runner manifest --suite NAME [--insts N] "
@@ -99,6 +110,7 @@ printUsage(std::FILE *to)
         "[--out FILE]\n"
         "  stsim_runner merge --out FILE (--manifest FILE | "
         "--expect N) [--allow-dups] SHARD...\n"
+        "  stsim_runner report --suite NAME [FILE]\n"
         "  stsim_runner dispatch --manifest FILE --dir DIR "
         "[--shards N] [--jobs W] [--max-attempts K]\n"
         "               [--concurrent C] [--timeout-sec S] "
@@ -112,6 +124,15 @@ printUsage(std::FILE *to)
         "[--trace FILE] [--metrics FILE]\n"
         "  stsim_runner serve-worker\n"
         "  stsim_runner help\n"
+        "\n"
+        "suites: %s.\n"
+        "manifest --insts/--warmup/--depth override every job "
+        "(--warmup 0 means none;\n"
+        "--depth lies in [%u,%u] and cannot flatten fig6's sweep). "
+        "report prints a suite's\n"
+        "paper tables from the complete JSONL record stream of its "
+        "manifest (dump or\n"
+        "merge output) in FILE, or stdin when FILE is omitted.\n"
         "\n"
         "merge derives the expected record count from --manifest "
         "(--expect overrides it);\n"
@@ -142,7 +163,8 @@ printUsage(std::FILE *to)
         "writes the final\n"
         "metrics-registry snapshot as one JSONL record. Neither "
         "perturbs results:\n"
-        "output files are byte-identical with and without them.\n");
+        "output files are byte-identical with and without them.\n",
+        suites.c_str(), kMinPipelineDepth, kMaxPipelineDepth);
 }
 
 [[noreturn]] void
@@ -182,6 +204,9 @@ runnerDiag()
     };
     d.parseU64 = [](const char *flag, const char *value) {
         return parseU64(value, flag);
+    };
+    d.notPositive = [](const char *flag) {
+        usage((std::string(flag) + " must be positive").c_str());
     };
     return d;
 }
@@ -357,21 +382,30 @@ cmdManifest(int argc, char **argv)
     std::uint64_t insts = 0, warmup = 0, depth = 0;
     args::FlagSet fs(runnerDiag());
     fs.str("--suite", "NAME", &suite)
-        .u64("--insts", "N", &insts)
+        .u64Positive("--insts", "N", &insts)
         .u64("--warmup", "N", &warmup)
         .u64("--depth", "D", &depth)
         .str("--out", "FILE", &out_path);
     fs.parse(argc, argv, 2);
     if (suite.empty())
         usage("manifest needs --suite");
+    const bool setDepth = fs.seen("--depth");
+    if (setDepth &&
+        (depth < kMinPipelineDepth || depth > kMaxPipelineDepth)) {
+        usage(("--depth must lie in [" + std::to_string(kMinPipelineDepth) +
+               "," + std::to_string(kMaxPipelineDepth) + "]")
+                  .c_str());
+    }
+    if (setDepth && suite == "fig6")
+        usage("--depth would flatten fig6's pipeline-depth sweep");
 
     std::vector<SimJob> jobs = suiteJobs(suite);
     for (SimJob &j : jobs) {
         if (insts)
             j.cfg.maxInstructions = insts;
-        if (warmup)
+        if (fs.seen("--warmup"))
             j.cfg.warmupInstructions = warmup;
-        if (depth)
+        if (setDepth)
             j.cfg.pipelineDepth = static_cast<unsigned>(depth);
     }
 
@@ -707,6 +741,41 @@ cmdMerge(int argc, char **argv)
 }
 
 /**
+ * report: check that a record stream is exactly the given suite's
+ * results, then print the suite's paper tables.
+ */
+int
+cmdReport(int argc, char **argv)
+{
+    std::string suite, input;
+    args::FlagSet fs(runnerDiag());
+    fs.str("--suite", "NAME", &suite);
+    fs.parse(argc, argv, 2, [&](const char *arg) {
+        if (!input.empty())
+            usage("report takes at most one input file");
+        input = arg;
+    });
+    if (suite.empty())
+        usage("report needs --suite");
+
+    std::vector<SimJob> jobs = suiteJobs(suite);
+    std::vector<SimResults> results;
+    if (input.empty()) {
+        results = readSuiteRecords(std::cin, jobs);
+    } else {
+        std::ifstream in(input);
+        if (!in)
+            stsim_fatal("cannot read '%s': %s", input.c_str(),
+                        std::strerror(errno));
+        results = readSuiteRecords(in, jobs);
+    }
+    OutFile out("");
+    printReport(suite, jobs, results, out.stream());
+    out.finish("report");
+    return 0;
+}
+
+/**
  * Fleet worker mode for stsim_serve --isolate: one JSONL request
  * frame per stdin line (the ServeRequest shape the daemon already
  * speaks), one reply line per request on stdout. Results use the
@@ -861,6 +930,8 @@ main(int argc, char **argv)
         return cmdSnapshot(argc, argv);
     if (!std::strcmp(cmd, "merge"))
         return cmdMerge(argc, argv);
+    if (!std::strcmp(cmd, "report"))
+        return cmdReport(argc, argv);
     if (!std::strcmp(cmd, "dispatch"))
         return cmdDispatchOrResume(argc, argv, /*isResume=*/false);
     if (!std::strcmp(cmd, "resume"))

@@ -20,9 +20,9 @@ oracleModeName(OracleMode m)
 void
 CoreConfig::applyPipelineDepth(unsigned total_stages)
 {
-    if (total_stages < 6 || total_stages > 32)
-        stsim_fatal("pipeline depth %u outside supported range [6,32]",
-                    total_stages);
+    if (total_stages < kMinPipelineDepth || total_stages > kMaxPipelineDepth)
+        stsim_fatal("pipeline depth %u outside supported range [%u,%u]",
+                    total_stages, kMinPipelineDepth, kMaxPipelineDepth);
     pipelineStages = total_stages;
 
     // Four fixed backend stages: dispatch, issue/select, writeback,

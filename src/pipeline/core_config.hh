@@ -27,6 +27,10 @@ enum class OracleMode : std::uint8_t
 /** Short display name of an oracle mode. */
 const char *oracleModeName(OracleMode m);
 
+/** Total pipeline depths applyPipelineDepth() accepts. */
+inline constexpr unsigned kMinPipelineDepth = 6;
+inline constexpr unsigned kMaxPipelineDepth = 32;
+
 /**
  * Core configuration. The pipeline-depth parameters (fetchStages,
  * decodeStages, extraExecLatency, extraDl1Latency) are usually derived
@@ -81,7 +85,8 @@ struct CoreConfig
 
     /**
      * Derive the depth-dependent parameters from a total stage count
-     * in [6, 28] (§5.3.1). Front end absorbs ~3/4 of the extra depth;
+     * in [kMinPipelineDepth, kMaxPipelineDepth]; the paper sweeps 6 to
+     * 28 (§5.3.1). Front end absorbs ~3/4 of the extra depth;
      * the rest lengthens execution, with DL1 latency growing every 8
      * stages. The 14-stage default reproduces the paper's IBM
      * POWER4-like baseline.

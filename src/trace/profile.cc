@@ -238,6 +238,18 @@ specProfiles()
     return profiles;
 }
 
+const std::vector<std::string> &
+benchmarkNames()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> v;
+        for (const auto &p : specProfiles())
+            v.push_back(p.name);
+        return v;
+    }();
+    return names;
+}
+
 const BenchmarkProfile &
 findProfile(const std::string &name)
 {

@@ -140,6 +140,9 @@ visitFields(S &s, V &&v)
  */
 const std::vector<BenchmarkProfile> &specProfiles();
 
+/** The names of specProfiles(), in the same order. */
+const std::vector<std::string> &benchmarkNames();
+
 /** Look up a built-in profile by name; fatals when unknown. */
 const BenchmarkProfile &findProfile(const std::string &name);
 

@@ -1,19 +1,22 @@
 /**
  * @file
  * Tests for the public library layer: SimConfig finalization,
- * experiment registry, relative metrics, the bench harness, and
- * Simulator::runSweep.
+ * experiment registry, suite sizes, relative metrics and their
+ * averages, and Simulator::runSweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "common/logging.hh"
 #include "core/cancel.hh"
 #include "core/experiment.hh"
-#include "core/harness.hh"
 #include "core/job_serde.hh"
 #include "core/parallel_harness.hh"
+#include "core/report.hh"
 #include "core/simulator.hh"
+#include "core/suites.hh"
 #include "obs/metrics.hh"
 
 using namespace stsim;
@@ -68,12 +71,20 @@ TEST(Experiment, RegistryKnowsPaperNames)
     EXPECT_EQ(of.oracle, OracleMode::OracleFetch);
 }
 
-TEST(Experiment, FigureSeriesSizes)
+TEST(Suites, FigureSeriesSizes)
 {
-    EXPECT_EQ(Experiment::figure3Series().size(), 7u); // A1..A6 + PG
-    EXPECT_EQ(Experiment::figure4Series().size(), 9u); // B1..B8 + PG
-    EXPECT_EQ(Experiment::figure5Series().size(), 7u); // C1..C6 + PG
-    EXPECT_EQ(Experiment::figure3Series().back().name, "PG");
+    // 8 baselines plus 8 jobs per experiment (fig3: A1..A6 + PG,
+    // fig4: B1..B8 + PG, fig5: C1..C6 + PG), and so on per artifact.
+    const std::pair<const char *, std::size_t> sizes[] = {
+        {"golden", 18}, {"fig1", 32},   {"fig3", 64},  {"fig4", 80},
+        {"fig5", 64},   {"fig6", 192},  {"fig7", 64},  {"table1", 8},
+        {"table2", 8},  {"conf", 16},   {"conf-scan", 240},
+        {"ablation", 48},
+    };
+    ASSERT_EQ(suiteNames().size(), std::size(sizes));
+    for (const auto &[name, n] : sizes)
+        EXPECT_EQ(suiteJobs(name).size(), n) << name;
+    EXPECT_EQ(suiteJobs("fig3").back().experiment, "PG");
 }
 
 TEST(Experiment, ApplyToSetsOracleAndControl)
@@ -106,41 +117,36 @@ TEST(RelativeMetrics, Arithmetic)
     EXPECT_NEAR(m.edImprovement, 10.0, 1e-12);
 }
 
-TEST(Harness, BenchmarkListMatchesTable2)
+TEST(Profile, BenchmarkNamesMatchTable2)
 {
-    const auto &b = Harness::benchmarks();
+    const auto &b = benchmarkNames();
     ASSERT_EQ(b.size(), 8u);
     EXPECT_EQ(b.front(), "compress");
     EXPECT_EQ(b.back(), "twolf");
 }
 
-TEST(Harness, BaselineIsCached)
+TEST(Report, RelativeMetricsForExperiment)
 {
-    SimConfig base;
-    base.maxInstructions = 10'000;
-    base.warmupInstructions = 2'000;
-    Harness h(base);
-    const SimResults &a = h.baseline("twolf");
-    const SimResults &b = h.baseline("twolf");
-    EXPECT_EQ(&a, &b) << "baseline must be simulated once";
-}
-
-TEST(Harness, RelativeMetricsForExperiment)
-{
-    SimConfig base;
-    base.maxInstructions = 15'000;
-    base.warmupInstructions = 3'000;
-    Harness h(base);
-    RelativeMetrics m = h.relative("go", Experiment::byName("A6"));
+    std::vector<SimJob> jobs;
+    for (const char *exp : {"baseline", "A6"}) {
+        SimJob j{SimConfig{}, exp};
+        j.cfg.benchmark = "go";
+        j.cfg.maxInstructions = 15'000;
+        j.cfg.warmupInstructions = 3'000;
+        Experiment::byName(exp).applyTo(j.cfg);
+        jobs.push_back(std::move(j));
+    }
+    std::vector<SimResults> r = runJobs(jobs, 2);
+    RelativeMetrics m = RelativeMetrics::compute(r[0], r[1]);
     // A6 (stall fetch on any low confidence) must save power at some
     // performance cost.
     EXPECT_GT(m.powerSavings, 0.0);
     EXPECT_LT(m.speedup, 1.0);
 }
 
-TEST(Harness, AverageMetrics)
+TEST(Report, AverageMetrics)
 {
-    std::vector<std::pair<std::string, RelativeMetrics>> rows;
+    MetricRows rows;
     RelativeMetrics a;
     a.speedup = 0.9;
     a.powerSavings = 10.0;

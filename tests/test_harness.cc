@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the experiment harness and the parallel experiment engine:
- * baseline caching and invalidation, suite averaging, the RunPool,
- * thread-count-independent (bitwise-identical) matrix results,
- * memoized waves (one measured sweep per warmup class) and the record
- * invariants every wave's results meet.
+ * Tests for the parallel experiment engine and the suites it runs:
+ * the RunPool, in-order and bitwise-reproducible waves, baseline-
+ * relative grouping and averaging, memoized waves (one measured sweep
+ * per warmup class), and the record invariants and report of every
+ * suite.
  */
 
 #include <gtest/gtest.h>
@@ -12,14 +12,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <map>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/cancel.hh"
-#include "core/harness.hh"
+#include "core/experiment.hh"
 #include "core/job_serde.hh"
 #include "core/parallel_harness.hh"
+#include "core/report.hh"
 #include "core/results_sink.hh"
 #include "core/run_pool.hh"
 #include "core/simulator.hh"
@@ -119,38 +122,24 @@ TEST(RunJobs, ResultsCommittedInSubmissionOrder)
     EXPECT_GE(r[0].core.committedInsts, 8'000u);
 }
 
-TEST(Harness, BaselineInvalidatedOnBaseConfigMutation)
+TEST(Report, RelativeGroupsCloseWithAverageRow)
 {
-    Harness h(tinyConfig());
-    const SimResults &before = h.baseline("go");
-    Counter committed = before.core.committedInsts;
-    EXPECT_GE(committed, 8'000u);
-    EXPECT_LT(committed, 16'000u);
-
-    // Mutable access invalidates every cached baseline.
-    h.baseConfig().maxInstructions = 16'000;
-    const SimResults &after = h.baseline("go");
-    EXPECT_GE(after.core.committedInsts, 16'000u);
-}
-
-TEST(Harness, ComputeBaselinesFillsCache)
-{
-    Harness h(tinyConfig());
-    h.computeBaselines(2);
-    // Every subsequent baseline() is a cache hit: same object both
-    // times, with no invalidation in between.
-    for (const std::string &b : Harness::benchmarks()) {
-        const SimResults &a = h.baseline(b);
-        EXPECT_EQ(&a, &h.baseline(b));
-        EXPECT_EQ(a.benchmark, b);
+    std::vector<SimJob> jobs;
+    for (const char *exp : {"baseline", "A6"}) {
+        for (const std::string &b : benchmarkNames()) {
+            SimJob j{tinyConfig(), exp};
+            j.cfg.benchmark = b;
+            Experiment::byName(exp).applyTo(j.cfg);
+            jobs.push_back(std::move(j));
+        }
     }
-}
-
-TEST(Harness, RunSuiteAppendsAverageRow)
-{
-    Harness h(tinyConfig());
-    auto rows = h.runSuite(Experiment::byName("A6"));
-    ASSERT_EQ(rows.size(), Harness::benchmarks().size() + 1);
+    std::vector<SimResults> results = runJobs(jobs, 4);
+    std::vector<MetricGroup> groups = relativeGroups(jobs, results);
+    ASSERT_EQ(groups.size(), 1u);
+    EXPECT_EQ(groups[0].key, "A6");
+    const MetricRows &rows = groups[0].rows;
+    ASSERT_EQ(rows.size(), benchmarkNames().size() + 1);
+    EXPECT_EQ(rows.front().first, benchmarkNames().front());
     EXPECT_EQ(rows.back().first, "Average");
 
     RelativeMetrics avg = averageMetrics(rows);
@@ -158,35 +147,6 @@ TEST(Harness, RunSuiteAppendsAverageRow)
     EXPECT_EQ(avg.powerSavings, rows.back().second.powerSavings);
     EXPECT_EQ(avg.energySavings, rows.back().second.energySavings);
     EXPECT_EQ(avg.edImprovement, rows.back().second.edImprovement);
-}
-
-TEST(Harness, MatrixIsWorkerCountIndependent)
-{
-    std::vector<Experiment> exps = {Experiment::byName("A5"),
-                                    Experiment::byName("PG")};
-
-    Harness serial(tinyConfig());
-    auto one = serial.runMatrix(exps, 1);
-    Harness parallel(tinyConfig());
-    auto many = parallel.runMatrix(exps, 4);
-
-    ASSERT_EQ(one.size(), many.size());
-    for (std::size_t e = 0; e < one.size(); ++e) {
-        ASSERT_EQ(one[e].size(), many[e].size());
-        for (std::size_t r = 0; r < one[e].size(); ++r) {
-            EXPECT_EQ(one[e][r].first, many[e][r].first);
-            const RelativeMetrics &a = one[e][r].second;
-            const RelativeMetrics &b = many[e][r].second;
-            EXPECT_EQ(a.speedup, b.speedup);
-            EXPECT_EQ(a.powerSavings, b.powerSavings);
-            EXPECT_EQ(a.energySavings, b.energySavings);
-            EXPECT_EQ(a.edImprovement, b.edImprovement);
-        }
-    }
-    // The underlying baselines must match bitwise, not just the
-    // derived percentages.
-    for (const std::string &b : Harness::benchmarks())
-        expectSameResults(serial.baseline(b), parallel.baseline(b));
 }
 
 /**
@@ -221,7 +181,7 @@ TEST(RunJobs, BitwiseIdenticalToDirectRunsForC0AndC2)
 
 TEST(AverageMetrics, RejectsAverageOnlyInput)
 {
-    std::vector<std::pair<std::string, RelativeMetrics>> rows;
+    MetricRows rows;
     rows.emplace_back("Average", RelativeMetrics{});
     EXPECT_DEATH(averageMetrics(rows), "no rows to average");
 }
@@ -573,44 +533,82 @@ TEST(MemoizedWave, CancelFromFirstWriteReleasesEveryWorker)
 // Record invariants (checkInvariants): commits reach the run length
 // and overshoot it by less than the commit width, per-unit energies
 // sum to energyJ, wasted energy lies in [0, energyJ], and wrong-path
-// counts stay within the totals -- for every record of the golden
-// suite and a shortened Figure 5 suite, scratch and memoized, and of
-// the power-variant sweep.
+// counts stay within the totals -- for every record of every suite
+// shortened to 3K measured / 500 warmup instructions, scratch and
+// memoized, and of the power-variant sweep. Each suite's report
+// renders from those records, the same from both waves.
 //
 
 namespace
 {
 
-void
+std::vector<SimJob>
+shortSuite(const std::string &name)
+{
+    std::vector<SimJob> jobs = suiteJobs(name);
+    for (SimJob &j : jobs) {
+        j.cfg.maxInstructions = 3'000;
+        j.cfg.warmupInstructions = 500;
+    }
+    return jobs;
+}
+
+std::vector<SimResults>
 expectInvariants(const std::vector<SimJob> &jobs, const RunOptions &opts)
 {
     std::vector<SimResults> results = runJobs(jobs, opts);
-    ASSERT_EQ(results.size(), jobs.size());
+    EXPECT_EQ(results.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         for (const std::string &bad : checkInvariants(jobs[i].cfg,
                                                       results[i]))
             ADD_FAILURE() << "job " << i << ": " << bad;
     }
+    return results;
+}
+
+std::string
+report(const std::string &suite, const std::vector<SimJob> &jobs,
+       const std::vector<SimResults> &results)
+{
+    std::ostringstream out;
+    printReport(suite, jobs, results, out);
+    return out.str();
 }
 
 } // namespace
 
 TEST(RecordInvariants, HoldForSuitesAndPowerSweep)
 {
-    std::vector<SimJob> fig5 = suiteJobs("fig5");
-    for (SimJob &j : fig5) {
-        j.cfg.maxInstructions = 3'000;
-        j.cfg.warmupInstructions = 500;
-    }
+    std::map<std::string, std::string> reports;
     for (bool memoize : {false, true}) {
         SCOPED_TRACE(memoize ? "memoized" : "scratch");
         RunOptions opts;
         opts.workers = 4;
         opts.memoizeWarmup = memoize;
-        expectInvariants(suiteJobs("golden"), opts);
-        expectInvariants(fig5, opts);
+        for (const std::string &suite : suiteNames()) {
+            SCOPED_TRACE(suite);
+            std::vector<SimJob> jobs = shortSuite(suite);
+            std::string text =
+                report(suite, jobs, expectInvariants(jobs, opts));
+            EXPECT_NE(text.find("+---"), std::string::npos) << text;
+            auto [it, fresh] = reports.emplace(suite, text);
+            if (!fresh)
+                EXPECT_EQ(it->second, text);
+        }
         expectInvariants(sweepJobs(), opts);
     }
+}
+
+TEST(SuiteReport, SameAtOneAndFourWorkers)
+{
+    // The suite records, and so the table, do not depend on the
+    // worker count.
+    std::vector<SimJob> jobs = shortSuite("fig1");
+    std::vector<SimResults> one = runJobs(jobs, 1);
+    std::vector<SimResults> four = runJobs(jobs, 4);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(serde::toJson(one[i]), serde::toJson(four[i])) << i;
+    EXPECT_EQ(report("fig1", jobs, one), report("fig1", jobs, four));
 }
 
 TEST(RecordInvariants, ReportEachBrokenRule)

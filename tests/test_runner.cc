@@ -2,9 +2,8 @@
  * @file
  * Streaming-sink and shard-merge tests for the out-of-process
  * experiment engine: in-order JSONL/CSV commits, the bounded reorder
- * window (peak held results independent of matrix size), modulo-shard
- * execution merged back bit-for-bit against the in-process path, and
- * the sink-accepting Harness::runMatrix overload.
+ * window (peak held results independent of matrix size), and modulo-shard
+ * execution merged back bit-for-bit against the in-process path.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "core/harness.hh"
+#include "core/experiment.hh"
 #include "core/job_serde.hh"
 #include "core/parallel_harness.hh"
 #include "core/results_sink.hh"
@@ -172,44 +171,5 @@ TEST(ShardMerge, FourShardsMergeBitForBitAgainstInProcess)
         EXPECT_EQ(merged_by_index.at(i),
                   serde::resultRecordToJson(i, direct[i]))
             << "index " << i;
-    }
-}
-
-TEST(HarnessSink, RunMatrixStreamsEveryExperimentJob)
-{
-    SimConfig base;
-    base.maxInstructions = 4'000;
-    base.warmupInstructions = 1'000;
-    Harness h(base);
-    std::vector<Experiment> exps = {Experiment::byName("A3"),
-                                    Experiment::byName("C2")};
-
-    std::ostringstream out;
-    JsonlResultsSink sink(out);
-    auto tables = h.runMatrix(exps, sink, 2);
-
-    const std::size_t benches = Harness::benchmarks().size();
-    std::vector<std::string> recs = lines(out.str());
-    ASSERT_EQ(recs.size(), exps.size() * benches);
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-        auto [idx, r] = serde::resultRecordFromJson(recs[i]);
-        EXPECT_EQ(idx, i);
-        EXPECT_EQ(r.experiment, exps[i / benches].name);
-        EXPECT_EQ(r.benchmark, Harness::benchmarks()[i % benches]);
-    }
-
-    // Metric tables match the non-streaming overload bit for bit.
-    Harness h2(base);
-    auto plain = h2.runMatrix(exps, 1);
-    ASSERT_EQ(tables.size(), plain.size());
-    for (std::size_t e = 0; e < tables.size(); ++e) {
-        ASSERT_EQ(tables[e].size(), plain[e].size());
-        for (std::size_t row = 0; row < tables[e].size(); ++row) {
-            EXPECT_EQ(tables[e][row].first, plain[e][row].first);
-            EXPECT_EQ(tables[e][row].second.speedup,
-                      plain[e][row].second.speedup);
-            EXPECT_EQ(tables[e][row].second.energySavings,
-                      plain[e][row].second.energySavings);
-        }
     }
 }

@@ -4,7 +4,9 @@
  * exit 0 (so `stsim_runner --help | less` works), the merge failure
  * paths die with their exact fatal diagnostics -- duplicate index,
  * missing index, non-index-ascending shard files, manifest-derived
- * record counts, and the dup-tolerant verify -- and, since all three
+ * record counts, and the dup-tolerant verify -- manifest validates
+ * its overrides, report renders a suite only from exactly that
+ * suite's records, and, since all three
  * binaries parse flags through common/arg_parse.hh, the help texts
  * and exit-2 diagnostics of stsim_serve and stsim_loadgen are
  * asserted byte-for-byte against their pre-refactor goldens.
@@ -17,10 +19,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <stdlib.h>
 #include <sys/wait.h>
+
+#include "core/suites.hh"
 
 namespace
 {
@@ -317,8 +323,8 @@ TEST(RunnerHelp, EveryPublicSubcommandAndFlagIsDocumented)
     CmdResult r = run(runner() + " help 2>/dev/null");
     ASSERT_EQ(r.exitCode, 0);
     for (const char *sub :
-         {"manifest", "run", "dump", "snapshot", "merge", "dispatch",
-          "resume", "serve-worker", "help"}) {
+         {"manifest", "run", "dump", "snapshot", "merge", "report",
+          "dispatch", "resume", "serve-worker", "help"}) {
         EXPECT_NE(r.output.find(std::string("stsim_runner ") + sub),
                   std::string::npos)
             << "subcommand missing from usage: " << sub;
@@ -414,6 +420,155 @@ TEST(SnapshotCmd, ForkAndMemoizeAreByteIdenticalToScratch)
     ASSERT_FALSE(scratch.empty());
     EXPECT_EQ(scratch, slurp(tmp.path + "/fork.jsonl"));
     EXPECT_EQ(scratch, slurp(tmp.path + "/memo.jsonl"));
+}
+
+TEST(ManifestCmd, ValidatesOverrides)
+{
+    struct Case
+    {
+        const char *args;
+        const char *diag;
+    };
+    for (const Case &c : {
+             Case{"--suite fig5 --insts 0", "--insts must be positive"},
+             Case{"--suite fig5 --depth 99", "--depth must lie in [6,32]"},
+             Case{"--suite fig5 --depth 5", "--depth must lie in [6,32]"},
+             Case{"--suite fig6 --depth 14",
+                  "--depth would flatten fig6's pipeline-depth sweep"},
+         }) {
+        CmdResult r = run(runner() + " manifest " + c.args +
+                          " 2>&1 >/dev/null");
+        EXPECT_EQ(r.exitCode, 2) << c.args;
+        EXPECT_NE(r.output.find(c.diag), std::string::npos)
+            << c.args << ": " << r.output;
+    }
+
+    // --warmup 0 means no warmup rather than the suite's default.
+    CmdResult none = run(runner() + " manifest --suite table1 "
+                         "--warmup 0 2>/dev/null");
+    ASSERT_EQ(none.exitCode, 0);
+    std::istringstream lines(none.output);
+    std::string line;
+    int n = 0;
+    for (; std::getline(lines, line); ++n) {
+        EXPECT_NE(line.find("\"warmupInstructions\":0,"),
+                  std::string::npos)
+            << line;
+    }
+    EXPECT_EQ(n, 8);
+
+    // The unknown-suite message lists every suite.
+    CmdResult bad = run(runner() + " manifest --suite fig2 2>&1");
+    EXPECT_EQ(bad.exitCode, 1);
+    for (const std::string &name : stsim::suiteNames())
+        EXPECT_NE(bad.output.find(name), std::string::npos) << name;
+}
+
+namespace
+{
+
+/** Dump @p suite at 2K measured / 500 warmup instructions into @p tmp. */
+std::vector<std::string>
+dumpSuite(const TempDir &tmp, const std::string &suite)
+{
+    std::string manifest = tmp.path + "/" + suite + ".manifest";
+    std::string records = tmp.path + "/" + suite + ".jsonl";
+    CmdResult d = run(runner() + " manifest --suite " + suite +
+                      " --insts 2000 --warmup 500 --out '" + manifest +
+                      "' 2>&1 && '" + runner() + "' dump --manifest '" +
+                      manifest + "' --out '" + records + "' 2>&1");
+    EXPECT_EQ(d.exitCode, 0) << d.output;
+    std::ifstream in(records);
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(in, line))
+        lines.push_back(line);
+    return lines;
+}
+
+std::string
+joinLines(const std::vector<std::string> &lines)
+{
+    std::string out;
+    for (const std::string &l : lines)
+        out += l + "\n";
+    return out;
+}
+
+} // namespace
+
+TEST(ReportCmd, RejectsRecordsThatAreNotTheSuites)
+{
+    TempDir tmp;
+    const std::vector<std::string> fig5 = dumpSuite(tmp, "fig5");
+    ASSERT_EQ(fig5.size(), 64u);
+
+    auto report = [&](const std::string &suite, const std::string &body) {
+        std::string file = tmp.file("in.jsonl", body);
+        return run(runner() + " report --suite " + suite + " '" + file +
+                   "' 2>&1 >/dev/null");
+    };
+    auto expectFails = [](const CmdResult &r, const char *diag) {
+        EXPECT_NE(r.exitCode, 0) << r.output;
+        EXPECT_NE(r.output.find(diag), std::string::npos) << r.output;
+    };
+
+    // Record 8 is compress/C1; job 8 of fig6 is compress/C2.
+    expectFails(report("fig6", joinLines(fig5)),
+                "line 9: record 8 is compress/C1, but job 8 of the "
+                "suite is compress/C2");
+
+    std::vector<std::string> missing = fig5;
+    missing.erase(missing.begin() + 2);
+    expectFails(report("fig5", joinLines(missing)),
+                "line 3: index 3 where 2 was expected (missing record)");
+
+    std::vector<std::string> dup = fig5;
+    dup.insert(dup.begin() + 3, fig5[2]);
+    expectFails(report("fig5", joinLines(dup)),
+                "line 4: index 2 where 3 was expected (duplicate record)");
+
+    std::vector<std::string> renamed = fig5;
+    std::string &line = renamed[9];
+    std::size_t pos = line.find("\"experiment\":\"C1\"");
+    ASSERT_NE(pos, std::string::npos) << line;
+    line.replace(pos, 17, "\"experiment\":\"C2\"");
+    expectFails(report("fig5", joinLines(renamed)),
+                "line 10: record 9 is gcc/C2, but job 9 of the suite is "
+                "gcc/C1");
+
+    const std::string whole = joinLines(fig5);
+    expectFails(report("fig5", whole.substr(0, whole.size() -
+                                                   fig5.back().size() / 2)),
+                "line 64: ");
+
+    std::vector<std::string> short_ = fig5;
+    short_.pop_back();
+    expectFails(report("fig5", joinLines(short_)),
+                "63 records, but the suite has 64 jobs (record 63 is "
+                "missing)");
+
+    std::string manifest = tmp.path + "/fig5.manifest";
+    CmdResult csv = run(runner() + " dump --manifest '" + manifest +
+                        "' --format csv 2>/dev/null | '" + runner() +
+                        "' report --suite fig5 2>&1 >/dev/null");
+    expectFails(csv, "line 1 is not a JSONL result record");
+}
+
+TEST(ReportCmd, RendersAPipedFigure)
+{
+    CmdResult r = run(runner() + " manifest --suite fig1 --insts 2000 "
+                      "--warmup 500 2>/dev/null | '" + runner() +
+                      "' dump --manifest /dev/stdin 2>/dev/null | '" +
+                      runner() + "' report --suite fig1 2>&1");
+    ASSERT_EQ(r.exitCode, 0) << r.output;
+    for (const char *text :
+         {"Figure 1: oracle fetch/decode/select savings",
+          "| oracle-fetch ", "| oracle-decode ", "| oracle-select ",
+          "| paper oracle-fetch  | 1.05 "}) {
+        EXPECT_NE(r.output.find(text), std::string::npos)
+            << text << "\n" << r.output;
+    }
 }
 
 //
