@@ -58,12 +58,8 @@ explorerDiag()
     d.unknown = [](const char *arg) {
         usageError("unknown flag " + std::string(arg));
     };
-    d.parseU64 = [](const char *flag, const char *value) {
-        char *end = nullptr;
-        std::uint64_t v = std::strtoull(value, &end, 10);
-        if (!*value || *value == '-' || *end != '\0')
-            usageError("bad " + std::string(flag) + " '" + value + "'");
-        return v;
+    d.badValue = [](const char *flag, const char *value) {
+        usageError("bad " + std::string(flag) + " '" + value + "'");
     };
     d.notPositive = [](const char *flag) {
         usageError(std::string(flag) + " must be positive");

@@ -15,7 +15,7 @@
 #      the replayed ids.
 #   3. `stsim_loadgen bench` ingests {"op":"metrics"} snapshots
 #      around its run and reports the server-side queue-wait and
-#      sim-time window in its BENCH_serve.json row.
+#      sim-time window in its `--json` row.
 #
 # CI runs this in Release and TSan; locally:
 #

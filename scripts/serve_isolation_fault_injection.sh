@@ -111,8 +111,7 @@ grep -q 'quarantined' "$TMP/poison-2.json"
 ) &
 KILLER_PID=$!
 "$LOADGEN" bench --unix "$SOCK" --manifest "$TMP/manifest.jsonl" \
-    --clients 4 --duration-sec 8 --retry 8 \
-    --label isolation_kill_storm --json "$TMP/storm.json" \
+    --clients 4 --duration-sec 8 --retry 8 --json "$TMP/storm.json" \
     >/dev/null 2>&1 &
 BENCH_PID=$!
 "$LOADGEN" replay --unix "$SOCK" --manifest "$TMP/manifest.jsonl" \

@@ -18,9 +18,13 @@
 #ifndef STSIM_COMMON_ARG_PARSE_HH
 #define STSIM_COMMON_ARG_PARSE_HH
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,11 +35,30 @@ namespace args
 {
 
 /**
- * Per-binary diagnostic style. Every hook that reports an error must
- * not return (exit, or stsim_fatal). parseU64 returns the decoded
- * value or does not return; binaries differ in strictness (the runner
- * historically accepts what strtoull accepts, serve/loadgen also
- * reject empty and leading '-'), so the decoder itself is a hook.
+ * Decode a decimal unsigned value no larger than @p max. Digits only:
+ * strtoull would wrap "-1" (or " -1") to 2^64-1, so an empty, signed
+ * or space-led value fails, as does one out of range or above @p max
+ * (which a cast to the flag's type would narrow).
+ */
+inline std::optional<std::uint64_t>
+decodeU64(const char *s,
+          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    if (*s < '0' || *s > '9')
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(s, &end, 10);
+    if (*end != '\0' || errno == ERANGE || v > max)
+        return std::nullopt;
+    return v;
+}
+
+/**
+ * Per-binary diagnostic style. Every hook must not return (exit, or
+ * stsim_fatal). Decoding is shared -- a numeric value that would wrap
+ * or narrow is a bad value in every binary -- so only the messages
+ * differ.
  */
 struct Diag
 {
@@ -45,9 +68,8 @@ struct Diag
     /** An argument matched no registered flag (nor a positional). */
     std::function<void(const char *arg)> unknown;
 
-    /** Decode an unsigned value for @p flag or do not return. */
-    std::function<std::uint64_t(const char *flag, const char *value)>
-        parseU64;
+    /** @p value does not decode as @p flag's type. */
+    std::function<void(const char *flag, const char *value)> badValue;
 
     /** A u64Positive flag decoded to zero (optional). */
     std::function<void(const char *flag)> notPositive;
@@ -103,9 +125,20 @@ class FlagSet
     }
 
     /**
-     * Unsigned flag decoded through Diag::parseU64 and cast to the
-     * target's type (the historical static_cast<unsigned>(...) sites).
+     * Decode @p value for @p flag (decodeU64, at most @p max) or
+     * report it through Diag::badValue. For flags whose apply does
+     * more than store the number.
      */
+    std::uint64_t
+    u64Value(const char *flag, const char *value, std::uint64_t max) const
+    {
+        std::optional<std::uint64_t> v = decodeU64(value, max);
+        if (!v)
+            diag_.badValue(flag, value);
+        return v.value_or(0);
+    }
+
+    /** Unsigned flag no larger than the target type's maximum. */
     template <typename T>
     FlagSet &
     u64(const char *name, const char *metavar, T *out,
@@ -113,7 +146,8 @@ class FlagSet
     {
         return flag(name, metavar,
                     [this, out, name](const char *v) {
-                        *out = static_cast<T>(diag_.parseU64(name, v));
+                        *out = static_cast<T>(
+                            u64Value(name, v, maxOf(out)));
                     },
                     help);
     }
@@ -126,7 +160,7 @@ class FlagSet
     {
         return flag(name, metavar,
                     [this, out, name](const char *v) {
-                        std::uint64_t u = diag_.parseU64(name, v);
+                        std::uint64_t u = u64Value(name, v, maxOf(out));
                         if (u == 0)
                             diag_.notPositive(name);
                         *out = static_cast<T>(u);
@@ -134,16 +168,20 @@ class FlagSet
                     help);
     }
 
-    /**
-     * Double flag with atof semantics (no validation) -- matches the
-     * historical loadgen --duration-sec behavior exactly.
-     */
+    /** Double flag: a finite number above zero, else a bad value. */
     FlagSet &
-    dblAtof(const char *name, const char *metavar, double *out,
-            const char *help = "")
+    dblPositive(const char *name, const char *metavar, double *out,
+                const char *help = "")
     {
         return flag(name, metavar,
-                    [out](const char *v) { *out = std::atof(v); },
+                    [this, out, name](const char *v) {
+                        char *end = nullptr;
+                        double d = std::strtod(v, &end);
+                        if (end == v || *end != '\0' ||
+                            !std::isfinite(d) || d <= 0)
+                            diag_.badValue(name, v);
+                        *out = d;
+                    },
                     help);
     }
 
@@ -244,6 +282,21 @@ class FlagSet
         bool takesValue;
         bool seen;
     };
+
+    /** The largest value a u64 target holds (an optional: its value's). */
+    template <typename T>
+    static constexpr std::uint64_t
+    maxOf(const T *)
+    {
+        return std::numeric_limits<T>::max();
+    }
+
+    template <typename T>
+    static constexpr std::uint64_t
+    maxOf(const std::optional<T> *)
+    {
+        return std::numeric_limits<T>::max();
+    }
 
     Entry *
     match(const char *arg)

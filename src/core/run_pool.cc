@@ -1,5 +1,6 @@
 #include "run_pool.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
 
@@ -15,11 +16,9 @@ RunPool::defaultWorkers()
         // strtoul silently wraps negative input, so parse signed.
         char *end = nullptr;
         long long v = std::strtoll(s, &end, 10);
-        if (end && *end == '\0' && v >= 1) {
-            if (v > 256)
-                v = 256;
-            return static_cast<unsigned>(v);
-        }
+        if (end && *end == '\0' && v >= 1)
+            return static_cast<unsigned>(
+                std::min<long long>(v, kMaxWorkers));
         stsim_warn("ignoring bad STSIM_JOBS='%s'", s);
     }
     unsigned hw = std::thread::hardware_concurrency();
@@ -32,6 +31,7 @@ RunPool::RunPool(unsigned workers)
 {
     if (workers == 0)
         workers = defaultWorkers();
+    workers = std::min(workers, kMaxWorkers);
     idleBits_.assign((workers + 63) / 64, 0);
     cvWorker_ = std::make_unique<std::condition_variable[]>(workers);
     threads_.reserve(workers);

@@ -31,7 +31,8 @@ namespace stsim
  *
  * Worker count resolution: an explicit constructor argument wins;
  * otherwise the STSIM_JOBS environment variable; otherwise the
- * hardware concurrency. Jobs must not touch shared mutable state
+ * hardware concurrency. Either way the pool starts at most
+ * kMaxWorkers threads. Jobs must not touch shared mutable state
  * unless they synchronize it themselves — the standard pattern is one
  * Simulator per job writing into a preallocated result slot, so the
  * result of a wave is identical for any worker count.
@@ -39,7 +40,13 @@ namespace stsim
 class RunPool
 {
   public:
-    /** @param workers Worker threads; 0 resolves via defaultWorkers(). */
+    /** The ceiling on every pool's worker count, however requested. */
+    static constexpr unsigned kMaxWorkers = 256;
+
+    /**
+     * @param workers Worker threads, capped at kMaxWorkers; 0 resolves
+     *     via defaultWorkers().
+     */
     explicit RunPool(unsigned workers = 0);
 
     /** Drains the queue (waits for all submitted jobs) before exit. */
@@ -70,8 +77,9 @@ class RunPool
 
     /**
      * Worker count used when none is requested explicitly: the
-     * STSIM_JOBS environment variable (clamped to [1, 256]) when set
-     * and parseable, else std::thread::hardware_concurrency(), else 1.
+     * STSIM_JOBS environment variable (at least 1, at most
+     * kMaxWorkers) when set and parseable, else
+     * std::thread::hardware_concurrency(), else 1.
      */
     static unsigned defaultWorkers();
 

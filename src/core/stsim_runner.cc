@@ -58,6 +58,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -176,16 +177,6 @@ usage(const char *msg = nullptr)
     std::exit(2);
 }
 
-std::uint64_t
-parseU64(const char *s, const char *what)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(s, &end, 10);
-    if (!end || *end != '\0')
-        usage((std::string("bad ") + what + " '" + s + "'").c_str());
-    return v;
-}
-
 /**
  * The runner's diagnostic style for the shared FlagSet parser: every
  * parse error is a usage() exit-2 with the exact historical message
@@ -202,8 +193,8 @@ runnerDiag()
     d.unknown = [](const char *arg) {
         usage(("unknown flag " + std::string(arg)).c_str());
     };
-    d.parseU64 = [](const char *flag, const char *value) {
-        return parseU64(value, flag);
+    d.badValue = [](const char *flag, const char *value) {
+        usage((std::string("bad ") + flag + " '" + value + "'").c_str());
     };
     d.notPositive = [](const char *flag) {
         usage((std::string(flag) + " must be positive").c_str());
@@ -442,20 +433,23 @@ cmdRunOrDump(int argc, char **argv, bool sharded)
 {
     std::string manifest, out_path, format, snapshot_path;
     std::uint64_t shard = 0, shards = 1;
-    std::uint64_t timeoutSec = 0;
+    unsigned timeoutSec = 0; // alarm()'s type
     unsigned workers = 0;
     bool memoize = false;
     args::FlagSet fs(runnerDiag());
     fs.str("--manifest", "FILE", &manifest);
     if (sharded) {
         fs.flag("--shard", "I/N", [&](const char *spec) {
-            unsigned long long i = 0, n = 0;
-            if (std::sscanf(spec, "%llu/%llu", &i, &n) != 2 || n == 0 ||
-                i >= n) {
-                usage("--shard wants I/N with 0 <= I < N");
+            const char *slash = std::strchr(spec, '/');
+            std::optional<std::uint64_t> i, n;
+            if (slash) {
+                i = args::decodeU64(std::string(spec, slash).c_str());
+                n = args::decodeU64(slash + 1);
             }
-            shard = i;
-            shards = n;
+            if (!i || !n || *n == 0 || *i >= *n)
+                usage("--shard wants I/N with 0 <= I < N");
+            shard = *i;
+            shards = *n;
         });
     }
     fs.u64("--jobs", "W", &workers);
@@ -480,7 +474,7 @@ cmdRunOrDump(int argc, char **argv, bool sharded)
         sa.sa_handler = runTimeoutHandler;
         sigemptyset(&sa.sa_mask);
         ::sigaction(SIGALRM, &sa, nullptr);
-        ::alarm(static_cast<unsigned>(timeoutSec));
+        ::alarm(timeoutSec);
     }
 
     std::vector<std::string> lines = readLines(manifest);
@@ -874,8 +868,10 @@ cmdDispatchOrResume(int argc, char **argv, bool isResume)
         .u64("--concurrent", "C", &opts.maxConcurrent)
         .flag("--timeout-sec", "S",
               [&](const char *v) {
-                  opts.shardTimeout = std::chrono::seconds(
-                      parseU64(v, "--timeout-sec"));
+                  // Bounded so the timeout fits in milliseconds.
+                  opts.shardTimeout = std::chrono::seconds(fs.u64Value(
+                      "--timeout-sec", v,
+                      std::chrono::milliseconds::max().count() / 1000));
               })
         .u64("--retry-backoff-ms", "B", &opts.retryBackoffBaseMs)
         .u64("--retry-backoff-cap-ms", "C", &opts.retryBackoffCapMs)

@@ -26,8 +26,9 @@
  *           a deliberately slow reader to park against the server's
  *           per-connection backpressure
  *   bench   N closed-loop clients for a fixed duration; reports
- *           sustained jobs/sec and p50/p90/p99 latency, optionally
- *           into a BENCH_serve.json-style file
+ *           sustained jobs/sec, p50/p90/p99 latency and the
+ *           server-side window, optionally as one JSON object
+ *           (--json FILE)
  */
 
 #include <algorithm>
@@ -40,6 +41,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,7 +83,6 @@ struct Options
     int retryMax = -1;
     std::size_t index = 0;
     std::uint64_t id = 1;
-    std::string label = "stsim_serve_loadgen";
 };
 
 /** Retry backoff for attempt k (1-based): 2ms doubling, 250ms cap. */
@@ -106,7 +107,7 @@ usage(FILE *to)
 "  abuse   --manifest FILE\n"
 "  slow    --manifest FILE [--count N] [--delay-ms D]\n"
 "  bench   --manifest FILE [--clients N] [--duration-sec S]\n"
-"          [--deadline-ms D] [--json FILE] [--label NAME]\n"
+"          [--deadline-ms D] [--json FILE]\n"
 "          [--retry N] [--tolerate-disconnect]\n"
 "  oneshot --manifest FILE [--index I] [--id N] [--deadline-ms D]\n"
 "          (prints the reply line on stdout)\n"
@@ -116,16 +117,6 @@ usage(FILE *to)
 "             exponential backoff; without it busy retries forever\n"
 "             and internal is fatal (replay) or tallied (bench)\n");
     return to == stdout ? 0 : 2;
-}
-
-std::uint64_t
-parseU64(const char *flag, const char *s)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (!end || *end != '\0' || s[0] == '\0' || s[0] == '-')
-        stsim_fatal("loadgen: bad value for %s: '%s'", flag, s);
-    return v;
 }
 
 int
@@ -821,7 +812,7 @@ benchMode(const Options &opts)
                         opts.jsonPath.c_str(), std::strerror(errno));
         std::fprintf(
             f,
-            "{\"name\":\"%s\",\"clients\":%u,"
+            "{\"clients\":%u,"
             "\"duration_s\":%.3f,\"ok\":%llu,\"shed_busy\":%llu,"
             "\"errors\":%llu,\"retries\":%llu,"
             "\"error_kinds\":{\"deadline\":%llu,\"internal\":%llu,"
@@ -829,7 +820,7 @@ benchMode(const Options &opts)
             "\"jobs_per_sec\":%.2f,"
             "\"latency_ms\":{\"p50\":%.3f,\"p90\":%.3f,"
             "\"p99\":%.3f,\"max\":%.3f}",
-            opts.label.c_str(), opts.clients, elapsed,
+            opts.clients, elapsed,
             static_cast<unsigned long long>(ok),
             static_cast<unsigned long long>(busy),
             static_cast<unsigned long long>(errors),
@@ -887,8 +878,8 @@ main(int argc, char **argv)
         std::fprintf(stderr, "loadgen: unknown argument '%s'\n", arg);
         std::exit(usage(stderr));
     };
-    diag.parseU64 = [](const char *flag, const char *v) {
-        return parseU64(flag, v);
+    diag.badValue = [](const char *flag, const char *v) {
+        stsim_fatal("loadgen: bad value for %s: '%s'", flag, v);
     };
 
     // The usage text is a per-mode synopsis, not an options table, so
@@ -896,15 +887,15 @@ main(int argc, char **argv)
     args::FlagSet fs(diag);
     fs.str("--unix", "PATH", &opts.unixPath)
         .flag("--tcp", "PORT",
-              [&opts](const char *v) {
-                  opts.tcpPort =
-                      static_cast<int>(parseU64("--tcp", v));
+              [&fs, &opts](const char *v) {
+                  opts.tcpPort = static_cast<int>(fs.u64Value(
+                      "--tcp", v, std::numeric_limits<std::uint16_t>::max()));
               })
         .str("--manifest", "FILE", &opts.manifest)
         .str("--out", "FILE", &opts.outPath)
         .str("--json", "FILE", &opts.jsonPath)
         .u64("--clients", "N", &opts.clients)
-        .dblAtof("--duration-sec", "S", &opts.durationSec)
+        .dblPositive("--duration-sec", "S", &opts.durationSec)
         .u64("--deadline-ms", "D", &opts.deadlineMs)
         .u64("--window", "N", &opts.window)
         .u64("--count", "N", &opts.count)
@@ -913,7 +904,6 @@ main(int argc, char **argv)
         .u64("--retry", "N", &opts.retryMax)
         .u64("--index", "I", &opts.index)
         .u64("--id", "N", &opts.id)
-        .str("--label", "NAME", &opts.label)
         .boolean("--tolerate-disconnect", &opts.tolerateDisconnect);
     fs.parse(argc, argv, 2);
     if (opts.unixPath.empty() && opts.tcpPort < 0)

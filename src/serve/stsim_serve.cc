@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -40,16 +41,6 @@ struct ObsCli
     std::uint64_t statsIntervalSec = 0;
 };
 
-std::uint64_t
-parseU64(const char *flag, const char *s)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (!end || *end != '\0' || s[0] == '\0' || s[0] == '-')
-        stsim_fatal("serve: bad value for %s: '%s'", flag, s);
-    return v;
-}
-
 int usage(FILE *to);
 
 /**
@@ -70,9 +61,9 @@ registerFlags(args::FlagSet &fs, serve::ServeOptions &opts,
             },
             "listen on a Unix stream socket")
         .flag("--tcp", "PORT",
-              [&opts, &haveAddr](const char *v) {
-                  opts.tcpPort =
-                      static_cast<int>(parseU64("--tcp", v));
+              [&fs, &opts, &haveAddr](const char *v) {
+                  opts.tcpPort = static_cast<int>(fs.u64Value(
+                      "--tcp", v, std::numeric_limits<std::uint16_t>::max()));
                   haveAddr = true;
               },
               "listen on 127.0.0.1:PORT (0 = ephemeral;\n"
@@ -148,8 +139,8 @@ serveDiag()
         std::fprintf(stderr, "serve: unknown argument '%s'\n", arg);
         std::exit(usage(stderr));
     };
-    d.parseU64 = [](const char *flag, const char *v) {
-        return parseU64(flag, v);
+    d.badValue = [](const char *flag, const char *v) {
+        stsim_fatal("serve: bad value for %s: '%s'", flag, v);
     };
     d.notPositive = [](const char *flag) {
         stsim_fatal("serve: %s must be positive", flag);

@@ -94,6 +94,15 @@ TEST(RunPool, WaitRethrowsJobException)
     EXPECT_THROW(pool.wait(), std::runtime_error);
 }
 
+TEST(RunPool, WorkerCountIsCapped)
+{
+    // Just above the cap, never thousands: an uncapped pool would
+    // start every thread asked for.
+    RunPool pool(300);
+    EXPECT_EQ(pool.workers(), RunPool::kMaxWorkers);
+    EXPECT_EQ(RunPool::kMaxWorkers, 256u);
+}
+
 TEST(RunPool, StsimJobsOverridesDefault)
 {
     ASSERT_EQ(setenv("STSIM_JOBS", "3", 1), 0);

@@ -252,8 +252,8 @@ TEST(Throttling, ConfMetricsPopulated)
 namespace
 {
 
-/** The microbenchmark configuration (crafty, 50K measured commits,
- *  10K warmup) under a named experiment. */
+/** The pinned determinism configuration (crafty, 50K measured
+ *  commits, 10K warmup) under a named experiment. */
 SimConfig
 benchConfig(const std::string &exp)
 {

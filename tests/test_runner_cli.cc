@@ -21,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <stdlib.h>
@@ -431,6 +432,8 @@ TEST(ManifestCmd, ValidatesOverrides)
     };
     for (const Case &c : {
              Case{"--suite fig5 --insts 0", "--insts must be positive"},
+             Case{"--suite fig5 --insts -1", "bad --insts '-1'"},
+             Case{"--suite fig5 --warmup -1", "bad --warmup '-1'"},
              Case{"--suite fig5 --depth 99", "--depth must lie in [6,32]"},
              Case{"--suite fig5 --depth 5", "--depth must lie in [6,32]"},
              Case{"--suite fig6 --depth 14",
@@ -653,12 +656,21 @@ TEST(ServeDiag, ExactDiagnosticsAndExitCodes)
               std::string::npos)
         << mv.output;
 
-    CmdResult bad = run(serveBin() + " --tcp x 2>&1 >/dev/null");
-    EXPECT_EQ(bad.exitCode, 1);
-    EXPECT_NE(bad.output.find("fatal: serve: bad value for --tcp: "
-                              "'x'"),
-              std::string::npos)
-        << bad.output;
+    // A value that wraps or narrows is as bad as one that is not a
+    // number. `timeout`: a port that wrapped would serve forever.
+    for (const auto &[flag, value] :
+         {std::pair{"--tcp", "x"}, {"--tcp", "65536"},
+          {"--job-attempts", "4294967296"},
+          {"--poison-threshold", "4294967296"}}) {
+        CmdResult bad = run("timeout 10 " + serveBin() + " " + flag +
+                            " " + value + " 2>&1 >/dev/null");
+        EXPECT_EQ(bad.exitCode, 1) << flag << " " << value;
+        EXPECT_NE(bad.output.find(std::string("fatal: serve: bad value "
+                                              "for ") +
+                                  flag + ": '" + value + "'"),
+                  std::string::npos)
+            << bad.output;
+    }
 
     for (const char *flag : {"--max-line-bytes", "--reply-buffer",
                              "--job-attempts", "--poison-threshold"}) {
@@ -683,7 +695,7 @@ TEST(LoadgenHelp, GoldenFullText)
 "  abuse   --manifest FILE\n"
 "  slow    --manifest FILE [--count N] [--delay-ms D]\n"
 "  bench   --manifest FILE [--clients N] [--duration-sec S]\n"
-"          [--deadline-ms D] [--json FILE] [--label NAME]\n"
+"          [--deadline-ms D] [--json FILE]\n"
 "          [--retry N] [--tolerate-disconnect]\n"
 "  oneshot --manifest FILE [--index I] [--id N] [--deadline-ms D]\n"
 "          (prints the reply line on stdout)\n"
@@ -724,13 +736,18 @@ TEST(LoadgenDiag, ExactDiagnosticsAndExitCodes)
               std::string::npos)
         << mv.output;
 
-    CmdResult bad =
-        run(loadgenBin() + " ping --tries -3 2>&1 >/dev/null");
-    EXPECT_EQ(bad.exitCode, 1);
-    EXPECT_NE(bad.output.find("fatal: loadgen: bad value for "
-                              "--tries: '-3'"),
-              std::string::npos)
-        << bad.output;
+    for (const auto &[flag, value] :
+         {std::pair{"--tries", "-3"}, {"--tries", "4294967296"},
+          {"--tcp", "65536"}, {"--duration-sec", "abc"}}) {
+        CmdResult bad = run("timeout 10 " + loadgenBin() + " ping " +
+                            flag + " " + value + " 2>&1 >/dev/null");
+        EXPECT_EQ(bad.exitCode, 1) << flag << " " << value;
+        EXPECT_NE(bad.output.find(std::string("fatal: loadgen: bad "
+                                              "value for ") +
+                                  flag + ": '" + value + "'"),
+                  std::string::npos)
+            << bad.output;
+    }
 
     // No address given: usage on stderr, exit 2.
     CmdResult noaddr = run(loadgenBin() + " ping 2>&1 >/dev/null");
