@@ -164,7 +164,11 @@ main(int argc, char **argv)
         std::vector<SimResults> &out_;
     };
     Keep keep(*sink, results);
-    runJobs(jobs, keep);
+    try {
+        runJobs(jobs, keep);
+    } catch (const SinkWriteError &) {
+        outputWriteFailed("policy_explorer --out", outPath);
+    }
 
     std::vector<MetricGroup> groups = relativeGroups(jobs, results);
     for (std::size_t i = 0; i < groups.size(); ++i) {

@@ -137,7 +137,11 @@ main(int argc, char **argv)
 
     CalibrationTee tee(*file_sink, table, act, energyShare,
                        total_energy);
-    runJobs(jobs, tee);
+    try {
+        runJobs(jobs, tee);
+    } catch (const SinkWriteError &) {
+        outputWriteFailed("workload_calibration --out", out_path);
+    }
     table.print(std::cout);
 
     std::printf("\nPer-unit mean activity factors and energy shares "

@@ -215,22 +215,25 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
             while (unfinished < tasks.size() && finished[unfinished])
                 ++unfinished;
             gate.notify_all();
-            while (!pending.empty() && pending.begin()->first == next) {
-                // Consume the record before writing, and mark the abort
-                // while still holding the lock on a throwing write: no
-                // drain (they are serialized under `mu`, which also
-                // spares sinks their own locking) can ever re-attempt
-                // an index or commit past a failure.
-                SimResults out = std::move(pending.begin()->second);
-                pending.erase(pending.begin());
-                const std::size_t idx = next++;
-                try {
-                    sink.write(idx, out);
-                } catch (...) {
-                    aborted = true;
-                    gate.notify_all();
-                    throw; // lock released by unwinding
+            // Consume each record before writing it, and mark the abort
+            // while still holding the lock on a throwing write or flush:
+            // no drain (they are serialized under `mu`, which also
+            // spares sinks their own locking) can ever re-attempt an
+            // index or commit past a failure. One flush per frontier
+            // advance hands the consumer every record as it commits.
+            const std::size_t first = next;
+            try {
+                while (!pending.empty() && pending.begin()->first == next) {
+                    SimResults out = std::move(pending.begin()->second);
+                    pending.erase(pending.begin());
+                    sink.write(next++, out);
                 }
+                if (next != first)
+                    sink.flush();
+            } catch (...) {
+                aborted = true;
+                gate.notify_all();
+                throw; // lock released by unwinding
             }
         });
     }

@@ -117,7 +117,11 @@ struct RunOptions
  * caps held results without limiting steady-state parallelism.
  *
  * sink.write() calls are serialized and in submission order;
- * sink.flush() runs once after the last write.
+ * sink.flush() runs, under the same lock, after every commit that
+ * wrote records, and once at the end, so a stream sink hands each
+ * record to its consumer as it commits. A throwing write or flush (a
+ * stream sink's SinkWriteError) aborts the wave: no task starts after
+ * it, running tasks finish, and the exception leaves this call.
  *
  * When @p cancel is non-null, it is checked before each task starts
  * and polled inside the simulator; a fired token makes the wave

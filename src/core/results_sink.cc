@@ -21,6 +21,13 @@ namespace stsim
 
 ResultsSink::~ResultsSink() = default;
 
+namespace
+{
+
+/**
+ * True when stdout is a pipe whose read end has gone away (EPIPE
+ * territory) -- detected via poll(), so no errno is consumed.
+ */
 bool
 stdoutClosedByPeer()
 {
@@ -30,27 +37,28 @@ stdoutClosedByPeer()
     return (p.revents & (POLLERR | POLLHUP)) != 0;
 }
 
-namespace
+/** Push @p out's buffer to its file; a failed stream aborts the wave. */
+void
+flushOrThrow(std::ostream &out, const char *what)
 {
-
-/**
- * A stdout stream failure is usually a vanished consumer (`| head`):
- * with SIGPIPE ignored the write fails, the stream poisons, and the
- * right behavior is a quiet, successful exit -- the downstream got
- * everything it wanted. Anything else stays fatal.
- */
-[[noreturn]] void
-streamWriteFailed(std::ostream &out, const char *what)
-{
-    if (&out == &std::cout && stdoutClosedByPeer()) {
-        stsim_inform("%s: stdout consumer closed the pipe; exiting",
-                     what);
-        std::exit(0);
-    }
-    stsim_fatal("%s: stream write failed", what);
+    out.flush();
+    if (!out)
+        throw SinkWriteError(std::string(what) + ": stream write failed");
 }
 
 } // namespace
+
+void
+outputWriteFailed(const char *what, const std::string &path)
+{
+    const bool toStdout = path.empty() || path == "-";
+    if (toStdout && stdoutClosedByPeer()) {
+        stsim_inform("%s: stdout consumer closed the pipe; exiting", what);
+        std::exit(0);
+    }
+    stsim_fatal("%s: write to '%s' failed", what,
+                toStdout ? "<stdout>" : path.c_str());
+}
 
 void
 JsonlResultsSink::write(std::uint64_t index, const SimResults &r)
@@ -61,9 +69,7 @@ JsonlResultsSink::write(std::uint64_t index, const SimResults &r)
 void
 JsonlResultsSink::flush()
 {
-    out_.flush();
-    if (!out_)
-        streamWriteFailed(out_, "JSONL results sink");
+    flushOrThrow(out_, "JSONL results sink");
 }
 
 namespace
@@ -184,9 +190,7 @@ CsvResultsSink::write(std::uint64_t index, const SimResults &r)
 void
 CsvResultsSink::flush()
 {
-    out_.flush();
-    if (!out_)
-        streamWriteFailed(out_, "CSV results sink");
+    flushOrThrow(out_, "CSV results sink");
 }
 
 void

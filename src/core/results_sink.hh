@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -34,8 +35,24 @@ class ResultsSink
     /** Commit the result of submission index @p index. */
     virtual void write(std::uint64_t index, const SimResults &r) = 0;
 
-    /** Called once after the last write of a wave. */
+    /**
+     * Hand the records written so far to their consumer. The engine
+     * calls it after every commit that wrote records, and once at the
+     * end of a wave.
+     */
     virtual void flush() {}
+};
+
+/**
+ * Thrown by a stream sink's flush() when its stream failed a write (a
+ * vanished `| head` reader, a full disk). The engine aborts the wave
+ * on it like on any throwing sink, so the caller applies
+ * outputWriteFailed() on its own thread once the workers have stopped.
+ */
+class SinkWriteError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
 };
 
 /** Discards everything (in-process callers that only want metrics). */
@@ -49,7 +66,8 @@ class NullResultsSink : public ResultsSink
  * One indexed JSON record per line (serde::resultRecordToJson).
  * Because every double is hex-float encoded, two JSONL streams are
  * byte-identical iff the results are bit-identical -- the property the
- * CI shard-equivalence gate diffs for.
+ * CI shard-equivalence gate diffs for. flush() throws SinkWriteError
+ * when the stream has failed.
  */
 class JsonlResultsSink : public ResultsSink
 {
@@ -67,7 +85,8 @@ class JsonlResultsSink : public ResultsSink
 /**
  * Flat CSV: an "index" column, identity columns, every CoreStats
  * counter, and the headline doubles in round-trippable "%.17g" form.
- * The header row is emitted before the first record.
+ * The header row is emitted before the first record. flush() throws
+ * SinkWriteError when the stream has failed.
  */
 class CsvResultsSink : public ResultsSink
 {
@@ -150,13 +169,15 @@ std::unique_ptr<ResultsSink> openSink(const std::string &path,
                                       const std::string &format = "");
 
 /**
- * True when stdout is a pipe whose read end has gone away (EPIPE
- * territory) -- detected via poll(), so no errno is consumed. Lets
- * `stsim_runner ... | head` treat a failed stdout write as a clean
- * early exit instead of a fatal, while real write failures (disk
- * full, I/O error) keep dying loudly.
+ * The one rule for a failed write to an output @p path (empty or "-"
+ * for stdout), as openSink() resolves it. A stdout whose reader has
+ * gone away (`... | head`, with SIGPIPE ignored) is a quiet exit 0:
+ * the consumer got everything it wanted. Any other failure (disk full,
+ * I/O error) is a fatal that names @p what and the path. Ends the
+ * process, so call it from the main thread, never from a worker.
  */
-bool stdoutClosedByPeer();
+[[noreturn]] void outputWriteFailed(const char *what,
+                                    const std::string &path);
 
 } // namespace stsim
 

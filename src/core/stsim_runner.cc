@@ -218,24 +218,13 @@ class OutFile
 
     std::ostream &stream() { return file_.is_open() ? file_ : std::cout; }
 
-    /**
-     * Flush and verify. A stdout stream poisoned because the consumer
-     * closed the pipe (`... | head`, SIGPIPE ignored) is a clean early
-     * exit; any other failure is fatal, with the path named.
-     */
+    /** Flush and verify; a failed stream takes outputWriteFailed(). */
     void
     finish(const char *what)
     {
         stream().flush();
-        if (stream())
-            return;
-        if (!file_.is_open() && stdoutClosedByPeer()) {
-            stsim_inform("%s: stdout consumer closed the pipe; "
-                         "exiting", what);
-            std::exit(0);
-        }
-        stsim_fatal("%s: write to '%s' failed", what,
-                    file_.is_open() ? path_.c_str() : "<stdout>");
+        if (!stream())
+            outputWriteFailed(what, path_);
     }
 
   private:
@@ -245,8 +234,10 @@ class OutFile
 
 /**
  * Fault-injection sink for the dispatch gate (dist::kTestHangEnv):
- * commits and flushes the first record, then stalls so the test
- * harness can SIGKILL a worker that is deterministically mid-shard.
+ * commits the first record, then stalls so the test harness can
+ * SIGKILL a worker that is deterministically mid-shard. It stalls
+ * inside write(), before the engine's per-commit flush would run, so
+ * it flushes the record itself.
  */
 class HangAfterFirstRecordSink : public ResultsSink
 {
@@ -493,6 +484,15 @@ cmdRunOrDump(int argc, char **argv, bool sharded)
         snapshot = readFile(snapshot_path);
         ropts.fromSnapshot = &snapshot;
     }
+    // A failed write aborts the wave at the commit that hit it; the
+    // write-failure rule then runs here, once every worker has stopped.
+    auto wave = [&](const std::vector<SimJob> &jobs, ResultsSink &to) {
+        try {
+            return runJobs(jobs, to, ropts);
+        } catch (const SinkWriteError &) {
+            outputWriteFailed(sharded ? "run" : "dump", out_path);
+        }
+    };
 
     if (!sharded) {
         // In-process reference path: the whole matrix through the
@@ -502,7 +502,7 @@ cmdRunOrDump(int argc, char **argv, bool sharded)
         all.reserve(lines.size());
         for (const std::string &line : lines)
             all.push_back(serde::jobFromJson(line));
-        StreamStats stats = runJobs(all, *sink, ropts);
+        StreamStats stats = wave(all, *sink);
         std::fprintf(stderr, "stsim_runner: dumped %zu results\n",
                      all.size());
         if (memoize) {
@@ -531,7 +531,7 @@ cmdRunOrDump(int argc, char **argv, bool sharded)
         commit = hang.get();
     }
     IndexRemapSink remap(*commit, std::move(globalIndex));
-    StreamStats stats = runJobs(mine, remap, ropts);
+    StreamStats stats = wave(mine, remap);
     std::fprintf(stderr,
                  "stsim_runner: shard %llu/%llu ran %zu of %zu jobs "
                  "(max %zu results held for reorder)\n",

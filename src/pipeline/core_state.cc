@@ -184,18 +184,66 @@ saveRing(serde::StateWriter &w, const char *section, const SlotRing &q)
     w.end(section);
 }
 
+/**
+ * Where a slot stands while a snapshot restores: the list that names
+ * it, then the ring that holds it. Restore moves each slot along
+ * Unlisted -> Free, or Unlisted -> Live -> one of the three queues,
+ * and a ROB slot on to Lsq when the LSQ holds it too; any other move
+ * is a corrupt image.
+ */
+enum class SlotRole : std::uint8_t
+{
+    Unlisted,
+    Free,
+    Live,
+    FetchQ,
+    DispatchQ,
+    Rob,
+    Lsq,
+};
+
+const char *
+roleName(SlotRole role)
+{
+    switch (role) {
+      case SlotRole::Unlisted: return "unlisted";
+      case SlotRole::Free: return "free";
+      case SlotRole::Live: return "live";
+      case SlotRole::FetchQ: return "in fetch_q";
+      case SlotRole::DispatchQ: return "in dispatch_q";
+      case SlotRole::Rob: return "in rob";
+      case SlotRole::Lsq: return "in lsq";
+    }
+    return "?";
+}
+
+/** Move slot @p s, named by @p list, from role @p from to @p to. */
+void
+claimSlot(std::vector<SlotRole> &roles, const char *list,
+          std::uint64_t s, SlotRole from, SlotRole to)
+{
+    const auto slot = static_cast<unsigned long long>(s);
+    if (s >= roles.size())
+        stsim_fatal("state: %s holds slot %llu beyond the pool (%zu "
+                    "slots)",
+                    list, slot, roles.size());
+    if (roles[s] != from && from == SlotRole::Unlisted)
+        stsim_fatal("state: %s holds slot %llu, which is already %s",
+                    list, slot, roleName(roles[s]));
+    if (roles[s] != from)
+        stsim_fatal("state: %s holds slot %llu, which is %s, not %s",
+                    list, slot, roleName(roles[s]), roleName(from));
+    roles[s] = to;
+}
+
 void
 loadRing(serde::StateReader &r, const char *section, SlotRing &q,
-         std::size_t pool_size)
+         std::vector<SlotRole> &roles, SlotRole from, SlotRole to)
 {
     r.begin(section);
     q.restartAt(r.u64("head"));
     for (std::uint64_t s : r.u64Vec("items")) {
-        if (s >= pool_size)
-            stsim_fatal("state: %s holds slot %llu beyond the pool "
-                        "(%zu slots)",
-                        section, static_cast<unsigned long long>(s),
-                        pool_size);
+        claimSlot(roles, section, s, from, to);
         q.push_back(static_cast<std::uint32_t>(s));
     }
     r.end(section);
@@ -305,23 +353,24 @@ Core::loadState(serde::StateReader &r)
         stsim_fatal("state: core slot partition mismatch (%zu free + "
                     "%zu live != %zu)",
                     free_slots.size(), live.size(), slots_.size());
+    // With the counts adding up, naming each slot once makes the two
+    // lists a partition of the pool.
+    std::vector<SlotRole> roles(slots_.size(), SlotRole::Unlisted);
+    for (std::uint64_t s : free_slots)
+        claimSlot(roles, "free_slots", s, SlotRole::Unlisted,
+                  SlotRole::Free);
+    for (std::uint64_t s : live)
+        claimSlot(roles, "live_slots", s, SlotRole::Unlisted,
+                  SlotRole::Live);
     for (DynInst &di : slots_) {
         di.reset();
         di.seq = kInvalidSeq;
     }
     freeSlots_.clear();
-    for (std::uint64_t s : free_slots) {
-        if (s >= slots_.size())
-            stsim_fatal("state: free slot %llu beyond the pool",
-                        static_cast<unsigned long long>(s));
+    for (std::uint64_t s : free_slots)
         freeSlots_.push_back(static_cast<std::uint32_t>(s));
-    }
-    for (std::uint64_t s : live) {
-        if (s >= slots_.size())
-            stsim_fatal("state: live slot %llu beyond the pool",
-                        static_cast<unsigned long long>(s));
+    for (std::uint64_t s : live)
         loadInst(r, slots_[s], deps_.bpred->ras().size());
-    }
     // The seq -> slot ring grows until every live seq has its own
     // cell, which two equal seqs never do.
     std::vector<InstSeq> seqs;
@@ -337,10 +386,19 @@ Core::loadState(serde::StateReader &r)
     for (std::uint64_t s : live)
         insertSeqSlot(slots_[s].seq, static_cast<std::uint32_t>(s));
 
-    loadRing(r, "fetch_q", fetchQ_, slots_.size());
-    loadRing(r, "dispatch_q", dispatchQ_, slots_.size());
-    loadRing(r, "rob", rob_, slots_.size());
-    loadRing(r, "lsq", lsq_, slots_.size());
+    // Every live slot sits in exactly one of the three queues, and
+    // the LSQ holds only ROB slots.
+    loadRing(r, "fetch_q", fetchQ_, roles, SlotRole::Live,
+             SlotRole::FetchQ);
+    loadRing(r, "dispatch_q", dispatchQ_, roles, SlotRole::Live,
+             SlotRole::DispatchQ);
+    loadRing(r, "rob", rob_, roles, SlotRole::Live, SlotRole::Rob);
+    for (std::uint64_t s : live)
+        if (roles[s] == SlotRole::Live)
+            stsim_fatal("state: live slot %llu is in none of fetch_q, "
+                        "dispatch_q and rob",
+                        static_cast<unsigned long long>(s));
+    loadRing(r, "lsq", lsq_, roles, SlotRole::Rob, SlotRole::Lsq);
     lsqBasePos_ = r.u64("lsq_base_pos");
     robBasePos_ = r.u64("rob_base_pos");
     readyStores_ = static_cast<unsigned>(r.u64("ready_stores", UINT_MAX));

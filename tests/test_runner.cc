@@ -1,9 +1,11 @@
 /**
  * @file
  * Streaming-sink and shard-merge tests for the out-of-process
- * experiment engine: in-order JSONL/CSV commits, the bounded reorder
- * window (peak held results independent of matrix size), and modulo-shard
- * execution merged back bit-for-bit against the in-process path.
+ * experiment engine: in-order JSONL/CSV commits, a flush after every
+ * commit that wrote records, a failed flush stopping the wave, the
+ * bounded reorder window (peak held results independent of matrix
+ * size), and modulo-shard execution merged back bit-for-bit against
+ * the in-process path.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "core/parallel_harness.hh"
 #include "core/results_sink.hh"
 #include "core/suites.hh"
+#include "obs/metrics.hh"
 
 using namespace stsim;
 
@@ -129,6 +132,113 @@ TEST(StreamingEngine, ThrowingJobAbortsTheWaveInsteadOfDeadlocking)
     };
     ThrowingSink sink;
     EXPECT_THROW(runJobs(tinyJobs(12), sink, 2), std::runtime_error);
+}
+
+namespace
+{
+
+/**
+ * Logs, at each flush, how many records had been written. A @p failing
+ * sink's flush throws SinkWriteError, as a stream sink's does once its
+ * reader has gone.
+ */
+class FlushLogSink : public ResultsSink
+{
+  public:
+    explicit FlushLogSink(bool failing = false) : failing_(failing) {}
+
+    void write(std::uint64_t, const SimResults &) override { ++writes; }
+
+    void
+    flush() override
+    {
+        log.push_back(writes);
+        if (failing_)
+            throw SinkWriteError("flush failed");
+    }
+
+    std::size_t writes = 0;
+    std::vector<std::size_t> log;
+
+  private:
+    bool failing_;
+};
+
+std::uint64_t
+jobsCompleted()
+{
+    return obs::Registry::instance()
+        .counter("runjobs.jobs_completed")
+        .value();
+}
+
+} // namespace
+
+TEST(StreamingEngine, FlushesAfterEveryCommit)
+{
+    // One worker commits each job on its own, so the consumer is
+    // handed every record as it commits, then once more at the end.
+    const std::size_t n = 6;
+    FlushLogSink sink;
+    runJobs(tinyJobs(n), sink, 1);
+    std::vector<std::size_t> want;
+    for (std::size_t i = 1; i <= n; ++i)
+        want.push_back(i);
+    want.push_back(n);
+    EXPECT_EQ(sink.log, want);
+}
+
+TEST(StreamingEngine, MemoizedWaveFlushesOncePerClass)
+{
+    // Three warmup classes of four run lengths each: a class commits
+    // its records in one go, so a flush never splits a class.
+    std::vector<SimJob> jobs;
+    for (const char *bench : {"go", "twolf", "crafty"}) {
+        for (std::uint64_t insts : {1'000, 2'000, 3'000, 4'000}) {
+            SimJob j;
+            j.cfg.benchmark = bench;
+            j.cfg.maxInstructions = insts;
+            j.cfg.warmupInstructions = 1'000;
+            Experiment::byName("C2").applyTo(j.cfg);
+            j.experiment = "C2";
+            jobs.push_back(std::move(j));
+        }
+    }
+    RunOptions opts;
+    opts.workers = 2;
+    opts.memoizeWarmup = true;
+    FlushLogSink sink;
+    runJobs(jobs, sink, opts);
+    // At least one commit's flush, then the final one.
+    EXPECT_GE(sink.log.size(), 2u);
+    EXPECT_LE(sink.log.size(), 3u + 1u);
+    for (std::size_t written : sink.log)
+        EXPECT_EQ(written % 4, 0u) << "a flush split a class";
+    EXPECT_EQ(sink.log.back(), jobs.size());
+}
+
+TEST(StreamingEngine, FailedFlushStopsTheWave)
+{
+    // The flush after the first commit fails: no later task starts,
+    // and the failure leaves runJobs instead of running the rest of
+    // the wave into a dead stream.
+    FlushLogSink sink(/*failing=*/true);
+    const std::uint64_t before = jobsCompleted();
+    EXPECT_THROW(runJobs(tinyJobs(16), sink, 1), SinkWriteError);
+    EXPECT_EQ(jobsCompleted() - before, 1u);
+    EXPECT_EQ(sink.writes, 1u);
+}
+
+TEST(StreamingEngine, FailedFlushWithMoreTasksThanTheWindowDoesNotHang)
+{
+    // 24 tasks behind a window of 4: workers blocked at the gate must
+    // be released when the flush fails, or pool.wait() never returns.
+    // Tasks past the window never start, so at most the window's
+    // worth of jobs completes.
+    FlushLogSink sink(/*failing=*/true);
+    const std::uint64_t before = jobsCompleted();
+    EXPECT_THROW(runJobs(tinyJobs(24), sink, 2), SinkWriteError);
+    EXPECT_LE(jobsCompleted() - before, 4u);
 }
 
 TEST(ShardMerge, FourShardsMergeBitForBitAgainstInProcess)

@@ -6,7 +6,8 @@
  * missing index, non-index-ascending shard files, manifest-derived
  * record counts, and the dup-tolerant verify -- manifest validates
  * its overrides, report renders a suite only from exactly that
- * suite's records, and, since all three
+ * suite's records, `dump | head` stops at the next commit, a failed
+ * --out write names its path, and, since all three
  * binaries parse flags through common/arg_parse.hh, the help texts
  * and exit-2 diagnostics of stsim_serve and stsim_loadgen are
  * asserted byte-for-byte against their pre-refactor goldens.
@@ -19,6 +20,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -281,6 +283,65 @@ TEST(SigPipe, ManifestPipedIntoHeadExitsZero)
     EXPECT_EQ(r.exitCode, 0);
 }
 
+TEST(SigPipe, DumpPipedIntoHeadStopsAtTheNextCommit)
+{
+    // About a hundred short jobs (a few hundred ms of slack for `head`
+    // to exit), then three long ones, on one worker: the records reach
+    // `head` as they commit, so it exits after the first and the flush
+    // of a later short job finds the pipe closed. The dump must stop
+    // there, exit 0, and never start the long jobs, which alone
+    // outlast the timeout.
+    TempDir tmp;
+    CmdResult shortJobs = run(runner() + " manifest --suite golden "
+                              "--insts 2000 --warmup 500 2>/dev/null");
+    ASSERT_EQ(shortJobs.exitCode, 0);
+    CmdResult longJobs = run(runner() + " manifest --suite golden "
+                             "--insts 20000000 --warmup 500 "
+                             "2>/dev/null | head -n 3");
+    ASSERT_EQ(longJobs.exitCode, 0);
+    std::string jobs;
+    for (int i = 0; i < 6; ++i)
+        jobs += shortJobs.output;
+    std::string manifest = tmp.file("m.jsonl", jobs + longJobs.output);
+    std::string err = tmp.path + "/err.txt";
+    CmdResult r = run("bash -c 'timeout 10 \"" STSIM_RUNNER_PATH "\" "
+                      "dump --manifest \"" + manifest + "\" --jobs 1 "
+                      "2>\"" + err + "\" | head -n 1 >/dev/null; "
+                      "exit ${PIPESTATUS[0]}'");
+    std::ifstream in(err);
+    std::string diag((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_EQ(r.exitCode, 0) << diag;
+    EXPECT_NE(diag.find("dump: stdout consumer closed the pipe"),
+              std::string::npos)
+        << diag;
+}
+
+TEST(WriteFailure, EveryOutputNamesItsPath)
+{
+    // One rule for every runner output: a write that fails anywhere
+    // but a closed stdout pipe is fatal and names the path.
+    TempDir tmp;
+    std::string manifest = tmp.path + "/m.jsonl";
+    CmdResult m = run(runner() + " manifest --suite golden "
+                      "--insts 2000 --warmup 500 --out '" + manifest +
+                      "' 2>&1");
+    ASSERT_EQ(m.exitCode, 0) << m.output;
+    for (const std::string &cmd :
+         {std::string("manifest --suite golden"),
+          "dump --manifest '" + manifest + "'",
+          "run --manifest '" + manifest + "' --shard 0/2"}) {
+        CmdResult r = run(runner() + " " + cmd +
+                          " --out /dev/full 2>&1 >/dev/null");
+        const std::string what = cmd.substr(0, cmd.find(' '));
+        EXPECT_EQ(r.exitCode, 1) << cmd << ": " << r.output;
+        EXPECT_NE(r.output.find("fatal: " + what +
+                                ": write to '/dev/full' failed"),
+                  std::string::npos)
+            << cmd << ": " << r.output;
+    }
+}
+
 TEST(RunTimeout, WatchdogExits124WhenAShardWedges)
 {
     // The hang hook stalls the shard after its first committed record
@@ -313,6 +374,36 @@ TEST(RunTimeout, FlagIsRejectedOutsideShardedRun)
     EXPECT_NE(r.output.find("unknown flag --timeout-sec"),
               std::string::npos)
         << r.output;
+}
+
+TEST(RunnerFlags, BadShardAndTimeoutValuesAreUsageErrors)
+{
+    // Every value is decoded as digits only and bounded by its field:
+    // a sign, a trailing letter or a value the field cannot hold is
+    // the flag's exit-2 diagnostic, never a wrapped run.
+    TempDir tmp;
+    struct Case
+    {
+        std::string args;
+        const char *diag;
+    };
+    const char *shardDiag = "--shard wants I/N with 0 <= I < N";
+    for (const Case &c : {
+             Case{"run --manifest /dev/null --shard 0/-1", shardDiag},
+             Case{"run --manifest /dev/null --shard 1/2x", shardDiag},
+             Case{"run --manifest /dev/null --shard +0/2", shardDiag},
+             Case{"run --manifest /dev/null --shard 0/2 "
+                  "--timeout-sec 4294967296",
+                  "bad --timeout-sec '4294967296'"},
+             Case{"dispatch --manifest /dev/null --dir '" + tmp.path +
+                      "' --timeout-sec 18446744073709552",
+                  "bad --timeout-sec '18446744073709552'"},
+         }) {
+        CmdResult r = run(runner() + " " + c.args + " 2>&1 >/dev/null");
+        EXPECT_EQ(r.exitCode, 2) << c.args;
+        EXPECT_NE(r.output.find(c.diag), std::string::npos)
+            << c.args << ": " << r.output;
+    }
 }
 
 TEST(RunnerHelp, EveryPublicSubcommandAndFlagIsDocumented)

@@ -18,6 +18,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "core/job_serde.hh"
@@ -873,6 +874,102 @@ TEST(Snapshot, DuplicateLiveSeqIsFatal)
     expectRejected(img, "two live insts have seq " + seq);
 }
 
+namespace
+{
+
+/** The values of the first `key count v...` array line at or after
+ *  @p from, without the count. */
+std::vector<std::string>
+arrayValues(const std::string &img, const std::string &key,
+            std::size_t from = 0)
+{
+    const std::string needle = "\n" + key + " ";
+    std::size_t pos = img.find(needle, from);
+    if (pos == std::string::npos) {
+        ADD_FAILURE() << key;
+        return {};
+    }
+    pos += needle.size();
+    std::istringstream in(img.substr(pos, img.find('\n', pos) - pos));
+    std::vector<std::string> out;
+    std::string tok;
+    in >> tok; // the count
+    while (in >> tok)
+        out.push_back(tok);
+    return out;
+}
+
+/** Overwrite that array line with @p values. */
+void
+setArray(std::string &img, const std::string &key,
+         const std::vector<std::string> &values, std::size_t from = 0)
+{
+    std::string line = std::to_string(values.size());
+    for (const std::string &v : values)
+        line += " " + v;
+    setValue(img, key, line, from);
+}
+
+/** Offset of the `[section]` header of a core queue in @p img. */
+std::size_t
+ring(const std::string &img, const std::string &section)
+{
+    const std::size_t at = img.find("\n[" + section + "]\n");
+    EXPECT_NE(at, std::string::npos) << section;
+    return at;
+}
+
+} // namespace
+
+/// The slot lists and the queues must agree: free_slots and live_slots
+/// partition the pool, every live slot sits in exactly one of fetch_q,
+/// dispatch_q and rob, and the LSQ holds only ROB slots. Each case
+/// rewrites one array line; the wrong-path image's instructions are
+/// all in fetch_q, so most cases add a slot to an empty queue.
+TEST(Snapshot, SlotPoolMustBePartitioned)
+{
+    const std::string warm = wrongPathImage();
+    std::vector<std::string> free = arrayValues(warm, "free_slots");
+    std::vector<std::string> fetch =
+        arrayValues(warm, "items", ring(warm, "fetch_q"));
+    ASSERT_GE(free.size(), 2u);
+    ASSERT_FALSE(fetch.empty());
+    const std::string freeSlot = free.front();
+    const std::string liveSlot = fetch.front();
+    free.back() = freeSlot;
+    fetch.erase(fetch.begin());
+
+    struct Case
+    {
+        const char *section; // nullptr: the core's own lines
+        const char *key;
+        std::vector<std::string> values;
+        std::string diag;
+    };
+    for (const Case &c : {
+             Case{nullptr, "free_slots", free,
+                  "free_slots holds slot " + freeSlot +
+                      ", which is already free"},
+             Case{"rob", "items", {freeSlot},
+                  "rob holds slot " + freeSlot +
+                      ", which is free, not live"},
+             Case{"rob", "items", {liveSlot},
+                  "rob holds slot " + liveSlot +
+                      ", which is in fetch_q, not live"},
+             Case{"fetch_q", "items", fetch,
+                  "live slot " + liveSlot +
+                      " is in none of fetch_q, dispatch_q and rob"},
+             Case{"lsq", "items", {liveSlot},
+                  "lsq holds slot " + liveSlot +
+                      ", which is in fetch_q, not in rob"},
+         }) {
+        SCOPED_TRACE(c.diag);
+        std::string img = warm;
+        setArray(img, c.key, c.values, c.section ? ring(img, c.section) : 0);
+        expectRejected(img, c.diag);
+    }
+}
+
 //
 // Snapshot-image mutation fuzz
 //
@@ -939,8 +1036,9 @@ isDerivedLine(const std::string &key)
 /// structured error, or restore to a machine whose saved image
 /// repeats the mutated line byte for byte: restore may not narrow,
 /// wrap or drop a value. Junk never restores. The restored machines
-/// are not run; nothing checks yet that the core's fields agree with
-/// one another.
+/// are not run; beyond the slot pool's partition into free slots and
+/// queues, nothing checks yet that the core's fields agree with one
+/// another.
 TEST(SnapshotFuzz, MutatedImageFailsOrRoundTrips)
 {
     const SimConfig cfg = smallConfig("C2");
