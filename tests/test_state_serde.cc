@@ -600,19 +600,84 @@ expectRejected(const std::string &img, const std::string &what,
 
 } // namespace
 
-/// Pins one snapshot image byte for byte (FNV-1a 64 over the text):
-/// any change to what a snapshot holds, or to the simulation that
-/// reached it, changes the digest.
-TEST(Snapshot, WrongPathImageIsPinned)
+namespace
 {
-    const std::string img = wrongPathImage();
-    ASSERT_NE(img.find("\nhas_wrong_cursor 1\n"), std::string::npos);
+
+/** FNV-1a 64 over a snapshot image's text. */
+std::uint64_t
+imageDigest(const std::string &img)
+{
     std::uint64_t h = 14695981039346656037ull;
     for (unsigned char c : img) {
         h ^= c;
         h *= 1099511628211ull;
     }
-    EXPECT_EQ(h, 0xb0fbe52e4f57e948ull) << img.size() << " bytes";
+    return h;
+}
+
+/** A snapshot taken at the end of @p cfg's warmup. */
+std::string
+warmImage(const SimConfig &cfg)
+{
+    Simulator a(cfg);
+    a.runWarmup();
+    return a.saveSnapshot();
+}
+
+} // namespace
+
+/// Pins one snapshot image byte for byte: any change to what a
+/// snapshot holds, or to the simulation that reached it, changes the
+/// digest.
+TEST(Snapshot, WrongPathImageIsPinned)
+{
+    const std::string img = wrongPathImage();
+    ASSERT_NE(img.find("\nhas_wrong_cursor 1\n"), std::string::npos);
+    EXPECT_EQ(imageDigest(img), 0xb0fbe52e4f57e948ull)
+        << img.size() << " bytes";
+}
+
+/// Pins the image layouts the wrong-path image does not reach: JRS
+/// and the gating controller, the bimodal table, the oracle's empty
+/// confidence section, a machine with no estimator and no speculation
+/// control, and a snapshot taken mid-warmup.
+TEST(Snapshot, EveryLayoutIsPinned)
+{
+    SimConfig bimodal = smallConfig("C2");
+    bimodal.bpred.kind = BpredConfig::Kind::Bimodal;
+    SimConfig perfect = smallConfig("C2");
+    perfect.confKind = ConfKind::Perfect;
+    Simulator midWarmup(smallConfig("PG"));
+    for (int i = 0; i < 500; ++i)
+        midWarmup.core().tick();
+
+    const struct
+    {
+        const char *name;
+        std::string img;
+        const char *holds; ///< a line this layout must have
+        std::uint64_t digest;
+    } cases[] = {
+        {"PG", warmImage(smallConfig("PG")), "\nmdc ",
+         0x9c4d31d52de0b9cfull},
+        {"bimodal", warmImage(bimodal), "\n[bimodal]\n",
+         0xba5092b9aa53397bull},
+        {"perfect", warmImage(perfect), "\n[confidence]\n[/confidence]\n",
+         0xb53d2e8798fb6975ull},
+        {"baseline", warmImage(smallConfig("baseline")),
+         "\n[controller]\nseq 0\n", 0x233250d431a2cbadull},
+        {"mid-warmup", midWarmup.saveSnapshot(), "\nphase 0\n",
+         0x752172aeb579cd10ull},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        EXPECT_NE(c.img.find(c.holds), std::string::npos);
+        EXPECT_EQ(imageDigest(c.img), c.digest)
+            << std::hex << "0x" << imageDigest(c.img) << std::dec << ", "
+            << c.img.size() << " bytes";
+    }
+    // The baseline machine has no estimator at all.
+    EXPECT_EQ(cases[3].img.find("\n[confidence]\n"), std::string::npos);
 }
 
 TEST(Snapshot, OutOfRangeConfIsFatal)
@@ -651,20 +716,6 @@ TEST(Snapshot, OutOfRangeRasTopIsFatal)
              std::to_string(smallConfig("C2").bpred.rasEntries), ras);
     expectRejected(img, "RAS top");
 }
-
-namespace
-{
-
-/** A snapshot taken at the end of @p cfg's warmup. */
-std::string
-warmImage(const SimConfig &cfg)
-{
-    Simulator a(cfg);
-    a.runWarmup();
-    return a.saveSnapshot();
-}
-
-} // namespace
 
 TEST(Snapshot, OutOfRangeMruWayIsFatal)
 {
