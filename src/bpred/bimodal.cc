@@ -37,25 +37,11 @@ Bimodal::update(Addr pc, std::uint64_t /*hist*/, bool taken)
 }
 
 void
-Bimodal::saveState(serde::StateWriter &w) const
+Bimodal::state(serde::StateIO &io)
 {
-    w.begin("bimodal");
-    std::vector<std::uint64_t> v(pht_.size());
-    for (std::size_t i = 0; i < pht_.size(); ++i)
-        v[i] = pht_[i].value();
-    w.u64Vec("pht", v);
-    w.end("bimodal");
-}
-
-void
-Bimodal::loadState(serde::StateReader &r)
-{
-    r.begin("bimodal");
-    std::vector<std::uint64_t> v =
-        r.u64Vec("pht", pht_.size(), pht_.front().maxValue());
-    for (std::size_t i = 0; i < pht_.size(); ++i)
-        pht_[i].set(static_cast<unsigned>(v[i]));
-    r.end("bimodal");
+    io.begin("bimodal");
+    io.counters("pht", pht_);
+    io.end("bimodal");
 }
 
 } // namespace stsim

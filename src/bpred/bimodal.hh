@@ -29,8 +29,7 @@ class Bimodal : public DirectionPredictor
 
     std::size_t numEntries() const { return pht_.size(); }
 
-    void saveState(serde::StateWriter &w) const override;
-    void loadState(serde::StateReader &r) override;
+    void state(serde::StateIO &io) override;
 
   private:
     std::size_t sizeBytes_;

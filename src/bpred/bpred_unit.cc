@@ -126,31 +126,17 @@ BpredUnit::squashRestore(const TraceInst &inst,
 }
 
 void
-BpredUnit::saveState(serde::StateWriter &w) const
+BpredUnit::state(serde::StateIO &io)
 {
-    w.begin("bpred");
-    dirPred_->saveState(w);
-    btb_.saveState(w);
-    ras_.saveState(w);
-    w.u64("spec_hist", specHist_);
-    w.u64("lookups", lookups_);
-    w.u64("cond_updates", condUpdates_);
-    w.u64("cond_mispredicts", condMispredicts_);
-    w.end("bpred");
-}
-
-void
-BpredUnit::loadState(serde::StateReader &r)
-{
-    r.begin("bpred");
-    dirPred_->loadState(r);
-    btb_.loadState(r);
-    ras_.loadState(r);
-    specHist_ = r.u64("spec_hist");
-    lookups_ = r.u64("lookups");
-    condUpdates_ = r.u64("cond_updates");
-    condMispredicts_ = r.u64("cond_mispredicts");
-    r.end("bpred");
+    io.begin("bpred");
+    dirPred_->state(io);
+    btb_.state(io);
+    ras_.state(io);
+    io.u64("spec_hist", specHist_);
+    io.u64("lookups", lookups_);
+    io.u64("cond_updates", condUpdates_);
+    io.u64("cond_mispredicts", condMispredicts_);
+    io.end("bpred");
 }
 
 } // namespace stsim

@@ -124,11 +124,10 @@ class BpredUnit
     }
 
     /**
-     * Checkpoint the whole front end: direction-predictor tables, BTB,
-     * RAS, speculative history, and counters.
+     * Save or restore the whole front end: direction-predictor tables,
+     * BTB, RAS, speculative history, and counters.
      */
-    void saveState(serde::StateWriter &w) const;
-    void loadState(serde::StateReader &r);
+    void state(serde::StateIO &io);
 
   private:
     std::unique_ptr<DirectionPredictor> dirPred_;

@@ -67,48 +67,17 @@ Btb::update(Addr pc, Addr target)
 }
 
 void
-Btb::saveState(serde::StateWriter &w) const
+Btb::state(serde::StateIO &io)
 {
-    w.begin("btb");
-    std::vector<std::uint64_t> valid(entries_.size());
-    std::vector<std::uint64_t> tag(entries_.size());
-    std::vector<std::uint64_t> target(entries_.size());
-    std::vector<std::uint64_t> lastUse(entries_.size());
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        valid[i] = entries_[i].valid ? 1 : 0;
-        tag[i] = entries_[i].tag;
-        target[i] = entries_[i].target;
-        lastUse[i] = entries_[i].lastUse;
-    }
-    w.u64Vec("valid", valid);
-    w.u64Vec("tag", tag);
-    w.u64Vec("target", target);
-    w.u64Vec("last_use", lastUse);
-    w.u64("use_clock", useClock_);
-    w.u64("lookups", lookups_);
-    w.u64("hits", hits_);
-    w.end("btb");
-}
-
-void
-Btb::loadState(serde::StateReader &r)
-{
-    r.begin("btb");
-    const std::size_t n = entries_.size();
-    std::vector<std::uint64_t> valid = r.u64Vec("valid", n, 1);
-    std::vector<std::uint64_t> tag = r.u64Vec("tag", n);
-    std::vector<std::uint64_t> target = r.u64Vec("target", n);
-    std::vector<std::uint64_t> lastUse = r.u64Vec("last_use", n);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        entries_[i].valid = valid[i] != 0;
-        entries_[i].tag = tag[i];
-        entries_[i].target = target[i];
-        entries_[i].lastUse = lastUse[i];
-    }
-    useClock_ = r.u64("use_clock");
-    lookups_ = r.u64("lookups");
-    hits_ = r.u64("hits");
-    r.end("btb");
+    io.begin("btb");
+    io.column("valid", entries_, &Entry::valid);
+    io.column("tag", entries_, &Entry::tag);
+    io.column("target", entries_, &Entry::target);
+    io.column("last_use", entries_, &Entry::lastUse);
+    io.u64("use_clock", useClock_);
+    io.u64("lookups", lookups_);
+    io.u64("hits", hits_);
+    io.end("btb");
 }
 
 } // namespace stsim

@@ -18,8 +18,7 @@ namespace stsim
 
 namespace serde
 {
-class StateWriter;
-class StateReader;
+class StateIO;
 } // namespace serde
 
 /** Set-associative BTB with LRU replacement. */
@@ -47,9 +46,8 @@ class Btb
     /** Lookup hits. */
     Counter hits() const { return hits_; }
 
-    /** Checkpoint table contents + LRU clock + counters. */
-    void saveState(serde::StateWriter &w) const;
-    void loadState(serde::StateReader &r);
+    /** Save or restore table contents + LRU clock + counters. */
+    void state(serde::StateIO &io);
 
   private:
     struct Entry

@@ -16,8 +16,7 @@ namespace stsim
 
 namespace serde
 {
-class StateWriter;
-class StateReader;
+class StateIO;
 } // namespace serde
 
 /** Abstract PC(+history)-indexed taken/not-taken predictor. */
@@ -55,9 +54,8 @@ class DirectionPredictor
     /** History bits this predictor consumes (0 for bimodal). */
     virtual unsigned historyBits() const = 0;
 
-    /** Checkpoint the table contents (see core/state_serde.hh). */
-    virtual void saveState(serde::StateWriter &w) const = 0;
-    virtual void loadState(serde::StateReader &r) = 0;
+    /** Save or restore the table contents (see core/state_serde.hh). */
+    virtual void state(serde::StateIO &io) = 0;
 };
 
 } // namespace stsim

@@ -45,25 +45,11 @@ Gshare::update(Addr pc, std::uint64_t hist, bool taken)
 }
 
 void
-Gshare::saveState(serde::StateWriter &w) const
+Gshare::state(serde::StateIO &io)
 {
-    w.begin("gshare");
-    std::vector<std::uint64_t> v(pht_.size());
-    for (std::size_t i = 0; i < pht_.size(); ++i)
-        v[i] = pht_[i].value();
-    w.u64Vec("pht", v);
-    w.end("gshare");
-}
-
-void
-Gshare::loadState(serde::StateReader &r)
-{
-    r.begin("gshare");
-    std::vector<std::uint64_t> v =
-        r.u64Vec("pht", pht_.size(), pht_.front().maxValue());
-    for (std::size_t i = 0; i < pht_.size(); ++i)
-        pht_[i].set(static_cast<unsigned>(v[i]));
-    r.end("gshare");
+    io.begin("gshare");
+    io.counters("pht", pht_);
+    io.end("gshare");
 }
 
 } // namespace stsim

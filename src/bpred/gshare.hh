@@ -34,8 +34,7 @@ class Gshare : public DirectionPredictor
     /** Number of PHT entries. */
     std::size_t numEntries() const { return pht_.size(); }
 
-    void saveState(serde::StateWriter &w) const override;
-    void loadState(serde::StateReader &r) override;
+    void state(serde::StateIO &io) override;
 
   private:
     std::size_t index(Addr pc, std::uint64_t hist) const;

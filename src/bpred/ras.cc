@@ -35,27 +35,15 @@ Ras::restore(const Checkpoint &cp)
 }
 
 void
-Ras::saveState(serde::StateWriter &w) const
+Ras::state(serde::StateIO &io)
 {
-    w.begin("ras");
-    w.u64Vec("stack", stack_);
-    w.u64("top", top_);
-    w.end("ras");
-}
-
-void
-Ras::loadState(serde::StateReader &r)
-{
-    r.begin("ras");
-    std::vector<std::uint64_t> stack = r.u64Vec("stack", stack_.size());
-    for (std::size_t i = 0; i < stack_.size(); ++i)
-        stack_[i] = stack[i];
-    const std::uint64_t top = r.u64("top");
-    if (top >= stack_.size())
-        stsim_fatal("state: RAS top %llu out of range (%zu entries)",
-                    static_cast<unsigned long long>(top), stack_.size());
-    top_ = static_cast<std::uint32_t>(top);
-    r.end("ras");
+    io.begin("ras");
+    io.fixed("stack", stack_);
+    io.u64("top", top_);
+    if (io.loading() && top_ >= stack_.size())
+        stsim_fatal("state: RAS top %u out of range (%zu entries)", top_,
+                    stack_.size());
+    io.end("ras");
 }
 
 } // namespace stsim

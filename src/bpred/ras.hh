@@ -17,8 +17,7 @@ namespace stsim
 
 namespace serde
 {
-class StateWriter;
-class StateReader;
+class StateIO;
 } // namespace serde
 
 /**
@@ -52,9 +51,8 @@ class Ras
 
     std::size_t size() const { return stack_.size(); }
 
-    /** Checkpoint the full stack contents and top index. */
-    void saveState(serde::StateWriter &w) const;
-    void loadState(serde::StateReader &r);
+    /** Save or restore the full stack contents and top index. */
+    void state(serde::StateIO &io);
 
   private:
     std::vector<Addr> stack_;

@@ -94,61 +94,32 @@ Cache::probe(Addr addr) const
 }
 
 void
-Cache::saveState(serde::StateWriter &w) const
+Cache::state(serde::StateIO &io)
 {
-    w.begin("cache");
-    w.str("name", cfg_.name);
-    std::vector<std::uint64_t> tag(lines_.size());
-    std::vector<std::uint64_t> lastUse(lines_.size());
-    std::vector<std::uint64_t> flags(lines_.size());
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        tag[i] = lines_[i].tag;
-        lastUse[i] = lines_[i].lastUse;
-        flags[i] = (lines_[i].valid ? 1u : 0u) |
-                   (lines_[i].wrongPathFill ? 2u : 0u);
-    }
-    w.u64Vec("tag", tag);
-    w.u64Vec("last_use", lastUse);
-    w.u64Vec("flags", flags);
-    w.u64Vec("mru_way", mruWay_);
-    w.u64("use_clock", useClock_);
-    w.u64("accesses", accesses_);
-    w.u64("misses", misses_);
-    w.u64("wrong_path_accesses", wrongPathAccesses_);
-    w.u64("pollution_evictions", pollutionEvictions_);
-    w.end("cache");
-}
-
-void
-Cache::loadState(serde::StateReader &r)
-{
-    r.begin("cache");
-    std::string name = r.str("name");
+    io.begin("cache");
+    std::string name = cfg_.name;
+    io.str("name", name);
     if (name != cfg_.name)
         stsim_fatal("state: cache name mismatch (snapshot '%s', "
                     "configured '%s')",
                     name.c_str(), cfg_.name.c_str());
-    std::vector<std::uint64_t> tag = r.u64Vec("tag", lines_.size());
-    std::vector<std::uint64_t> lastUse =
-        r.u64Vec("last_use", lines_.size());
-    std::vector<std::uint64_t> flags = r.u64Vec("flags", lines_.size(), 3);
+    io.column("tag", lines_, &Line::tag);
+    io.column("last_use", lines_, &Line::lastUse);
+    io.each(
+        "flags", lines_, 3,
+        [](const Line &l) { return l.valid | l.wrongPathFill << 1; },
+        [](Line &l, std::uint64_t f) {
+            l.valid = f & 1;
+            l.wrongPathFill = f & 2;
+        });
     // access() and probe() index the set's ways with mru_way.
-    std::vector<std::uint64_t> mru =
-        r.u64Vec("mru_way", mruWay_.size(), cfg_.ways - 1);
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        lines_[i].tag = tag[i];
-        lines_[i].lastUse = lastUse[i];
-        lines_[i].valid = (flags[i] & 1) != 0;
-        lines_[i].wrongPathFill = (flags[i] & 2) != 0;
-    }
-    for (std::size_t i = 0; i < mruWay_.size(); ++i)
-        mruWay_[i] = static_cast<std::uint8_t>(mru[i]);
-    useClock_ = r.u64("use_clock");
-    accesses_ = r.u64("accesses");
-    misses_ = r.u64("misses");
-    wrongPathAccesses_ = r.u64("wrong_path_accesses");
-    pollutionEvictions_ = r.u64("pollution_evictions");
-    r.end("cache");
+    io.fixed("mru_way", mruWay_, cfg_.ways - 1);
+    io.u64("use_clock", useClock_);
+    io.u64("accesses", accesses_);
+    io.u64("misses", misses_);
+    io.u64("wrong_path_accesses", wrongPathAccesses_);
+    io.u64("pollution_evictions", pollutionEvictions_);
+    io.end("cache");
 }
 
 } // namespace stsim

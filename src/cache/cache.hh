@@ -20,8 +20,7 @@ namespace stsim
 
 namespace serde
 {
-class StateWriter;
-class StateReader;
+class StateIO;
 } // namespace serde
 
 /** Geometry/latency parameters of one cache level. */
@@ -91,9 +90,8 @@ class Cache
     }
     /// @}
 
-    /** Checkpoint lines, MRU hints, LRU clock, and counters. */
-    void saveState(serde::StateWriter &w) const;
-    void loadState(serde::StateReader &r);
+    /** Save or restore lines, MRU hints, LRU clock, and counters. */
+    void state(serde::StateIO &io);
 
   private:
     struct Line

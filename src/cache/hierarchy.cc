@@ -50,25 +50,14 @@ MemoryHierarchy::accessData(Addr addr, bool is_write, bool wrong_path)
 }
 
 void
-MemoryHierarchy::saveState(serde::StateWriter &w) const
+MemoryHierarchy::state(serde::StateIO &io)
 {
-    w.begin("memory");
-    il1_.saveState(w);
-    dl1_.saveState(w);
-    l2_.saveState(w);
-    dtlb_.saveState(w);
-    w.end("memory");
-}
-
-void
-MemoryHierarchy::loadState(serde::StateReader &r)
-{
-    r.begin("memory");
-    il1_.loadState(r);
-    dl1_.loadState(r);
-    l2_.loadState(r);
-    dtlb_.loadState(r);
-    r.end("memory");
+    io.begin("memory");
+    il1_.state(io);
+    dl1_.state(io);
+    l2_.state(io);
+    dtlb_.state(io);
+    io.end("memory");
 }
 
 } // namespace stsim

@@ -82,9 +82,8 @@ class MemoryHierarchy
         dtlb_.resetStats();
     }
 
-    /** Checkpoint every level (see core/state_serde.hh). */
-    void saveState(serde::StateWriter &w) const;
-    void loadState(serde::StateReader &r);
+    /** Save or restore every level (see core/state_serde.hh). */
+    void state(serde::StateIO &io);
 
   private:
     MemoryConfig cfg_;

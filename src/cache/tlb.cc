@@ -53,43 +53,24 @@ Tlb::access(Addr vaddr)
 }
 
 void
-Tlb::saveState(serde::StateWriter &w) const
+Tlb::state(serde::StateIO &io)
 {
-    w.begin("tlb");
-    std::vector<std::uint64_t> vpn(entries_.size());
-    std::vector<std::uint64_t> lastUse(entries_.size());
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        vpn[i] = entries_[i].vpn;
-        lastUse[i] = entries_[i].lastUse;
+    io.begin("tlb");
+    io.vec("vpn", entries_, &Entry::vpn);
+    io.column("last_use", entries_, &Entry::lastUse);
+    if (io.loading()) {
+        if (entries_.size() > capacity_)
+            stsim_fatal("state: TLB snapshot has %zu entries but only "
+                        "%zu fit",
+                        entries_.size(), capacity_);
+        vpnIndex_.clear();
+        for (std::uint32_t i = 0; i < entries_.size(); ++i)
+            vpnIndex_.emplace(entries_[i].vpn, i);
     }
-    w.u64Vec("vpn", vpn);
-    w.u64Vec("last_use", lastUse);
-    w.u64("use_clock", useClock_);
-    w.u64("accesses", accesses_);
-    w.u64("misses", misses_);
-    w.end("tlb");
-}
-
-void
-Tlb::loadState(serde::StateReader &r)
-{
-    r.begin("tlb");
-    std::vector<std::uint64_t> vpn = r.u64Vec("vpn");
-    std::vector<std::uint64_t> lastUse = r.u64Vec("last_use", vpn.size());
-    if (vpn.size() > capacity_)
-        stsim_fatal("state: TLB snapshot has %zu entries but only %zu "
-                    "fit",
-                    vpn.size(), capacity_);
-    entries_.clear();
-    vpnIndex_.clear();
-    for (std::size_t i = 0; i < vpn.size(); ++i) {
-        entries_.push_back(Entry{vpn[i], lastUse[i]});
-        vpnIndex_.emplace(vpn[i], static_cast<std::uint32_t>(i));
-    }
-    useClock_ = r.u64("use_clock");
-    accesses_ = r.u64("accesses");
-    misses_ = r.u64("misses");
-    r.end("tlb");
+    io.u64("use_clock", useClock_);
+    io.u64("accesses", accesses_);
+    io.u64("misses", misses_);
+    io.end("tlb");
 }
 
 } // namespace stsim

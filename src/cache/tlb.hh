@@ -17,8 +17,7 @@ namespace stsim
 
 namespace serde
 {
-class StateWriter;
-class StateReader;
+class StateIO;
 } // namespace serde
 
 /** Fully-associative LRU TLB. */
@@ -44,11 +43,11 @@ class Tlb
     void resetStats() { accesses_ = misses_ = 0; }
 
     /**
-     * Checkpoint resident pages + LRU clock; the hash index is rebuilt
-     * on load (it is never iterated, so its layout is not state).
+     * Save or restore resident pages + LRU clock; the hash index is
+     * rebuilt on load (it is never iterated, so its layout is not
+     * state).
      */
-    void saveState(serde::StateWriter &w) const;
-    void loadState(serde::StateReader &r);
+    void state(serde::StateIO &io);
 
   private:
     struct Entry

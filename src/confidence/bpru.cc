@@ -90,41 +90,15 @@ BpruEstimator::update(Addr pc, std::uint64_t hist, bool correct)
 }
 
 void
-BpruEstimator::saveState(serde::StateWriter &w) const
+BpruEstimator::state(serde::StateIO &io)
 {
-    w.begin("confidence");
-    std::vector<std::uint64_t> valid(table_.size());
-    std::vector<std::uint64_t> tag(table_.size());
-    std::vector<std::uint64_t> counter(table_.size());
-    for (std::size_t i = 0; i < table_.size(); ++i) {
-        valid[i] = table_[i].valid ? 1 : 0;
-        tag[i] = table_[i].tag;
-        counter[i] = table_[i].counter;
-    }
-    w.u64Vec("valid", valid);
-    w.u64Vec("tag", tag);
-    w.u64Vec("counter", counter);
-    w.u64("lookups", lookups_);
-    w.u64("hits", hits_);
-    w.end("confidence");
-}
-
-void
-BpruEstimator::loadState(serde::StateReader &r)
-{
-    r.begin("confidence");
-    const std::size_t n = table_.size();
-    std::vector<std::uint64_t> valid = r.u64Vec("valid", n, 1);
-    std::vector<std::uint64_t> tag = r.u64Vec("tag", n, UINT32_MAX);
-    std::vector<std::uint64_t> counter = r.u64Vec("counter", n, UINT8_MAX);
-    for (std::size_t i = 0; i < table_.size(); ++i) {
-        table_[i].valid = valid[i] != 0;
-        table_[i].tag = static_cast<std::uint32_t>(tag[i]);
-        table_[i].counter = static_cast<std::uint8_t>(counter[i]);
-    }
-    lookups_ = r.u64("lookups");
-    hits_ = r.u64("hits");
-    r.end("confidence");
+    io.begin("confidence");
+    io.column("valid", table_, &Entry::valid);
+    io.column("tag", table_, &Entry::tag);
+    io.column("counter", table_, &Entry::counter);
+    io.u64("lookups", lookups_);
+    io.u64("hits", hits_);
+    io.end("confidence");
 }
 
 } // namespace stsim

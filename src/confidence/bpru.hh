@@ -88,8 +88,7 @@ class BpruEstimator : public ConfidenceEstimator
         return lookups_ ? static_cast<double>(hits_) / lookups_ : 0.0;
     }
 
-    void saveState(serde::StateWriter &w) const override;
-    void loadState(serde::StateReader &r) override;
+    void state(serde::StateIO &io) override;
 
   private:
     struct Entry

@@ -70,12 +70,11 @@ class ConfidenceEstimator
     virtual std::size_t sizeBytes() const = 0;
 
     /**
-     * Checkpoint estimator tables (see core/state_serde.hh). The
-     * defaults write/expect an empty section -- right for stateless
-     * estimators (the oracle); table-backed ones override both.
+     * Save or restore estimator tables (see core/state_serde.hh). The
+     * default walks an empty section -- right for stateless estimators
+     * (the oracle); table-backed ones override it.
      */
-    virtual void saveState(serde::StateWriter &w) const;
-    virtual void loadState(serde::StateReader &r);
+    virtual void state(serde::StateIO &io);
 };
 
 } // namespace stsim

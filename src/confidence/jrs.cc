@@ -50,42 +50,21 @@ JrsEstimator::update(Addr pc, std::uint64_t hist, bool correct)
 }
 
 void
-JrsEstimator::saveState(serde::StateWriter &w) const
+JrsEstimator::state(serde::StateIO &io)
 {
-    w.begin("confidence");
-    std::vector<std::uint64_t> v(table_.size());
-    for (std::size_t i = 0; i < table_.size(); ++i)
-        v[i] = table_[i].value();
-    w.u64Vec("mdc", v);
-    w.end("confidence");
+    io.begin("confidence");
+    io.counters("mdc", table_);
+    io.end("confidence");
 }
 
+// The base-class default walks an empty section: stateless estimators
+// (the oracle) round-trip as a tagged placeholder, so the snapshot
+// layout is uniform across confidence kinds.
 void
-JrsEstimator::loadState(serde::StateReader &r)
+ConfidenceEstimator::state(serde::StateIO &io)
 {
-    r.begin("confidence");
-    std::vector<std::uint64_t> v =
-        r.u64Vec("mdc", table_.size(), table_.front().maxValue());
-    for (std::size_t i = 0; i < table_.size(); ++i)
-        table_[i].set(static_cast<unsigned>(v[i]));
-    r.end("confidence");
-}
-
-// The base-class defaults serialize an empty section: stateless
-// estimators (the oracle) round-trip as a tagged placeholder, so the
-// snapshot layout is uniform across confidence kinds.
-void
-ConfidenceEstimator::saveState(serde::StateWriter &w) const
-{
-    w.begin("confidence");
-    w.end("confidence");
-}
-
-void
-ConfidenceEstimator::loadState(serde::StateReader &r)
-{
-    r.begin("confidence");
-    r.end("confidence");
+    io.begin("confidence");
+    io.end("confidence");
 }
 
 const char *

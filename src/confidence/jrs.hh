@@ -46,8 +46,7 @@ class JrsEstimator : public ConfidenceEstimator
     unsigned threshold() const { return threshold_; }
     std::size_t numEntries() const { return table_.size(); }
 
-    void saveState(serde::StateWriter &w) const override;
-    void loadState(serde::StateReader &r) override;
+    void state(serde::StateIO &io) override;
 
   private:
     std::size_t index(Addr pc, std::uint64_t hist) const;

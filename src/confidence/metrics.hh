@@ -102,25 +102,12 @@ class ConfMetrics
     }
 
     void
-    saveState(serde::StateWriter &w) const
+    state(serde::StateIO &io)
     {
-        w.begin("conf_metrics");
-        w.u64Array("correct_by_level", correctByLevel_.data(), 4);
-        w.u64Array("miss_by_level", missByLevel_.data(), 4);
-        w.end("conf_metrics");
-    }
-
-    void
-    loadState(serde::StateReader &r)
-    {
-        r.begin("conf_metrics");
-        std::vector<std::uint64_t> c = r.u64Vec("correct_by_level", 4);
-        std::vector<std::uint64_t> m = r.u64Vec("miss_by_level", 4);
-        for (std::size_t i = 0; i < 4; ++i) {
-            correctByLevel_[i] = c[i];
-            missByLevel_[i] = m[i];
-        }
-        r.end("conf_metrics");
+        io.begin("conf_metrics");
+        io.fixed("correct_by_level", correctByLevel_);
+        io.fixed("miss_by_level", missByLevel_);
+        io.end("conf_metrics");
     }
 
   private:

@@ -380,18 +380,9 @@ std::string
 Simulator::saveSnapshot() const
 {
     serde::StateWriter w;
-    w.begin("sim");
-    w.str("class_key", warmupClassKey(cfg_));
-    w.u64("phase", static_cast<std::uint64_t>(phase_));
-    workload_->saveState(w);
-    bpred_->saveState(w);
-    if (confidence_)
-        confidence_->saveState(w);
-    memory_->saveState(w);
-    power_->saveState(w);
-    controller_->saveState(w);
-    core_->saveState(w);
-    w.end("sim");
+    serde::StateIO io(w);
+    // Saving walks the restore's list; it writes no field.
+    const_cast<Simulator *>(this)->state(io);
     return w.take();
 }
 
@@ -399,26 +390,33 @@ void
 Simulator::restoreSnapshot(std::string_view image)
 {
     serde::StateReader r(image);
-    r.begin("sim");
-    std::string key = r.str("class_key");
-    std::string want = warmupClassKey(cfg_);
+    serde::StateIO io(r);
+    state(io);
+    r.finish();
+}
+
+void
+Simulator::state(serde::StateIO &io)
+{
+    io.begin("sim");
+    const std::string want = warmupClassKey(cfg_);
+    std::string key = want;
+    io.str("class_key", key);
     if (key != want)
         stsim_fatal("state: snapshot is for a different warmup class "
                     "(benchmark/seed/machine/predictor/throttle config "
                     "must match; only run length and power parameters "
                     "may differ)");
-    phase_ = static_cast<Phase>(
-        r.u64("phase", static_cast<std::uint64_t>(Phase::Measure)));
-    workload_->loadState(r);
-    bpred_->loadState(r);
+    io.u64("phase", phase_, static_cast<std::uint64_t>(Phase::Measure));
+    workload_->state(io);
+    bpred_->state(io);
     if (confidence_)
-        confidence_->loadState(r);
-    memory_->loadState(r);
-    power_->loadState(r);
-    controller_->loadState(r);
-    core_->loadState(r);
-    r.end("sim");
-    r.finish();
+        confidence_->state(io);
+    memory_->state(io);
+    power_->state(io);
+    controller_->state(io);
+    core_->state(io);
+    io.end("sim");
 }
 
 } // namespace stsim

@@ -159,6 +159,9 @@ class Simulator
     /** Results of the run so far, with energy from @p meter. */
     SimResults collect(const PowerModel &meter) const;
 
+    /** The snapshot walk both saveSnapshot and restoreSnapshot run. */
+    void state(serde::StateIO &io);
+
     SimConfig cfg_;
     Phase phase_ = Phase::Warmup;
     std::unique_ptr<Workload> workload_;

@@ -51,24 +51,6 @@ StateWriter::end(const char *section)
 }
 
 void
-StateWriter::u64(const char *key, std::uint64_t v)
-{
-    out_ += key;
-    out_ += ' ';
-    out_ += std::to_string(v);
-    out_ += '\n';
-}
-
-void
-StateWriter::i64(const char *key, std::int64_t v)
-{
-    out_ += key;
-    out_ += ' ';
-    out_ += std::to_string(v);
-    out_ += '\n';
-}
-
-void
 StateWriter::boolean(const char *key, bool v)
 {
     out_ += key;
@@ -93,20 +75,6 @@ StateWriter::str(const char *key, std::string_view v)
     out_ += key;
     out_ += ' ';
     out_ += v;
-    out_ += '\n';
-}
-
-void
-StateWriter::u64Array(const char *key, const std::uint64_t *v,
-                      std::size_t n)
-{
-    out_ += key;
-    out_ += ' ';
-    out_ += std::to_string(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        out_ += ' ';
-        out_ += std::to_string(v[i]);
-    }
     out_ += '\n';
 }
 
@@ -192,15 +160,15 @@ scanU64(const char *&p, const char *end, const char *key,
 }
 
 /**
- * Reads the `N v1 .. vN` value text of array line @p key in one pass:
- * runs of spaces separate tokens, the count is checked against what
- * the line can hold before the result is allocated, and
+ * Reads the `N v1 .. vN` value text of array line @p key into @p out
+ * in one pass: runs of spaces separate tokens, the count is checked
+ * against what the line can hold before @p out is sized, and
  * @p scanValue(p, end) parses each value where the scan finds it.
  */
 template <typename T, typename ScanValue>
-std::vector<T>
+void
 scanArray(std::string_view text, const char *key, std::size_t lineNo,
-          ScanValue scanValue)
+          std::vector<T> &out, ScanValue scanValue)
 {
     const char *p = text.data();
     const char *const end = p + text.size();
@@ -221,7 +189,7 @@ scanArray(std::string_view text, const char *key, std::size_t lineNo,
     // damaged image's huge count cannot allocate more than it holds.
     if (n > static_cast<std::uint64_t>(end - p) / 2)
         shorter();
-    std::vector<T> out(n);
+    out.resize(n);
     for (T &x : out) {
         skipSpaces();
         if (p == end)
@@ -234,21 +202,6 @@ scanArray(std::string_view text, const char *key, std::size_t lineNo,
                     "beyond its declared count",
                     lineNo, key);
     }
-    return out;
-}
-
-/** The values of array line @p key, each checked against @p max. */
-std::vector<std::uint64_t>
-scanU64Array(std::string_view text, const char *key, std::size_t lineNo,
-             std::uint64_t max)
-{
-    return scanArray<std::uint64_t>(
-        text, key, lineNo, [&](const char *&p, const char *end) {
-            const std::uint64_t v = scanU64(p, end, key, lineNo);
-            if (v > max)
-                outOfRange(v, max, key, lineNo);
-            return v;
-        });
 }
 
 } // namespace
@@ -311,20 +264,6 @@ StateReader::end(const char *section)
         fail(("section close " + want).c_str(), l);
 }
 
-bool
-StateReader::nextIs(const char *section) const
-{
-    if (pos_ >= image_.size())
-        return false;
-    std::size_t nl = image_.find('\n', pos_);
-    std::string_view l =
-        image_.substr(pos_, nl == std::string_view::npos
-                                ? std::string_view::npos
-                                : nl - pos_);
-    std::string want = std::string("[") + section + "]";
-    return l == want;
-}
-
 std::string_view
 StateReader::value(const char *key)
 {
@@ -350,12 +289,6 @@ StateReader::u64(const char *key, std::uint64_t max)
     if (v > max)
         outOfRange(v, max, key, lineNo_ - 1);
     return v;
-}
-
-std::int64_t
-StateReader::i64(const char *key)
-{
-    return parseToken<std::int64_t>(value(key), key, lineNo_ - 1);
 }
 
 bool
@@ -384,31 +317,41 @@ StateReader::str(const char *key)
 std::vector<std::uint64_t>
 StateReader::u64Vec(const char *key)
 {
-    std::string_view v = value(key);
-    return scanU64Array(v, key, lineNo_ - 1, UINT64_MAX);
+    const std::span<const std::uint64_t> v =
+        u64Array(key, kAnyCount, UINT64_MAX);
+    return {v.begin(), v.end()};
 }
 
 std::vector<double>
 StateReader::dblVec(const char *key)
 {
-    std::string_view v = value(key);
-    return scanArray<double>(
-        v, key, lineNo_ - 1, [](const char *&p, const char *end) {
-            const char *tok = p;
-            while (p != end && *p != ' ')
-                ++p;
-            return doubleFromHex(std::string_view(tok, p - tok));
-        });
+    const std::string_view text = value(key);
+    std::vector<double> out;
+    scanArray(text, key, lineNo_ - 1, out,
+              [](const char *&p, const char *end) {
+                  const char *tok = p;
+                  while (p != end && *p != ' ')
+                      ++p;
+                  return doubleFromHex(std::string_view(tok, p - tok));
+              });
+    return out;
 }
 
-std::vector<std::uint64_t>
-StateReader::u64Vec(const char *key, std::size_t n, std::uint64_t max)
+std::span<const std::uint64_t>
+StateReader::u64Array(const char *key, std::size_t n, std::uint64_t max)
 {
-    std::string_view v = value(key);
-    std::vector<std::uint64_t> out =
-        scanU64Array(v, key, lineNo_ - 1, max);
-    expectCount(key, out.size(), n);
-    return out;
+    const std::string_view text = value(key);
+    const std::size_t lineNo = lineNo_ - 1;
+    scanArray(text, key, lineNo, values_,
+              [&](const char *&p, const char *end) {
+                  const std::uint64_t v = scanU64(p, end, key, lineNo);
+                  if (v > max)
+                      outOfRange(v, max, key, lineNo);
+                  return v;
+              });
+    if (n != kAnyCount)
+        expectCount(key, values_.size(), n);
+    return values_;
 }
 
 std::vector<double>
@@ -441,6 +384,55 @@ StateReader::finish()
                     "marker",
                     lineNo_);
     }
+}
+
+// ---------------------------------------------------------------------------
+// StateIO
+// ---------------------------------------------------------------------------
+
+void
+StateIO::begin(const char *section)
+{
+    if (w_)
+        w_->begin(section);
+    else
+        r_->begin(section);
+}
+
+void
+StateIO::end(const char *section)
+{
+    if (w_)
+        w_->end(section);
+    else
+        r_->end(section);
+}
+
+void
+StateIO::boolean(const char *key, bool &v)
+{
+    if (w_)
+        w_->boolean(key, v);
+    else
+        v = r_->boolean(key);
+}
+
+void
+StateIO::dbl(const char *key, double &v)
+{
+    if (w_)
+        w_->dbl(key, v);
+    else
+        v = r_->dbl(key);
+}
+
+void
+StateIO::str(const char *key, std::string &v)
+{
+    if (w_)
+        w_->str(key, v);
+    else
+        v = r_->str(key);
 }
 
 } // namespace serde

@@ -159,15 +159,14 @@ class Core
     }
 
     /**
-     * Checkpoint the full microarchitectural state between ticks: the
-     * in-flight instruction pool (with the exact free-list order, so
-     * restored runs allocate the same slots), the pipe/window rings,
+     * Save or restore the full microarchitectural state between ticks:
+     * the in-flight instruction pool (with the exact free-list order,
+     * so restored runs allocate the same slots), the pipe/window rings,
      * the scheduler bitmap, the writeback calendar, and the fetch
-     * engine. Load restores into a freshly constructed Core with the
-     * same config and collaborators. Implemented in core_state.cc.
+     * engine. Restore is into a freshly constructed Core with the same
+     * config and collaborators. Implemented in core_state.cc.
      */
-    void saveState(serde::StateWriter &w) const;
-    void loadState(serde::StateReader &r);
+    void state(serde::StateIO &io);
 
   private:
     /// @name Pipeline stages (called in this order by tick())

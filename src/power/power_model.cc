@@ -183,39 +183,22 @@ PowerModel::resetStats()
 }
 
 void
-PowerModel::saveState(serde::StateWriter &w) const
+PowerModel::state(serde::StateIO &io)
 {
-    stsim_assert(dirty_ == 0, "power snapshot mid-cycle");
-    w.begin("power");
-    w.dblArray("unit_energy", unitEnergyAcc_.data(), kNumPUnits);
-    w.dblArray("unit_wasted", unitWasted_.data(), kNumPUnits);
-    w.dblArray("activity_sum", activitySum_.data(), kNumPUnits);
-    w.u64Array("touched_cycles", touchedCycles_.data(), kNumPUnits);
-    w.u64("cycles", cycles_);
-    w.dbl("total_wasted", totalWasted_);
-    w.end("power");
-}
-
-void
-PowerModel::loadState(serde::StateReader &r)
-{
-    r.begin("power");
-    std::vector<double> ue = r.dblVec("unit_energy", kNumPUnits);
-    std::vector<double> uw = r.dblVec("unit_wasted", kNumPUnits);
-    std::vector<double> as = r.dblVec("activity_sum", kNumPUnits);
-    std::vector<std::uint64_t> tc = r.u64Vec("touched_cycles", kNumPUnits);
-    for (std::size_t i = 0; i < kNumPUnits; ++i) {
-        unitEnergyAcc_[i] = ue[i];
-        unitWasted_[i] = uw[i];
-        activitySum_[i] = as[i];
-        touchedCycles_[i] = tc[i];
+    stsim_assert(io.loading() || dirty_ == 0, "power snapshot mid-cycle");
+    io.begin("power");
+    io.fixed("unit_energy", unitEnergyAcc_);
+    io.fixed("unit_wasted", unitWasted_);
+    io.fixed("activity_sum", activitySum_);
+    io.fixed("touched_cycles", touchedCycles_);
+    io.u64("cycles", cycles_);
+    io.dbl("total_wasted", totalWasted_);
+    if (io.loading()) {
+        cycleCount_.fill(0.0);
+        cycleWrong_.fill(0.0);
+        dirty_ = 0;
     }
-    cycles_ = r.u64("cycles");
-    totalWasted_ = r.dbl("total_wasted");
-    cycleCount_.fill(0.0);
-    cycleWrong_.fill(0.0);
-    dirty_ = 0;
-    r.end("power");
+    io.end("power");
 }
 
 } // namespace stsim

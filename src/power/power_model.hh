@@ -23,8 +23,7 @@ namespace stsim
 
 namespace serde
 {
-class StateWriter;
-class StateReader;
+class StateIO;
 } // namespace serde
 
 /**
@@ -139,13 +138,12 @@ class PowerModel
     void clearMeters() { meters_.clear(); }
 
     /**
-     * Checkpoint the energy accumulators (between ticks only: the
+     * Save or restore the energy accumulators (between ticks only: the
      * per-cycle scratch is empty then -- endCycle self-clears -- so
      * only the accumulators are state; the constants are rebuilt from
      * params at construction).
      */
-    void saveState(serde::StateWriter &w) const;
-    void loadState(serde::StateReader &r);
+    void state(serde::StateIO &io);
 
   private:
     template <ClockGatingStyle Style> void endCycleImpl();

@@ -240,61 +240,52 @@ SpeculationController::squashYoungerThan(InstSeq seq)
 }
 
 void
-SpeculationController::saveState(serde::StateWriter &w) const
+SpeculationController::state(serde::StateIO &io)
 {
-    w.begin("controller");
+    io.begin("controller");
     // Only the live tracked branches are state; tombstones, buffer
     // geometry and deque positions are reconstructed by replaying the
     // inserts in fetch order (the same path rebuildBuffer compacts
     // through), which restores every derived quantity exactly.
-    std::vector<std::uint64_t> seq, lvl;
+    std::vector<InstSeq> seq;
+    std::vector<ConfLevel> lvl;
     for (std::uint64_t p = head_; p < tail_; ++p) {
-        const Tracked &t = at(p);
-        if (!t.live)
-            continue;
-        seq.push_back(t.seq);
-        lvl.push_back(static_cast<std::uint64_t>(t.lvl));
+        if (at(p).live) {
+            seq.push_back(at(p).seq);
+            lvl.push_back(at(p).lvl);
+        }
     }
-    w.u64Vec("seq", seq);
-    w.u64Vec("lvl", lvl);
-    w.u64("fetch_gated_cycles", fetchGatedCycles_);
-    w.u64("decode_gated_cycles", decodeGatedCycles_);
-    w.end("controller");
-}
+    io.vec("seq", seq);
+    lvl.resize(seq.size());
+    io.fixed("lvl", lvl, kNumLevels - 1);
 
-void
-SpeculationController::loadState(serde::StateReader &r)
-{
-    r.begin("controller");
-    std::vector<std::uint64_t> seq = r.u64Vec("seq");
-    std::vector<std::uint64_t> lvl =
-        r.u64Vec("lvl", seq.size(), kNumLevels - 1);
+    if (io.loading()) {
+        // Back to the constructed state, then replay the live set.
+        buf_.assign(256, Tracked{});
+        bufMask_ = buf_.size() - 1;
+        head_ = tail_ = 0;
+        posRing_.init(2048, kInvalidPos);
+        for (auto &c : levelCount_)
+            c = 0;
+        lowCount_ = liveCount_ = 0;
+        noSelectQ_.clear();
+        decodeQ_.clear();
+        fetchLevel_ = decodeLevel_ = BandwidthLevel::Full;
+        noSelectBarrier_ = decodeBarrier_ = kInvalidSeq;
+        refreshLevels();
 
-    // Back to the constructed state, then replay the live set.
-    buf_.assign(256, Tracked{});
-    bufMask_ = buf_.size() - 1;
-    head_ = tail_ = 0;
-    posRing_.init(2048, kInvalidPos);
-    for (auto &c : levelCount_)
-        c = 0;
-    lowCount_ = liveCount_ = 0;
-    noSelectQ_.clear();
-    decodeQ_.clear();
-    fetchLevel_ = decodeLevel_ = BandwidthLevel::Full;
-    noSelectBarrier_ = decodeBarrier_ = kInvalidSeq;
-    refreshLevels();
+        for (std::size_t i = 0; i < seq.size(); ++i)
+            onCondBranchFetched(seq[i], lvl[i]);
+        if (cfg_.mode == SpecControlMode::None && !seq.empty())
+            stsim_fatal("state: controller snapshot has %zu tracked "
+                        "branches but this config has no speculation "
+                        "control",
+                        seq.size());
+    }
 
-    for (std::size_t i = 0; i < seq.size(); ++i)
-        onCondBranchFetched(seq[i], static_cast<ConfLevel>(lvl[i]));
-    if (cfg_.mode == SpecControlMode::None && !seq.empty())
-        stsim_fatal("state: controller snapshot has %zu tracked "
-                    "branches but this config has no speculation "
-                    "control",
-                    seq.size());
-
-    fetchGatedCycles_ = r.u64("fetch_gated_cycles");
-    decodeGatedCycles_ = r.u64("decode_gated_cycles");
-    r.end("controller");
+    io.u64("fetch_gated_cycles", fetchGatedCycles_);
+    io.u64("decode_gated_cycles", decodeGatedCycles_);
+    io.end("controller");
 }
 
 } // namespace stsim

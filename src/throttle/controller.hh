@@ -147,14 +147,13 @@ class SpeculationController
     /// @}
 
     /**
-     * Checkpoint the outstanding-branch set and gating counters. Load
-     * replays the live branches in fetch order through
+     * Save or restore the outstanding-branch set and gating counters.
+     * Restore replays the live branches in fetch order through
      * onCondBranchFetched, so every incremental structure (counts,
      * barrier deques, position ring, cached levels) is rebuilt through
      * the same code the live path uses.
      */
-    void saveState(serde::StateWriter &w) const;
-    void loadState(serde::StateReader &r);
+    void state(serde::StateIO &io);
 
   private:
     /** Number of confidence levels (VHC, HC, LC, VLC). */

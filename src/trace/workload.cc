@@ -1,7 +1,5 @@
 #include "workload.hh"
 
-#include <limits>
-
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "core/state_serde.hh"
@@ -173,87 +171,38 @@ Workload::memAddress(const StaticOp &op)
 namespace
 {
 
-/** Restore a sized per-block/per-slot vector, validating its length
- *  and that every value fits @p T. */
-template <typename T>
+/** The RNG's engine state and the walker's position in its block: at
+ *  most one past the block's last body op, which is where the
+ *  terminator is emitted. */
 void
-loadSizedVec(serde::StateReader &r, const char *key, std::vector<T> &out)
+walkerState(serde::StateIO &io, Rng &rng, const StaticProgram &prog,
+            BlockWalker &walk)
 {
-    std::vector<std::uint64_t> v =
-        r.u64Vec(key, out.size(), std::numeric_limits<T>::max());
-    for (std::size_t i = 0; i < v.size(); ++i)
-        out[i] = static_cast<T>(v[i]);
-}
-
-/** Restore a walker's call stack; a Return jumps to its entries, so
- *  each must be a block of @p prog. */
-void
-loadCallStack(serde::StateReader &r, const StaticProgram &prog,
-              std::vector<std::uint32_t> &out)
-{
-    std::vector<std::uint64_t> cs = r.u64Vec("call_stack");
-    for (std::uint64_t blk : cs)
-        if (blk >= prog.numBlocks())
-            stsim_fatal("state: call_stack block %llu out of range "
-                        "(program has %u blocks)",
-                        static_cast<unsigned long long>(blk),
-                        prog.numBlocks());
-    out.assign(cs.begin(), cs.end());
-}
-
-/** Restore a walker's position in block @p blk: at most one past its
- *  last body op, which is where the terminator is emitted. */
-std::uint32_t
-loadOpIdx(serde::StateReader &r, const StaticProgram &prog,
-          std::uint32_t blk)
-{
-    return static_cast<std::uint32_t>(
-        r.u64("op_idx", prog.block(blk).ops.size()));
+    std::uint64_t s0 = rng.stateS0(), s1 = rng.stateS1();
+    io.u64("rng_s0", s0);
+    io.u64("rng_s1", s1);
+    if (io.loading())
+        rng.setState(s0, s1);
+    io.u64("cur_block", walk.curBlock, prog.numBlocks() - 1);
+    io.u64("op_idx", walk.opIdx, prog.block(walk.curBlock).ops.size());
 }
 
 } // namespace
 
 void
-Workload::saveState(serde::StateWriter &w) const
+Workload::state(serde::StateIO &io)
 {
-    w.begin("workload");
-    w.u64("rng_s0", rng_.stateS0());
-    w.u64("rng_s1", rng_.stateS1());
-    w.u64("cur_block", walk_.curBlock);
-    w.u64("op_idx", walk_.opIdx);
-    w.u64("global_hist", globalHist_);
-    w.u64("generated", generated_);
-    w.u64Vec("loop_count", loopCount_);
-    w.u64Vec("chaos_wild", chaosWild_);
-    w.u64Vec("bias_streak", biasStreak_);
-    w.u64Vec("stream_pos", streamPos_);
-    w.u64Vec("call_stack", walk_.callStack);
-    w.end("workload");
-}
-
-void
-Workload::loadState(serde::StateReader &r)
-{
-    r.begin("workload");
-    std::uint64_t s0 = r.u64("rng_s0");
-    std::uint64_t s1 = r.u64("rng_s1");
-    rng_.setState(s0, s1);
-    std::uint64_t cur_block = r.u64("cur_block");
-    if (cur_block >= program_->numBlocks())
-        stsim_fatal("state: workload cur_block %llu out of range "
-                    "(program has %zu blocks)",
-                    static_cast<unsigned long long>(cur_block),
-                    static_cast<std::size_t>(program_->numBlocks()));
-    walk_.curBlock = static_cast<std::uint32_t>(cur_block);
-    walk_.opIdx = loadOpIdx(r, *program_, walk_.curBlock);
-    globalHist_ = r.u64("global_hist");
-    generated_ = r.u64("generated");
-    loadSizedVec(r, "loop_count", loopCount_);
-    loadSizedVec(r, "chaos_wild", chaosWild_);
-    loadSizedVec(r, "bias_streak", biasStreak_);
-    loadSizedVec(r, "stream_pos", streamPos_);
-    loadCallStack(r, *program_, walk_.callStack);
-    r.end("workload");
+    io.begin("workload");
+    walkerState(io, rng_, *program_, walk_);
+    io.u64("global_hist", globalHist_);
+    io.u64("generated", generated_);
+    io.fixed("loop_count", loopCount_);
+    io.fixed("chaos_wild", chaosWild_);
+    io.fixed("bias_streak", biasStreak_);
+    io.fixed("stream_pos", streamPos_);
+    // A Return jumps to the call stack's entries.
+    io.vec("call_stack", walk_.callStack, program_->numBlocks() - 1);
+    io.end("workload");
 }
 
 //
@@ -278,37 +227,21 @@ WrongPathCursor::WrongPathCursor(const Workload &workload, Addr start_pc,
     }
 }
 
-WrongPathCursor::WrongPathCursor(const Workload &workload,
-                                 serde::StateReader &r)
+WrongPathCursor::WrongPathCursor(const Workload &workload)
     : program_(&workload.program()),
-      rng_(0)
+      rng_(0),
+      specHist_(0)
 {
-    r.begin("wrong_cursor");
-    std::uint64_t s0 = r.u64("rng_s0");
-    std::uint64_t s1 = r.u64("rng_s1");
-    rng_.setState(s0, s1);
-    std::uint64_t cur_block = r.u64("cur_block");
-    if (cur_block >= program_->numBlocks())
-        stsim_fatal("state: wrong-path cursor block %llu out of range",
-                    static_cast<unsigned long long>(cur_block));
-    walk_.curBlock = static_cast<std::uint32_t>(cur_block);
-    walk_.opIdx = loadOpIdx(r, *program_, walk_.curBlock);
-    specHist_ = r.u64("spec_hist");
-    loadCallStack(r, *program_, walk_.callStack);
-    r.end("wrong_cursor");
 }
 
 void
-WrongPathCursor::saveState(serde::StateWriter &w) const
+WrongPathCursor::state(serde::StateIO &io)
 {
-    w.begin("wrong_cursor");
-    w.u64("rng_s0", rng_.stateS0());
-    w.u64("rng_s1", rng_.stateS1());
-    w.u64("cur_block", walk_.curBlock);
-    w.u64("op_idx", walk_.opIdx);
-    w.u64("spec_hist", specHist_);
-    w.u64Vec("call_stack", walk_.callStack);
-    w.end("wrong_cursor");
+    io.begin("wrong_cursor");
+    walkerState(io, rng_, *program_, walk_);
+    io.u64("spec_hist", specHist_);
+    io.vec("call_stack", walk_.callStack, program_->numBlocks() - 1);
+    io.end("wrong_cursor");
 }
 
 Addr

@@ -23,8 +23,7 @@ namespace stsim
 
 namespace serde
 {
-class StateWriter;
-class StateReader;
+class StateIO;
 } // namespace serde
 
 /**
@@ -104,13 +103,12 @@ class Workload
     Counter generated() const { return generated_; }
 
     /**
-     * Checkpoint the walker: RNG, block cursor, outcome history, and
-     * every per-block/per-slot behavioural counter. Load validates the
-     * vector sizes against the program, so a snapshot cannot silently
-     * restore onto a different benchmark.
+     * Save or restore the walker: RNG, block cursor, outcome history,
+     * and every per-block/per-slot behavioural counter. Restore
+     * validates the vector sizes against the program, so a snapshot
+     * cannot silently restore onto a different benchmark.
      */
-    void saveState(serde::StateWriter &w) const;
-    void loadState(serde::StateReader &r);
+    void state(serde::StateIO &io);
 
   private:
     /** Evaluate a conditional branch's outcome, mutating its state. */
@@ -149,8 +147,8 @@ class WrongPathCursor
     WrongPathCursor(const Workload &workload, Addr start_pc,
                     std::uint64_t seed);
 
-    /** Restore a cursor previously written by saveState. */
-    WrongPathCursor(const Workload &workload, serde::StateReader &r);
+    /** A cursor for state() to restore into. */
+    explicit WrongPathCursor(const Workload &workload);
 
     /** Generate the next wrong-path instruction (a one-instruction
      *  group). */
@@ -159,8 +157,8 @@ class WrongPathCursor
     /** The fetch unit's path, as Workload::nextGroup. */
     unsigned nextGroup(TraceInst *const *out, unsigned n);
 
-    /** Checkpoint the cursor (pairs with the restore constructor). */
-    void saveState(serde::StateWriter &w) const;
+    /** Save or restore the cursor. */
+    void state(serde::StateIO &io);
 
   private:
     /** Stateless wrong-path address approximation for one memory op. */

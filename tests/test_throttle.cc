@@ -380,7 +380,7 @@ class ReferenceController
 /** Drive both controllers through one random fetch/resolve/squash
  *  stream, asserting equivalence after every event. Every 300 events
  *  the stream continues on a fresh controller restored from a snapshot
- *  of the current one, so loadState's replay is held to the same
+ *  of the current one, so state()'s replay is held to the same
  *  reference. */
 void
 runEquivalenceStream(const SpecControlConfig &cfg, std::uint64_t seed,
@@ -447,11 +447,13 @@ runEquivalenceStream(const SpecControlConfig &cfg, std::uint64_t seed,
 
         if (i % 300 == 299) {
             serde::StateWriter w;
-            c.saveState(w);
+            serde::StateIO save(w);
+            c.state(save);
             const std::string image = w.take();
             SpeculationController restored(cfg);
             serde::StateReader r(image);
-            restored.loadState(r);
+            serde::StateIO load(r);
+            restored.state(load);
             r.finish();
             c = std::move(restored);
             check(i);
