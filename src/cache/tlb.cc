@@ -63,9 +63,13 @@ Tlb::state(serde::StateIO &io)
             stsim_fatal("state: TLB snapshot has %zu entries but only "
                         "%zu fit",
                         entries_.size(), capacity_);
+        // access() maps each page to one entry, so no two share one.
         vpnIndex_.clear();
         for (std::uint32_t i = 0; i < entries_.size(); ++i)
-            vpnIndex_.emplace(entries_[i].vpn, i);
+            if (!vpnIndex_.emplace(entries_[i].vpn, i).second)
+                stsim_fatal("state: TLB lists page %llu twice",
+                            static_cast<unsigned long long>(
+                                entries_[i].vpn));
     }
     io.u64("use_clock", useClock_);
     io.u64("accesses", accesses_);

@@ -1019,6 +1019,20 @@ TEST(Snapshot, SlotPoolMustBePartitioned)
     }
 }
 
+/// access() maps each page to one TLB entry; an image that lists a
+/// page twice would leave the second entry unreachable.
+TEST(Snapshot, DuplicateTlbPageIsFatal)
+{
+    std::string img = wrongPathImage();
+    const std::size_t at = img.find("\n[tlb]\n");
+    ASSERT_NE(at, std::string::npos);
+    std::vector<std::string> vpn = arrayValues(img, "vpn", at);
+    ASSERT_GE(vpn.size(), 2u);
+    vpn[1] = vpn[0];
+    setArray(img, "vpn", vpn, at);
+    expectRejected(img, "TLB lists page " + vpn[0] + " twice");
+}
+
 //
 // Snapshot-image mutation fuzz
 //
