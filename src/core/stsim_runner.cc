@@ -304,19 +304,8 @@ class ObsSession
                            tracePath_.c_str(), std::strerror(errno));
             }
         }
-        if (metricsPath_.empty())
-            return;
-        std::string snap = obs::Registry::instance().snapshotJson();
-        std::FILE *f = std::fopen(metricsPath_.c_str(), "w");
-        bool ok = f != nullptr;
-        if (ok) {
-            ok = std::fwrite(snap.data(), 1, snap.size(), f) ==
-                     snap.size() &&
-                 std::fputc('\n', f) != EOF;
-        }
-        if (f && std::fclose(f) != 0)
-            ok = false;
-        if (!ok) {
+        if (!metricsPath_.empty() &&
+            !obs::Registry::instance().writeSnapshotFile(metricsPath_)) {
             stsim_warn("cannot write metrics file %s: %s",
                        metricsPath_.c_str(), std::strerror(errno));
         }

@@ -233,6 +233,12 @@ Registry::snapshotJson() const
     return line;
 }
 
+bool
+Registry::writeSnapshotFile(const std::string &path) const
+{
+    return writeLineFile(path, snapshotJson());
+}
+
 std::string
 Registry::textDump() const
 {
@@ -254,6 +260,19 @@ Registry::textDump() const
                "\n";
     }
     return out;
+}
+
+bool
+writeLineFile(const std::string &path, std::string_view text)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    ok = ok && std::fputc('\n', f) != EOF;
+    if (std::fclose(f) != 0)
+        ok = false;
+    return ok;
 }
 
 } // namespace obs

@@ -159,6 +159,9 @@ class Registry
      */
     std::string snapshotJson() const;
 
+    /** snapshotJson() to a file; false (with errno intact) on failure. */
+    bool writeSnapshotFile(const std::string &path) const;
+
     /** Human-oriented exposition dump, one metric per line. */
     std::string textDump() const;
 
@@ -180,6 +183,12 @@ class Registry
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
+
+/**
+ * Replace the file at @p path with @p text and a newline; false (with
+ * errno intact) on any failure.
+ */
+bool writeLineFile(const std::string &path, std::string_view text);
 
 } // namespace obs
 } // namespace stsim

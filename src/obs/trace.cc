@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/metrics.hh"
+
 namespace stsim
 {
 namespace obs
@@ -180,15 +182,7 @@ TraceSink::flushJson() const
 bool
 TraceSink::writeFile(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::string json = flushJson();
-    bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    ok = ok && std::fputc('\n', f) != EOF;
-    if (std::fclose(f) != 0)
-        ok = false;
-    return ok;
+    return writeLineFile(path, flushJson());
 }
 
 } // namespace obs

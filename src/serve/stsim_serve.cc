@@ -270,22 +270,10 @@ main(int argc, char **argv)
                        obsCli.traceFile.c_str(), std::strerror(errno));
         }
     }
-    if (!obsCli.metricsFile.empty()) {
-        std::string snap = obs::Registry::instance().snapshotJson();
-        std::FILE *f = std::fopen(obsCli.metricsFile.c_str(), "w");
-        bool ok = f != nullptr;
-        if (ok) {
-            ok = std::fwrite(snap.data(), 1, snap.size(), f) ==
-                     snap.size() &&
-                 std::fputc('\n', f) != EOF;
-        }
-        if (f && std::fclose(f) != 0)
-            ok = false;
-        if (!ok) {
-            stsim_warn("stsim_serve: cannot write metrics file %s: %s",
-                       obsCli.metricsFile.c_str(),
-                       std::strerror(errno));
-        }
+    if (!obsCli.metricsFile.empty() &&
+        !obs::Registry::instance().writeSnapshotFile(obsCli.metricsFile)) {
+        stsim_warn("stsim_serve: cannot write metrics file %s: %s",
+                   obsCli.metricsFile.c_str(), std::strerror(errno));
     }
 
     const serve::ServeStats &s = server.stats();

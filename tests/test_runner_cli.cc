@@ -342,6 +342,26 @@ TEST(WriteFailure, EveryOutputNamesItsPath)
     }
 }
 
+TEST(WriteFailure, MetricsFileWarnsAndKeepsTheExitCode)
+{
+    // The metrics snapshot is an observation, not a result: a file
+    // that cannot be written is a warning naming it, and the command
+    // still succeeds.
+    TempDir tmp;
+    const std::string manifest = tmp.path + "/m.jsonl";
+    CmdResult m = run(runner() + " manifest --suite golden "
+                      "--insts 2000 --warmup 500 --out '" + manifest +
+                      "' 2>&1");
+    ASSERT_EQ(m.exitCode, 0) << m.output;
+    const std::string metrics = tmp.path + "/missing/m.json";
+    CmdResult r = run(runner() + " dump --manifest '" + manifest +
+                      "' --metrics '" + metrics + "' 2>&1 >/dev/null");
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_NE(r.output.find("cannot write metrics file " + metrics),
+              std::string::npos)
+        << r.output;
+}
+
 TEST(RunTimeout, WatchdogExits124WhenAShardWedges)
 {
     // The hang hook stalls the shard after its first committed record
