@@ -668,19 +668,7 @@ SimServer::runJob(const std::shared_ptr<Conn> &c,
 
     inf->done.store(true);
     if (cancelled) {
-        int reason = inf->cancelReason.load();
-        if (reason == kDeadline) {
-            stats_.deadlineCancelled++;
-            reply = errorLine("deadline", inf->id,
-                              "deadline expired before completion");
-        } else if (reason == kDrain) {
-            stats_.drainCancelled++;
-            reply = errorLine("cancelled", inf->id,
-                              "server drained before completion");
-        } else {
-            reply = errorLine("cancelled", inf->id,
-                              "cancelled before completion");
-        }
+        reply = cancelledReply(*inf);
     } else if (!ok) {
         stats_.badRequests++;
         reply = errorLine("bad_request", inf->id, detail);
@@ -688,28 +676,13 @@ SimServer::runJob(const std::shared_ptr<Conn> &c,
         stats_.completed++;
         jobsCompletedCtr_.inc();
     }
-
-    {
-        std::lock_guard<std::mutex> lock(c->mu);
-        auto &v = c->inflight;
-        v.erase(std::remove(v.begin(), v.end(), inf), v.end());
-    }
-    admitted_.fetch_sub(1);
-    // One cross-thread span covering the whole admitted lifetime
-    // (admission -> reply handed to the writer).
-    if (inf->traced) {
-        if (obs::TraceSink *sink = obs::TraceSink::current()) {
-            sink->record("serve.request", inf->traceTs,
-                         sink->nowUs() - inf->traceTs);
-        }
-    }
-    pushReserved(c, std::move(reply));
+    finishAdmitted(c, inf, std::move(reply));
 }
 
 /**
- * Fleet completion: the --isolate twin of runJob's bookkeeping tail.
- * Runs on the fleet supervisor thread (or the submitting reader when
- * the fleet is stopping); called exactly once per admitted job.
+ * Fleet completion: the --isolate twin of runJob's reply. Runs on the
+ * fleet supervisor thread (or the submitting reader when the fleet is
+ * stopping); called exactly once per admitted job.
  */
 void
 SimServer::fleetDone(const std::shared_ptr<Conn> &c,
@@ -731,22 +704,9 @@ SimServer::fleetDone(const std::shared_ptr<Conn> &c,
             jobsCompletedCtr_.inc();
         }
         break;
-    case FleetOutcome::kCancelled: {
-        int reason = inf->cancelReason.load();
-        if (reason == kDeadline) {
-            stats_.deadlineCancelled++;
-            reply = errorLine("deadline", inf->id,
-                              "deadline expired before completion");
-        } else if (reason == kDrain) {
-            stats_.drainCancelled++;
-            reply = errorLine("cancelled", inf->id,
-                              "server drained before completion");
-        } else {
-            reply = errorLine("cancelled", inf->id,
-                              "cancelled before completion");
-        }
+    case FleetOutcome::kCancelled:
+        reply = cancelledReply(*inf);
         break;
-    }
     case FleetOutcome::kInternal:
         stats_.internalErrors++;
         reply = errorLine("internal", inf->id, res.detail);
@@ -757,16 +717,50 @@ SimServer::fleetDone(const std::shared_ptr<Conn> &c,
         break;
     }
 
+    // Fleet jobs run out of process, so queue wait and sim time are
+    // not separable here; the whole-lifetime histogram and span still
+    // apply (admission -> fleet completion).
+    queueWaitUs_.observe(elapsedUs(inf->admitTime));
+    finishAdmitted(c, inf, std::move(reply));
+}
+
+/** The reply to an admitted job cancelled before it finished, by the
+ *  reason its token fired for. */
+std::string
+SimServer::cancelledReply(const Inflight &inf)
+{
+    const int reason = inf.cancelReason.load();
+    if (reason == kDeadline) {
+        stats_.deadlineCancelled++;
+        return errorLine("deadline", inf.id,
+                         "deadline expired before completion");
+    }
+    if (reason == kDrain) {
+        stats_.drainCancelled++;
+        return errorLine("cancelled", inf.id,
+                         "server drained before completion");
+    }
+    return errorLine("cancelled", inf.id, "cancelled before completion");
+}
+
+/**
+ * The one tail of every admitted job, in-process or fleet: forget it
+ * on its connection, release its admission slot, close its span and
+ * hand @p reply to the connection's writer.
+ */
+void
+SimServer::finishAdmitted(const std::shared_ptr<Conn> &c,
+                          const std::shared_ptr<Inflight> &inf,
+                          std::string reply)
+{
     {
         std::lock_guard<std::mutex> lock(c->mu);
         auto &v = c->inflight;
         v.erase(std::remove(v.begin(), v.end(), inf), v.end());
     }
     admitted_.fetch_sub(1);
-    // Fleet jobs run out of process, so queue wait and sim time are
-    // not separable here; the whole-lifetime histogram and span still
-    // apply (admission -> fleet completion).
-    queueWaitUs_.observe(elapsedUs(inf->admitTime));
+    // One cross-thread span covering the whole admitted lifetime
+    // (admission -> reply handed to the writer).
     if (inf->traced) {
         if (obs::TraceSink *sink = obs::TraceSink::current()) {
             sink->record("serve.request", inf->traceTs,

@@ -177,6 +177,10 @@ class SimServer
     void fleetDone(const std::shared_ptr<Conn> &c,
                    const std::shared_ptr<Inflight> &inf,
                    FleetResult res);
+    std::string cancelledReply(const Inflight &inf);
+    void finishAdmitted(const std::shared_ptr<Conn> &c,
+                        const std::shared_ptr<Inflight> &inf,
+                        std::string reply);
     std::string healthLine(std::uint64_t id);
     std::string metricsLine(std::uint64_t id);
     void markDead(const std::shared_ptr<Conn> &c, bool slowOrGone);
