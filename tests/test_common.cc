@@ -6,9 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
+#include <climits>
+#include <cmath>
+#include <optional>
+#include <random>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/arg_parse.hh"
 #include "common/bitutil.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
@@ -221,4 +230,235 @@ TEST(TextTable, NumAndPct)
 {
     EXPECT_EQ(TextTable::num(1.2345, 2), "1.23");
     EXPECT_EQ(TextTable::pct(12.345, 1), "12.3%");
+}
+
+namespace
+{
+
+/**
+ * Reference for args::decodeU64: a value is one or more decimal
+ * digits and nothing else, no larger than @p max. Computed without
+ * strtoull: leading zeros are dropped and the rest compared as a
+ * decimal string against the largest 64-bit value.
+ */
+std::optional<std::uint64_t>
+digitsOnly(const std::string &s, std::uint64_t max)
+{
+    if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
+        return std::nullopt;
+    const std::string digits = s.substr(std::min(
+        s.find_first_not_of('0'), s.size() - 1));
+    const std::string limit = std::to_string(UINT64_MAX);
+    if (digits.size() > limit.size() ||
+        (digits.size() == limit.size() && digits > limit))
+        return std::nullopt;
+    std::uint64_t v = 0;
+    for (char c : digits)
+        v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    if (v > max)
+        return std::nullopt;
+    return v;
+}
+
+/**
+ * What dblPositive accepts: strtod's syntax (leading white space, an
+ * optional sign) over the whole value, finite and above zero.
+ * Computed with std::from_chars, which takes neither.
+ */
+std::optional<double>
+positiveDouble(const std::string &s)
+{
+    std::size_t at = s.find_first_not_of(" \t\n\v\f\r");
+    if (at == std::string::npos)
+        return std::nullopt;
+    if (s[at] == '+')
+        ++at;
+    double d = 0;
+    const char *last = s.data() + s.size();
+    const auto [p, ec] = std::from_chars(s.data() + at, last, d);
+    if (ec != std::errc() || p != last || !std::isfinite(d) || d <= 0)
+        return std::nullopt;
+    return d;
+}
+
+/** Which Diag hook a parse ended in. */
+enum class Ended
+{
+    Parsed,
+    MissingValue,
+    Unknown,
+    BadValue,
+    NotPositive,
+};
+
+struct DiagFired
+{
+    Ended how;
+};
+
+/** Every kind of target a FlagSet binds, at non-zero defaults. */
+struct Targets
+{
+    std::uint8_t u8 = 7;
+    std::uint16_t u16 = 7;
+    std::uint32_t u32 = 7;
+    std::uint64_t u64 = 7;
+    std::optional<unsigned> opt;
+    unsigned pos = 1;
+    double dbl = 1.5;
+    std::string str = "init";
+    bool flag = false;
+
+    bool operator==(const Targets &) const = default;
+};
+
+} // namespace
+
+/// Random command lines drawn from flag names and the values at the
+/// edges of every target type end either with every target holding a
+/// value a reference decoder agrees with, or with exactly one Diag
+/// hook, the one the reference predicts.
+TEST(ArgParse, RandomArgvParsesOrFiresOneDiag)
+{
+    const std::vector<std::string> names = {
+        "--u8", "--u16", "--u32", "--u64", "--opt",
+        "--pos", "--dbl", "--str", "--flag"};
+    std::vector<std::string> dict = names;
+    for (const char *v :
+         {"-1", " 1", "+0", "0", "1/2x", "255", "256", "65535", "65536",
+          "4294967295", "4294967296", "18446744073709551615",
+          "18446744073709551616", "nan", "inf", "1e309", ""})
+        dict.push_back(v);
+
+    std::mt19937_64 rng(20030208);
+    int fired = 0;
+    int parsed = 0;
+    for (int iter = 0; iter < 20'000; ++iter) {
+        std::vector<std::string> argv = {"prog"};
+        for (std::size_t n = rng() % 7; n > 0; --n)
+            argv.push_back(dict[rng() % dict.size()]);
+
+        // The reference: walk the arguments as the parser documents.
+        Targets want;
+        Ended wantEnd = Ended::Parsed;
+        for (std::size_t i = 1; i < argv.size() && wantEnd == Ended::Parsed;
+             ++i) {
+            const std::string &a = argv[i];
+            if (a == "--flag") {
+                want.flag = true;
+                continue;
+            }
+            if (std::find(names.begin(), names.end(), a) == names.end()) {
+                wantEnd = Ended::Unknown;
+                break;
+            }
+            if (i + 1 == argv.size()) {
+                wantEnd = Ended::MissingValue;
+                break;
+            }
+            const std::string &v = argv[++i];
+            auto store = [&](auto &target, std::uint64_t max) {
+                if (std::optional<std::uint64_t> u = digitsOnly(v, max))
+                    target = static_cast<std::remove_reference_t<
+                        decltype(target)>>(*u);
+                else
+                    wantEnd = Ended::BadValue;
+            };
+            if (a == "--u8")
+                store(want.u8, UINT8_MAX);
+            else if (a == "--u16")
+                store(want.u16, UINT16_MAX);
+            else if (a == "--u32")
+                store(want.u32, UINT32_MAX);
+            else if (a == "--u64")
+                store(want.u64, UINT64_MAX);
+            else if (a == "--opt")
+                store(want.opt, UINT_MAX);
+            else if (a == "--pos") {
+                store(want.pos, UINT_MAX);
+                if (wantEnd == Ended::Parsed && want.pos == 0)
+                    wantEnd = Ended::NotPositive;
+            } else if (a == "--dbl") {
+                if (std::optional<double> d = positiveDouble(v))
+                    want.dbl = *d;
+                else
+                    wantEnd = Ended::BadValue;
+            } else {
+                want.str = v;
+            }
+        }
+
+        Targets got;
+        int hooks = 0;
+        auto hook = [&hooks](Ended how) {
+            ++hooks;
+            throw DiagFired{how};
+        };
+        args::Diag diag;
+        diag.missingValue = [&](const char *) { hook(Ended::MissingValue); };
+        diag.unknown = [&](const char *) { hook(Ended::Unknown); };
+        diag.badValue = [&](const char *, const char *) {
+            hook(Ended::BadValue);
+        };
+        diag.notPositive = [&](const char *) { hook(Ended::NotPositive); };
+        args::FlagSet fs(diag);
+        fs.u64("--u8", "N", &got.u8)
+            .u64("--u16", "N", &got.u16)
+            .u64("--u32", "N", &got.u32)
+            .u64("--u64", "N", &got.u64)
+            .u64("--opt", "N", &got.opt)
+            .u64Positive("--pos", "N", &got.pos)
+            .dblPositive("--dbl", "X", &got.dbl)
+            .str("--str", "S", &got.str)
+            .boolean("--flag", &got.flag);
+
+        std::vector<char *> cargv;
+        for (std::string &a : argv)
+            cargv.push_back(a.data());
+        Ended end = Ended::Parsed;
+        try {
+            fs.parse(static_cast<int>(cargv.size()), cargv.data(), 1);
+        } catch (const DiagFired &d) {
+            end = d.how;
+        }
+
+        std::string line;
+        for (std::size_t i = 1; i < argv.size(); ++i)
+            line += " '" + argv[i] + "'";
+        ASSERT_EQ(static_cast<int>(end), static_cast<int>(wantEnd)) << line;
+        if (end == Ended::Parsed) {
+            ASSERT_EQ(hooks, 0) << line;
+            ASSERT_TRUE(got == want) << line;
+            ++parsed;
+        } else {
+            ASSERT_EQ(hooks, 1) << line;
+            ++fired;
+        }
+    }
+    // Both endings must be common, or one of them goes untested.
+    EXPECT_GT(parsed, 2'000);
+    EXPECT_GT(fired, 2'000);
+}
+
+/// decodeU64 accepts exactly the digits-only values no larger than
+/// its bound: no sign, no white space, no wrap past 2^64 - 1.
+TEST(ArgParse, DecodeU64MatchesDigitsOnlyReference)
+{
+    const std::string alphabet = "0123456789000 +-x";
+    const std::uint64_t bounds[] = {0, 1, 255, 65535, UINT32_MAX,
+                                    UINT64_MAX};
+    std::mt19937_64 rng(1);
+    for (int iter = 0; iter < 50'000; ++iter) {
+        std::string s;
+        for (std::size_t n = rng() % 24; n > 0; --n)
+            s += alphabet[rng() % alphabet.size()];
+        const std::uint64_t max = iter % 2 ? bounds[rng() % 6] : rng();
+        ASSERT_EQ(args::decodeU64(s.c_str(), max), digitsOnly(s, max))
+            << "'" << s << "' max " << max;
+    }
+    for (const char *edge : {"18446744073709551615", "18446744073709551616",
+                             "018446744073709551615", "00", ""}) {
+        EXPECT_EQ(args::decodeU64(edge), digitsOnly(edge, UINT64_MAX))
+            << edge;
+    }
 }
