@@ -72,9 +72,12 @@ class StateWriter
     void
     u64(const char *key, std::uint64_t v)
     {
+        char buf[22];
+        buf[0] = ' ';
+        char *p = std::to_chars(buf + 1, std::end(buf), v).ptr;
+        *p++ = '\n';
         out_ += key;
-        put(v);
-        out_ += '\n';
+        out_.append(buf, static_cast<std::size_t>(p - buf));
     }
     void boolean(const char *key, bool v);
     /** Hex-float ("%a"), bit-exact round trip. */
@@ -92,31 +95,35 @@ class StateWriter
 
     /**
      * `key N v1 .. vN`, value i being @p get of element i of @p v,
-     * written as it is read (no intermediate copy).
+     * formatted as it is read into a stack buffer that is appended
+     * whenever it fills (no copy of the array).
      */
     template <typename Range, typename Get = std::identity>
     void
     u64Vec(const char *key, const Range &v, Get get = {})
     {
         out_ += key;
+        char buf[4096];
+        char *p = buf;
+        auto put = [&](std::uint64_t x) {
+            if (std::end(buf) - p < 22) { // ' ', 20 digits, '\n'
+                out_.append(buf, static_cast<std::size_t>(p - buf));
+                p = buf;
+            }
+            *p++ = ' ';
+            p = std::to_chars(p, std::end(buf), x).ptr;
+        };
         put(std::size(v));
         for (const auto &x : v)
             put(static_cast<std::uint64_t>(std::invoke(get, x)));
-        out_ += '\n';
+        *p++ = '\n';
+        out_.append(buf, static_cast<std::size_t>(p - buf));
     }
 
     /** Finish the image: appends the end marker and returns the text. */
     std::string take();
 
   private:
-    /** Appends ' ' and @p v in decimal. */
-    void
-    put(std::uint64_t v)
-    {
-        char buf[24] = {' '};
-        out_.append(buf, std::to_chars(buf + 1, std::end(buf), v).ptr);
-    }
-
     std::string out_;
     std::vector<std::string> stack_; ///< open sections, for validation
 };
