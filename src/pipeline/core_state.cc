@@ -178,7 +178,8 @@ Core::state(serde::StateIO &io)
     io.u64("next_seq", nextSeq_);
     io.begin("core_stats");
     std::vector<Counter *> stats;
-    visitFields(stats_, [&](const char *, Counter &c) { stats.push_back(&c); });
+    visitFields(stats_,
+                [&](const char *, Counter &c) { stats.push_back(&c); });
     io.column("counters", stats, [](Counter *c) -> Counter & { return *c; });
     io.end("core_stats");
     confMetrics_.state(io);

@@ -250,10 +250,11 @@ SpeculationController::state(serde::StateIO &io)
     std::vector<InstSeq> seq;
     std::vector<ConfLevel> lvl;
     for (std::uint64_t p = head_; p < tail_; ++p) {
-        if (at(p).live) {
-            seq.push_back(at(p).seq);
-            lvl.push_back(at(p).lvl);
-        }
+        const Tracked &t = at(p);
+        if (!t.live)
+            continue;
+        seq.push_back(t.seq);
+        lvl.push_back(t.lvl);
     }
     io.vec("seq", seq);
     lvl.resize(seq.size());
