@@ -7,12 +7,15 @@
 #      byte-identical to a plain dump; its trace file is a Chrome
 #      trace_event document (ph/ts/dur on every event) holding the
 #      job lifecycle spans, and its metrics snapshot counts exactly
-#      the manifest's jobs in runjobs.jobs_completed.
+#      the manifest's jobs in runjobs.jobs_completed and one program
+#      build per benchmark the manifest names.
 #   2. A traced stsim_serve (--trace/--metrics/--stats-interval-sec)
 #      serves a replay byte-identical to the in-process dump, prints
 #      periodic stats lines, and after drain its trace holds the
 #      serve.request spans and its metrics snapshot counts exactly
-#      the replayed ids.
+#      the replayed ids. The daemon builds every built-in benchmark's
+#      program once, at start: eight program.build spans and
+#      sim.program_builds 8, though the replay names only four.
 #   3. `stsim_loadgen bench` ingests {"op":"metrics"} snapshots
 #      around its run and reports the server-side queue-wait and
 #      sim-time window in its `--json` row.
@@ -82,10 +85,17 @@ JOBS=$(wc -l < "$TMP/manifest.jsonl")
     --trace "$TMP/dump.trace.json" --metrics "$TMP/dump.metrics.json" \
     --out "$TMP/traced.jsonl"
 cmp "$TMP/plain.jsonl" "$TMP/traced.jsonl"
-check_trace "$TMP/dump.trace.json" job.warmup job.measure job.commit
+check_trace "$TMP/dump.trace.json" job.warmup job.measure job.commit \
+    program.build
 DUMP_DONE=$(extract c.runjobs.jobs_completed "$TMP/dump.metrics.json")
 [ "$DUMP_DONE" = "$JOBS" ] ||
     fail "dump metrics: jobs_completed=$DUMP_DONE, manifest has $JOBS"
+BENCHES=$(grep -o '"benchmark":"[^"]*"' "$TMP/manifest.jsonl" | sort -u |
+          wc -l)
+DUMP_BUILDS=$(extract c.sim.program_builds "$TMP/dump.metrics.json")
+[ "$DUMP_BUILDS" = "$BENCHES" ] ||
+    fail "dump metrics: program_builds=$DUMP_BUILDS, manifest names" \
+         "$BENCHES benchmarks"
 
 # --- 2. traced serve: replay matches the dump; counters match the
 # replayed ids; the trace holds the request pipeline spans.
@@ -114,7 +124,15 @@ wait "$SERVER_PID"
 SERVER_PID=
 
 check_trace "$TMP/serve.trace.json" serve.parse serve.sim \
-    serve.request serve.reply_flush
+    serve.request serve.reply_flush program.build
+# One build per built-in benchmark, whichever ones the replay names.
+SERVE_BUILDS=$(extract c.sim.program_builds "$TMP/serve.metrics.json")
+[ "$SERVE_BUILDS" = 8 ] ||
+    fail "serve metrics: program_builds=$SERVE_BUILDS, want 8"
+BUILD_SPANS=$(grep -o '"name":"program.build"' "$TMP/serve.trace.json" |
+              wc -l)
+[ "$BUILD_SPANS" = 8 ] ||
+    fail "serve trace: $BUILD_SPANS program.build spans, want 8"
 SERVE_DONE=$(extract c.serve.jobs_completed "$TMP/serve.metrics.json")
 [ "$SERVE_DONE" = "$JOBS" ] ||
     fail "serve metrics: jobs_completed=$SERVE_DONE, replayed $JOBS"

@@ -70,9 +70,12 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
         return stats;
     }
 
-    // Warm the shared program cache first — one build per distinct
-    // benchmark, itself fanned out over the pool — so the job wave
-    // never races workers into duplicate StaticProgram builds.
+    // Warm the shared program cache first: one build per distinct
+    // benchmark, all in parallel across the pool. programFor is
+    // single-flight, so the wave could not build a program twice
+    // anyway; without this pass, though, the first job of each
+    // benchmark would build its program on its own worker, and jobs
+    // that share it would wait on that one build.
     std::vector<std::string> names;
     for (const SimJob &j : jobs) {
         if (!j.cfg.customProfile &&

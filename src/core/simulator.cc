@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -13,6 +14,7 @@
 #include "core/job_serde.hh"
 #include "core/state_serde.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "trace/profile.hh"
 
 namespace stsim
@@ -52,27 +54,76 @@ SimConfig::finalize()
     power.scaleBpredSize(budget);
 }
 
+namespace
+{
+
+/**
+ * The programs shared by every Simulator in the process, by benchmark
+ * name. An entry holds null while the thread that created it builds
+ * the program; every other caller waits on `built` for that build.
+ */
+struct ProgramCache
+{
+    std::mutex mu;
+    std::condition_variable built;
+    std::map<std::string, std::shared_ptr<const StaticProgram>> programs;
+};
+
+ProgramCache &
+programCache()
+{
+    static ProgramCache cache;
+    return cache;
+}
+
+} // namespace
+
 std::shared_ptr<const StaticProgram>
 Simulator::programFor(const std::string &benchmark)
 {
-    // Shared across concurrently-constructed Simulators (the parallel
-    // experiment engine); the map is the only mutable shared state.
-    static std::mutex mu;
-    static std::map<std::string, std::shared_ptr<const StaticProgram>>
-        cache;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto it = cache.find(benchmark);
-        if (it != cache.end())
+    // Validate before the cache sees the name: an unknown (hostile)
+    // name fatals here and never gets an entry.
+    const BenchmarkProfile &profile = findProfile(benchmark);
+    ProgramCache &cache = programCache();
+    std::unique_lock<std::mutex> lock(cache.mu);
+    for (;;) {
+        auto [it, inserted] = cache.programs.try_emplace(benchmark);
+        if (inserted)
+            break;
+        if (it->second)
             return it->second;
+        // Another thread is building it. If that build throws, the
+        // entry is gone when we wake and this thread builds instead.
+        cache.built.wait(lock);
     }
-    // Build outside the lock: CFG construction is expensive and
-    // deterministic, so a racing duplicate is wasted work, not a
-    // correctness problem — emplace keeps whichever landed first.
-    auto prog = std::make_shared<const StaticProgram>(
-        findProfile(benchmark));
-    std::lock_guard<std::mutex> lock(mu);
-    return cache.emplace(benchmark, std::move(prog)).first->second;
+    lock.unlock();
+
+    // Build outside the lock, so other benchmarks build in parallel.
+    std::shared_ptr<const StaticProgram> prog;
+    try {
+        TRACE_SPAN("program.build");
+        prog = std::make_shared<const StaticProgram>(profile);
+    } catch (...) {
+        lock.lock();
+        cache.programs.erase(benchmark);
+        cache.built.notify_all();
+        throw;
+    }
+    static obs::Counter &builds =
+        obs::Registry::instance().counter("sim.program_builds");
+    builds.inc();
+    lock.lock();
+    cache.programs[benchmark] = prog;
+    cache.built.notify_all();
+    return prog;
+}
+
+std::size_t
+Simulator::cachedPrograms()
+{
+    ProgramCache &cache = programCache();
+    std::lock_guard<std::mutex> lock(cache.mu);
+    return cache.programs.size();
 }
 
 Simulator::Simulator(SimConfig cfg)

@@ -130,10 +130,18 @@ class Simulator
 
     /**
      * Shared cache of immutable synthetic programs, keyed by profile
-     * name; avoids rebuilding the CFG for every experiment.
+     * name; avoids rebuilding the CFG for every experiment. Single
+     * flight: the first caller for a name builds its program (a
+     * `program.build` span, one `sim.program_builds` count) while
+     * concurrent callers for that name wait for that build. An
+     * unknown name fatals before the cache sees it, and a build that
+     * throws leaves no entry, so the next call builds again.
      */
     static std::shared_ptr<const StaticProgram>
     programFor(const std::string &benchmark);
+
+    /** Entries in programFor's cache, built or building (tests). */
+    static std::size_t cachedPrograms();
 
   private:
     /** Where the run stands; serialized, so snapshots resume exactly. */

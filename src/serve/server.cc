@@ -16,6 +16,7 @@
 #include "core/simulator.hh"
 #include "obs/trace.hh"
 #include "serve/net.hh"
+#include "trace/profile.hh"
 
 namespace stsim
 {
@@ -191,6 +192,23 @@ SimServer::start()
         fo.respawnCapMs = opts_.respawnCapMs;
         fleet_ = std::make_unique<WorkerFleet>(fo, *workerLauncher_);
         fleet_->start();
+    } else {
+        // Build every benchmark's program on the pool, in parallel,
+        // while the listener comes up, rather than one at a time on
+        // the first requests' critical path. A request whose program
+        // is still building waits for that build (programFor is
+        // single-flight); a failed build leaves no entry behind.
+        for (const std::string &name : benchmarkNames()) {
+            pool_.submit([name] {
+                try {
+                    Simulator::programFor(name);
+                } catch (const std::exception &e) {
+                    stsim_warn("serve: building program '%s' failed (%s); "
+                               "its first request builds it",
+                               name.c_str(), e.what());
+                }
+            });
+        }
     }
     started_ = true;
     acceptThread_ = std::thread([this] { acceptLoop(); });

@@ -143,7 +143,12 @@ class SimServer
     SimServer(const SimServer &) = delete;
     SimServer &operator=(const SimServer &) = delete;
 
-    /** Bind, listen, and start accepting. */
+    /**
+     * Bind, listen, and start accepting. In-process (not isolate),
+     * also queue one Simulator::programFor build per built-in
+     * benchmark on the pool, so the programs build in parallel ahead
+     * of the first requests.
+     */
     void start();
 
     /** Resolved TCP port (after start(), when tcpPort was 0). */

@@ -1,13 +1,15 @@
 /**
  * @file
- * Tests for the public library layer: SimConfig finalization,
- * experiment registry, suite sizes, relative metrics and their
- * averages, and Simulator::runSweep.
+ * Tests for the public library layer: the shared program cache,
+ * SimConfig finalization, experiment registry, suite sizes, relative
+ * metrics and their averages, and Simulator::runSweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <iterator>
+#include <thread>
 
 #include "common/logging.hh"
 #include "core/cancel.hh"
@@ -20,6 +22,61 @@
 #include "obs/metrics.hh"
 
 using namespace stsim;
+
+/// Eight threads racing through their first programFor calls build
+/// each program once and all get one pointer per name. Defined first,
+/// so in this binary no program has been built before it runs; the
+/// build count is process-wide, so it holds in any order.
+TEST(ProgramCache, ConcurrentFirstCallsBuildEachProgramOnce)
+{
+    const std::vector<std::string> &names = benchmarkNames();
+    constexpr std::size_t kThreads = 8;
+    std::vector<std::vector<const StaticProgram *>> got(
+        kThreads, std::vector<const StaticProgram *>(names.size()));
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) {
+            }
+            // Half the threads walk the names forward and half
+            // backward: four race on each of two names at once.
+            for (std::size_t k = 0; k < names.size(); ++k) {
+                std::size_t n = t % 2 ? names.size() - 1 - k : k;
+                got[t][n] = Simulator::programFor(names[n]).get();
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    for (std::size_t n = 0; n < names.size(); ++n) {
+        ASSERT_NE(got[0][n], nullptr) << names[n];
+        for (std::size_t t = 1; t < kThreads; ++t)
+            EXPECT_EQ(got[t][n], got[0][n]) << names[n] << " thread " << t;
+    }
+    EXPECT_EQ(obs::Registry::instance().counter("sim.program_builds").value(),
+              names.size());
+    EXPECT_EQ(Simulator::cachedPrograms(), names.size());
+}
+
+/// An unknown name fatals before the cache sees it: no entry, no
+/// build, and the cache keeps serving known names.
+TEST(ProgramCache, UnknownNameAddsNoEntry)
+{
+    const std::size_t entries = Simulator::cachedPrograms();
+    const std::uint64_t builds =
+        obs::Registry::instance().counter("sim.program_builds").value();
+    for (int i = 0; i < 2; ++i) {
+        FatalCaptureScope capture;
+        EXPECT_THROW(Simulator::programFor("no_such_benchmark"), FatalError);
+    }
+    EXPECT_EQ(Simulator::cachedPrograms(), entries);
+    EXPECT_EQ(obs::Registry::instance().counter("sim.program_builds").value(),
+              builds);
+    EXPECT_NE(Simulator::programFor("go"), nullptr);
+}
 
 TEST(SimConfig, FinalizeIsIdempotent)
 {

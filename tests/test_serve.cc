@@ -17,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,9 +30,11 @@
 #include "core/job_serde.hh"
 #include "dist/host_launcher.hh"
 #include "core/parallel_harness.hh"
+#include "core/results_sink.hh"
 #include "core/simulator.hh"
 #include "serve/net.hh"
 #include "serve/server.hh"
+#include "trace/profile.hh"
 
 using namespace stsim;
 
@@ -463,6 +467,64 @@ TEST(Serve, RepliesCorrelateById)
     server.waitDrained();
     EXPECT_EQ(server.stats().completed.load(),
               static_cast<std::uint64_t>(n));
+}
+
+TEST(Serve, ColdStartBuildsEachProgramOnceAndServesLikeRunJobs)
+{
+    TempDir dir;
+    serve::ServeOptions opts;
+    opts.unixPath = dir.sock();
+    opts.workers = 2;
+    opts.queueCapacity = 16;
+    serve::SimServer server(opts);
+    server.start();
+
+    // One request per built-in benchmark, sent while start()'s program
+    // builds may still be running.
+    std::vector<SimJob> jobs;
+    for (const std::string &name : benchmarkNames()) {
+        SimJob j = tinyJob(3'000, 500);
+        j.cfg.benchmark = name;
+        jobs.push_back(j);
+    }
+    Client c(dir.sock());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        c.send(requestFrame(jobs[i], i));
+    std::vector<std::string> served;
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        served.push_back(c.readLine());
+
+    std::ostringstream batch;
+    JsonlResultsSink sink(batch);
+    runJobs(jobs, sink, 2);
+    std::vector<std::string> expected;
+    std::istringstream lines(batch.str());
+    for (std::string line; std::getline(lines, line);)
+        expected.push_back(line);
+    // Replies arrive in completion order; sorted, the one-digit ids
+    // put them in the batch's submission order.
+    std::sort(served.begin(), served.end());
+    EXPECT_EQ(served, expected);
+
+    // Every program was built exactly once in this process.
+    c.send("{\"op\":\"metrics\",\"id\":1}\n");
+    std::string metrics = c.readLine();
+    EXPECT_NE(metrics.find("\"c.sim.program_builds\":8,"),
+              std::string::npos)
+        << metrics;
+
+    SimJob bad = tinyJob(3'000, 500);
+    bad.cfg.benchmark = "no_such_benchmark";
+    c.send(requestFrame(bad, 20));
+    std::string reply = c.readLine();
+    EXPECT_TRUE(startsWith(reply, "{\"error\":\"bad_request\",\"id\":20"))
+        << reply;
+    c.send(requestFrame(jobs.front(), 0));
+    EXPECT_EQ(c.readLine(), expected.front());
+
+    server.beginDrain();
+    server.waitDrained();
+    EXPECT_EQ(server.stats().completed.load(), jobs.size() + 1);
 }
 
 TEST(Serve, HealthReportsStats)
