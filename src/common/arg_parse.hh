@@ -54,6 +54,34 @@ decodeU64(const char *s,
     return v;
 }
 
+/** One slice of a manifest split N ways: the jobs whose index % count
+ *  is index. */
+struct Shard
+{
+    std::uint64_t index = 0;
+    std::uint64_t count = 1;
+};
+
+/**
+ * Decode a `--shard I/N` value: two decodeU64 values around one '/',
+ * with I < N (so N > 0). A missing or second '/', or a side that is
+ * not digits only, fails.
+ */
+inline std::optional<Shard>
+decodeShard(const char *s)
+{
+    const std::string_view v(s);
+    const std::size_t slash = v.find('/');
+    if (slash == std::string_view::npos)
+        return std::nullopt;
+    std::optional<std::uint64_t> i =
+        decodeU64(std::string(v.substr(0, slash)).c_str());
+    std::optional<std::uint64_t> n = decodeU64(s + slash + 1);
+    if (!i || !n || *i >= *n)
+        return std::nullopt;
+    return Shard{*i, *n};
+}
+
 /**
  * Per-binary diagnostic style. Every hook must not return (exit, or
  * stsim_fatal). Decoding is shared -- a numeric value that would wrap

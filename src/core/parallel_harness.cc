@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 
+#include "common/arg_parse.hh"
 #include "common/logging.hh"
 #include "core/cancel.hh"
 #include "core/results_sink.hh"
@@ -32,11 +35,10 @@ reorderWindow(std::size_t workers, std::size_t tasks)
 {
     std::size_t window = std::max<std::size_t>(std::size_t{2} * workers, 4);
     if (const char *s = std::getenv("STSIM_REORDER_WINDOW")) {
-        // strtoull silently wraps negative input, so parse signed.
-        char *end = nullptr;
-        long long v = std::strtoll(s, &end, 10);
-        if (end && *end == '\0' && v >= 1)
-            window = static_cast<std::size_t>(v);
+        std::optional<std::uint64_t> v =
+            args::decodeU64(s, std::numeric_limits<std::size_t>::max());
+        if (v && *v >= 1)
+            window = static_cast<std::size_t>(*v);
         else
             stsim_warn("ignoring bad STSIM_REORDER_WINDOW='%s'", s);
     }

@@ -412,7 +412,7 @@ int
 cmdRunOrDump(int argc, char **argv, bool sharded)
 {
     std::string manifest, out_path, format, snapshot_path;
-    std::uint64_t shard = 0, shards = 1;
+    args::Shard shard;
     unsigned timeoutSec = 0; // alarm()'s type
     unsigned workers = 0;
     bool memoize = false;
@@ -420,16 +420,10 @@ cmdRunOrDump(int argc, char **argv, bool sharded)
     fs.str("--manifest", "FILE", &manifest);
     if (sharded) {
         fs.flag("--shard", "I/N", [&](const char *spec) {
-            const char *slash = std::strchr(spec, '/');
-            std::optional<std::uint64_t> i, n;
-            if (slash) {
-                i = args::decodeU64(std::string(spec, slash).c_str());
-                n = args::decodeU64(slash + 1);
-            }
-            if (!i || !n || *n == 0 || *i >= *n)
+            std::optional<args::Shard> s = args::decodeShard(spec);
+            if (!s)
                 usage("--shard wants I/N with 0 <= I < N");
-            shard = *i;
-            shards = *n;
+            shard = *s;
         });
     }
     fs.u64("--jobs", "W", &workers);
@@ -508,7 +502,7 @@ cmdRunOrDump(int argc, char **argv, bool sharded)
     std::vector<SimJob> mine;
     std::vector<std::uint64_t> globalIndex;
     for (std::size_t i = 0; i < lines.size(); ++i) {
-        if (i % shards == shard) {
+        if (i % shard.count == shard.index) {
             mine.push_back(serde::jobFromJson(lines[i]));
             globalIndex.push_back(i);
         }
@@ -524,8 +518,8 @@ cmdRunOrDump(int argc, char **argv, bool sharded)
     std::fprintf(stderr,
                  "stsim_runner: shard %llu/%llu ran %zu of %zu jobs "
                  "(max %zu results held for reorder)\n",
-                 static_cast<unsigned long long>(shard),
-                 static_cast<unsigned long long>(shards), mine.size(),
+                 static_cast<unsigned long long>(shard.index),
+                 static_cast<unsigned long long>(shard.count), mine.size(),
                  lines.size(), stats.maxPending);
     if (memoize) {
         std::fprintf(stderr,

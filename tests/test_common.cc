@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <chrono>
 #include <climits>
 #include <cmath>
 #include <optional>
@@ -296,6 +297,10 @@ struct DiagFired
     Ended how;
 };
 
+/** dispatch's --timeout-sec bound: seconds that fit in milliseconds. */
+constexpr std::uint64_t kTimeoutBound =
+    std::chrono::milliseconds::max().count() / 1000;
+
 /** Every kind of target a FlagSet binds, at non-zero defaults. */
 struct Targets
 {
@@ -303,6 +308,7 @@ struct Targets
     std::uint16_t u16 = 7;
     std::uint32_t u32 = 7;
     std::uint64_t u64 = 7;
+    std::uint64_t bounded = 7;
     std::optional<unsigned> opt;
     unsigned pos = 1;
     double dbl = 1.5;
@@ -321,12 +327,13 @@ struct Targets
 TEST(ArgParse, RandomArgvParsesOrFiresOneDiag)
 {
     const std::vector<std::string> names = {
-        "--u8", "--u16", "--u32", "--u64", "--opt",
+        "--u8", "--u16", "--u32", "--u64", "--bounded", "--opt",
         "--pos", "--dbl", "--str", "--flag"};
     std::vector<std::string> dict = names;
     for (const char *v :
          {"-1", " 1", "+0", "0", "1/2x", "255", "256", "65535", "65536",
-          "4294967295", "4294967296", "18446744073709551615",
+          "4294967295", "4294967296", "9223372036854775",
+          "9223372036854776", "18446744073709551615",
           "18446744073709551616", "nan", "inf", "1e309", ""})
         dict.push_back(v);
 
@@ -372,6 +379,8 @@ TEST(ArgParse, RandomArgvParsesOrFiresOneDiag)
                 store(want.u32, UINT32_MAX);
             else if (a == "--u64")
                 store(want.u64, UINT64_MAX);
+            else if (a == "--bounded")
+                store(want.bounded, kTimeoutBound);
             else if (a == "--opt")
                 store(want.opt, UINT_MAX);
             else if (a == "--pos") {
@@ -406,6 +415,11 @@ TEST(ArgParse, RandomArgvParsesOrFiresOneDiag)
             .u64("--u16", "N", &got.u16)
             .u64("--u32", "N", &got.u32)
             .u64("--u64", "N", &got.u64)
+            .flag("--bounded", "S",
+                  [&fs, &got](const char *v) {
+                      got.bounded = fs.u64Value("--bounded", v,
+                                                kTimeoutBound);
+                  })
             .u64("--opt", "N", &got.opt)
             .u64Positive("--pos", "N", &got.pos)
             .dblPositive("--dbl", "X", &got.dbl)
@@ -438,6 +452,86 @@ TEST(ArgParse, RandomArgvParsesOrFiresOneDiag)
     // Both endings must be common, or one of them goes untested.
     EXPECT_GT(parsed, 2'000);
     EXPECT_GT(fired, 2'000);
+}
+
+/// decodeShard accepts exactly "I/N": one '/', digits-only sides
+/// that fit in 64 bits, and I < N.
+TEST(ArgParse, DecodeShardMatchesReference)
+{
+    auto reference = [](const std::string &s) -> std::optional<args::Shard> {
+        const std::size_t slash = s.find('/');
+        if (slash == std::string::npos)
+            return std::nullopt;
+        std::optional<std::uint64_t> i =
+            digitsOnly(s.substr(0, slash), UINT64_MAX);
+        std::optional<std::uint64_t> n =
+            digitsOnly(s.substr(slash + 1), UINT64_MAX);
+        if (!i || !n || *i >= *n)
+            return std::nullopt;
+        return args::Shard{*i, *n};
+    };
+    // Two digit runs at the u64 edges around a '/' that may be
+    // missing or doubled, each side sometimes led or trailed by a
+    // sign, a space, a letter or another '/'.
+    const std::vector<std::string> digits = {
+        "0", "1", "2", "7", "00", "10", "18446744073709551614",
+        "18446744073709551615", "18446744073709551616",
+        "018446744073709551615", "99999999999999999999", ""};
+    const std::vector<std::string> noise = {" ", "+", "-", "x", "/"};
+    std::mt19937_64 rng(2003);
+    auto maybeNoise = [&] {
+        return rng() % 4 ? std::string() : noise[rng() % noise.size()];
+    };
+    int accepted = 0;
+    for (int iter = 0; iter < 50'000; ++iter) {
+        std::string s = maybeNoise() + digits[rng() % digits.size()];
+        s += rng() % 4 ? std::string("/") : maybeNoise();
+        s += digits[rng() % digits.size()] + maybeNoise();
+        std::optional<args::Shard> got = args::decodeShard(s.c_str());
+        std::optional<args::Shard> want = reference(s);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "'" << s << "'";
+        if (got) {
+            ASSERT_EQ(got->index, want->index) << "'" << s << "'";
+            ASSERT_EQ(got->count, want->count) << "'" << s << "'";
+            ++accepted;
+        }
+    }
+    // Both outcomes must be common, or one of them goes untested.
+    EXPECT_GT(accepted, 2'000);
+    EXPECT_LT(accepted, 48'000);
+    struct Edge
+    {
+        const char *value;
+        std::optional<args::Shard> want;
+    };
+    const std::optional<args::Shard> bad;
+    for (const Edge &e : {
+             Edge{"18446744073709551614/18446744073709551615",
+                  args::Shard{UINT64_MAX - 1, UINT64_MAX}},
+             Edge{"18446744073709551615/18446744073709551615", bad},
+             Edge{"0/18446744073709551616", bad},
+             Edge{"0/1", args::Shard{0, 1}},
+             Edge{"01/02", args::Shard{1, 2}},
+             Edge{"1/1", bad},
+             Edge{"0/0", bad},
+             Edge{"0/1/2", bad},
+             Edge{"0/-1", bad},
+             Edge{"1/2x", bad},
+             Edge{"+0/2", bad},
+             Edge{" 0/2", bad},
+             Edge{"0/ 2", bad},
+             Edge{"0 /2", bad},
+             Edge{"/", bad},
+             Edge{"", bad},
+         }) {
+        std::optional<args::Shard> got = args::decodeShard(e.value);
+        ASSERT_EQ(got.has_value(), e.want.has_value())
+            << "'" << e.value << "'";
+        if (got) {
+            EXPECT_EQ(got->index, e.want->index) << e.value;
+            EXPECT_EQ(got->count, e.want->count) << e.value;
+        }
+    }
 }
 
 /// decodeU64 accepts exactly the digits-only values no larger than
