@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "common/rng.hh"
 #include "trace/profile.hh"
@@ -60,6 +62,29 @@ struct StreamDigest
         mix(t.npc);
     }
 };
+
+/** The body ops of @p b. */
+std::span<const StaticOp>
+bodyOps(const StaticProgram &, const StaticBlock &b)
+{
+    return b.ops;
+}
+
+/** A memory op's region as the walkers resolve it: base, size, stride
+ *  and stream cursor index. */
+struct OpRegion
+{
+    Addr base;
+    std::uint32_t size;
+    std::uint16_t stride;
+    std::uint32_t cursor;
+};
+
+OpRegion
+regionOf(const StaticProgram &, const StaticOp &op)
+{
+    return {op.regionBase, op.regionSize, op.stride, op.memStateIdx};
+}
 
 /** Feed @p count instructions of @p gen into @p d through nextGroup,
  *  cycling the group size over 1..8 so both the one-instruction path
@@ -183,6 +208,60 @@ TEST(StaticProgram, DeterministicConstruction)
         EXPECT_EQ(a.block(i).term, b.block(i).term);
         EXPECT_EQ(a.block(i).takenTarget, b.block(i).takenTarget);
     }
+}
+
+/// Pins every built-in program, not just the walked prefix: each
+/// block's fields and each body op's resolved fields, across all eight
+/// benchmarks. A memory op adds its region's base and size, and a
+/// Stream op also its stride and stream cursor (the fields the walkers
+/// read). Any change to a program, or to the RNG draws that build it,
+/// changes the digest.
+TEST(StaticProgram, EveryProgramIsPinned)
+{
+    StreamDigest d;
+    std::uint64_t blocks = 0, ops = 0;
+    for (const std::string &bench : benchmarkNames()) {
+        const StaticProgram prog(findProfile(bench));
+        d.mix(prog.numBlocks());
+        d.mix(prog.codeEnd());
+        for (std::uint32_t i = 0; i < prog.numBlocks(); ++i) {
+            const StaticBlock &b = prog.block(i);
+            const std::span<const StaticOp> body = bodyOps(prog, b);
+            d.mix(b.pc);
+            d.mix(body.size());
+            d.mix(static_cast<std::uint64_t>(b.term));
+            d.mix(b.takenTarget);
+            d.mix(b.fallthrough);
+            d.mix(b.termSrcDist[0]);
+            d.mix(b.termSrcDist[1]);
+            d.mix(static_cast<std::uint64_t>(b.behavior));
+            d.mix(b.loopPeriod);
+            d.mix(std::bit_cast<std::uint32_t>(b.takenP));
+            d.mix(b.patternBits);
+            d.mix(b.patternSalt);
+            for (const StaticOp &op : body) {
+                d.mix(static_cast<std::uint64_t>(op.cls));
+                d.mix(op.srcDist[0]);
+                d.mix(op.srcDist[1]);
+                d.mix(op.hasDest);
+                if (!isMemory(op.cls))
+                    continue;
+                const OpRegion r = regionOf(prog, op);
+                d.mix(static_cast<std::uint64_t>(op.memPattern));
+                d.mix(r.base);
+                d.mix(r.size);
+                if (op.memPattern == MemPattern::Stream) {
+                    d.mix(r.stride);
+                    d.mix(r.cursor);
+                }
+            }
+            ops += body.size();
+        }
+        blocks += prog.numBlocks();
+    }
+    EXPECT_EQ(blocks, 18'688u);
+    EXPECT_EQ(ops, 128'636u);
+    EXPECT_EQ(d.h, 0xec22d96832848b2dull);
 }
 
 TEST(Workload, DeterministicStream)
