@@ -80,31 +80,28 @@ StaticProgram::StaticProgram(const BenchmarkProfile &profile)
     // Pooled array regions shared by all Stream ops: real programs
     // traverse a handful of live arrays, not one per load site. The
     // shared per-region cursor models cooperative traversal.
-    struct Region
-    {
-        Addr base;
-        std::uint32_t size;
-        std::uint16_t stride;
-    };
-    std::vector<Region> regions;
-    numArrayRegions_ = 8;
-    for (std::uint32_t i = 0; i < numArrayRegions_; ++i) {
+    for (std::uint8_t i = 0; i < kArrayRegions; ++i) {
         std::uint32_t max_region = static_cast<std::uint32_t>(
             std::min<Addr>(6 * 1024, data_bytes / 2));
         std::uint32_t size = static_cast<std::uint32_t>(
             rng.between(2 * 1024, max_region));
         Addr base = kDataBase + rng.below(data_bytes - size + 1);
         static const std::uint16_t strides[] = {4, 4, 4, 8, 8, 8};
-        regions.push_back({base, size, strides[rng.below(6)]});
+        regions_[i] = {base, size, strides[rng.below(6)]};
     }
+    regions_[kStackRegion] = {kStackBase, kStackRegionBytes};
+    regions_[kHeapRegion] = {kDataBase,
+                             static_cast<std::uint32_t>(data_bytes)};
 
+    // About mean_len - 2 body ops per block; the slack goes at the end.
+    ops_.reserve(static_cast<std::size_t>(n * mean_len));
     for (std::uint32_t i = 0; i < n; ++i) {
         StaticBlock &b = blocks_[i];
         b.pc = pc;
-
-        unsigned body_len = rng.geometric(body_geom_p, body_cap);
-        b.ops.resize(body_len);
-        for (auto &op : b.ops) {
+        b.opBegin = static_cast<std::uint32_t>(ops_.size());
+        b.numOps = rng.geometric(body_geom_p, body_cap);
+        for (std::uint32_t k = 0; k < b.numOps; ++k) {
+            StaticOp &op = ops_.emplace_back();
             op.cls = drawBodyClass(profile_, rng);
             op.hasDest = op.cls != InstClass::Store &&
                          op.cls != InstClass::Nop;
@@ -118,23 +115,15 @@ StaticProgram::StaticProgram(const BenchmarkProfile &profile)
                 double r = rng.uniform();
                 if (r < profile_.fracStackAccess) {
                     op.memPattern = MemPattern::Stack;
-                    op.regionBase = kStackBase;
-                    op.regionSize = kStackRegionBytes;
-                    op.memStateIdx = 0; // unused
+                    op.region = kStackRegion;
                 } else if (r < profile_.fracStackAccess +
                                    profile_.fracStreamAccess) {
                     op.memPattern = MemPattern::Stream;
-                    std::uint32_t ri = static_cast<std::uint32_t>(
-                        rng.below(regions.size()));
-                    op.regionBase = regions[ri].base;
-                    op.regionSize = regions[ri].size;
-                    op.stride = regions[ri].stride;
-                    op.memStateIdx = ri; // shared per-region cursor
+                    op.region = static_cast<std::uint8_t>(
+                        rng.below(kArrayRegions));
                 } else {
                     op.memPattern = MemPattern::Random;
-                    op.regionBase = kDataBase;
-                    op.regionSize = static_cast<std::uint32_t>(data_bytes);
-                    op.memStateIdx = 0; // unused
+                    op.region = kHeapRegion;
                 }
             }
         }
@@ -163,6 +152,7 @@ StaticProgram::StaticProgram(const BenchmarkProfile &profile)
         pc = b.endPc();
     }
     codeEnd_ = pc;
+    ops_.shrink_to_fit();
 
     // Second pass: successors (needs all block count/addresses fixed).
     for (std::uint32_t i = 0; i < n; ++i) {

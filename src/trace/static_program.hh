@@ -10,7 +10,10 @@
 #ifndef STSIM_TRACE_STATIC_PROGRAM_HH
 #define STSIM_TRACE_STATIC_PROGRAM_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -46,6 +49,17 @@ enum class MemPattern : std::uint8_t
     Random,  ///< uniform within the data footprint
 };
 
+/**
+ * A memory region body ops address. Each program holds one table of
+ * these: the pooled stream arrays first, then the stack, then the heap.
+ */
+struct MemRegion
+{
+    Addr base = 0;             ///< absolute base address
+    std::uint32_t size = 0;    ///< bytes
+    std::uint16_t stride = 8;  ///< bytes per step (Stream)
+};
+
 /** A non-terminator instruction slot inside a static block. */
 struct StaticOp
 {
@@ -55,21 +69,21 @@ struct StaticOp
 
     // Memory slots only:
     MemPattern memPattern = MemPattern::Random;
-    Addr regionBase = 0;       ///< absolute base address of the region
-    std::uint32_t regionSize = 0;  ///< bytes
-    std::uint16_t stride = 8;      ///< bytes per step (Stream)
-    std::uint32_t memStateIdx = 0; ///< index of mutable stream cursor
+    /** Index into the program's region table; a Stream op's is also
+     *  the index of its region's mutable stream cursor. */
+    std::uint8_t region = 0;
 };
 
 /** A static basic block: body ops plus one control-flow terminator. */
 struct StaticBlock
 {
     Addr pc = 0;                   ///< address of the first instruction
-    std::vector<StaticOp> ops;     ///< body (terminator excluded)
+    std::uint32_t opBegin = 0;     ///< first body op in the program's ops
+    std::uint32_t numOps = 0;      ///< body length (terminator excluded)
 
-    TermKind term = TermKind::CondBranch;
     std::uint32_t takenTarget = 0;   ///< successor block index if taken
     std::uint32_t fallthrough = 0;   ///< successor block index if not
+    TermKind term = TermKind::CondBranch;
 
     /** Conditional branches consume the comparison result: source
      *  operand distances, like body ops (0 = none). */
@@ -78,16 +92,21 @@ struct StaticBlock
     // Conditional-branch behaviour:
     BranchBehavior behavior = BranchBehavior::Biased;
     std::uint16_t loopPeriod = 8;    ///< Loop trip count
-    float takenP = 0.5f;             ///< Biased/Chaotic P(taken)
     std::uint8_t patternBits = 4;    ///< Pattern: history bits consumed
+    float takenP = 0.5f;             ///< Biased/Chaotic P(taken)
     std::uint32_t patternSalt = 1;   ///< Pattern: per-branch hash salt
 
     /** Address of the terminator instruction. */
-    Addr termPc() const { return pc + 4 * ops.size(); }
+    Addr termPc() const { return pc + 4 * numOps; }
 
     /** Address one past the last instruction. */
-    Addr endPc() const { return pc + 4 * (ops.size() + 1); }
+    Addr endPc() const { return pc + 4 * (numOps + 1); }
 };
+
+// Every program's blocks and ops stay resident for the life of the
+// process: keep them small.
+static_assert(sizeof(StaticOp) <= 8);
+static_assert(sizeof(StaticBlock) <= 48);
 
 /**
  * Immutable synthetic program built deterministically from a
@@ -111,14 +130,23 @@ class StaticProgram
         return static_cast<std::uint32_t>(blocks_.size());
     }
 
+    /** The body ops of block @p b, in order. */
+    std::span<const StaticOp> ops(const StaticBlock &b) const
+    {
+        return std::span(ops_).subspan(b.opBegin, b.numOps);
+    }
+
+    /** Total body ops across all blocks. */
+    std::size_t numOps() const { return ops_.size(); }
+
+    /** Entry @p idx of the region table (StaticOp::region). */
+    const MemRegion &region(std::uint8_t idx) const
+    {
+        return regions_[idx];
+    }
+
     /** Block index whose address range contains @p pc (by start addr). */
     std::uint32_t blockContaining(Addr pc) const;
-
-    /** Number of mutable stream cursors the walkers must allocate. */
-    std::uint32_t numMemStates() const { return numMemStates_; }
-
-    /** Number of pooled array regions shared by Stream ops. */
-    std::uint32_t numArrayRegions() const { return numArrayRegions_; }
 
     /** First code address. */
     Addr codeBase() const { return kCodeBase; }
@@ -137,12 +165,22 @@ class StaticProgram
     static constexpr Addr kDataBase = 0x1000'0000;
     static constexpr std::uint32_t kStackRegionBytes = 16 * 1024;
 
+    /// @name Region table layout
+    /// @{
+    /** Pooled array regions shared by Stream ops (indexes 0..7), each
+     *  with one mutable stream cursor in the walkers. */
+    static constexpr std::uint8_t kArrayRegions = 8;
+    static constexpr std::uint8_t kStackRegion = kArrayRegions;
+    static constexpr std::uint8_t kHeapRegion = kArrayRegions + 1;
+    static constexpr std::size_t kNumRegions = kArrayRegions + 2;
+    /// @}
+
   private:
     BenchmarkProfile profile_;
     std::vector<StaticBlock> blocks_;
+    std::vector<StaticOp> ops_;  ///< every block's body, in block order
+    std::array<MemRegion, kNumRegions> regions_;
     std::vector<std::uint32_t> funcEntries_;
-    std::uint32_t numMemStates_ = 0;
-    std::uint32_t numArrayRegions_ = 0;
     Addr codeEnd_ = 0;
 };
 

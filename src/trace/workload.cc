@@ -77,7 +77,7 @@ Workload::Workload(std::shared_ptr<const StaticProgram> program,
       loopCount_(program_->numBlocks(), 0),
       chaosWild_(program_->numBlocks(), 0),
       biasStreak_(program_->numBlocks(), 0),
-      streamPos_(program_->numArrayRegions(), 0)
+      streamPos_(StaticProgram::kArrayRegions, 0)
 {
     stsim_assert(program_ != nullptr, "null program");
 }
@@ -141,17 +141,18 @@ Workload::evalCondBranch(std::uint32_t block_idx)
 }
 
 Addr
-Workload::memAddress(const StaticOp &op)
+Workload::memAddress(const StaticOp &op, const MemRegion &rg)
 {
     switch (op.memPattern) {
       case MemPattern::Stack:
         // Hot small region; word-granular uniform within it.
-        return op.regionBase + 8 * rng_.below(op.regionSize / 8);
+        return rg.base + 8 * rng_.below(rg.size / 8);
       case MemPattern::Stream: {
-        std::uint32_t &pos = streamPos_[op.memStateIdx];
-        Addr a = op.regionBase + pos;
-        pos += op.stride;
-        if (pos + op.stride > op.regionSize)
+        // One cursor per array region, shared by its Stream ops.
+        std::uint32_t &pos = streamPos_[op.region];
+        Addr a = rg.base + pos;
+        pos += rg.stride;
+        if (pos + rg.stride > rg.size)
             pos = 0;
         return a;
       }
@@ -161,11 +162,11 @@ Workload::memAddress(const StaticOp &op)
         const BenchmarkProfile &p = program_->profile();
         Addr hot_bytes = static_cast<Addr>(p.hotDataKB) * 1024;
         if (rng_.chance(p.hotDataFrac))
-            return op.regionBase + 8 * rng_.below(hot_bytes / 8);
-        return op.regionBase + 8 * rng_.below(op.regionSize / 8);
+            return rg.base + 8 * rng_.below(hot_bytes / 8);
+        return rg.base + 8 * rng_.below(rg.size / 8);
       }
     }
-    return op.regionBase;
+    return rg.base;
 }
 
 namespace
@@ -184,7 +185,7 @@ walkerState(serde::StateIO &io, Rng &rng, const StaticProgram &prog,
     if (io.loading())
         rng.setState(s0, s1);
     io.u64("cur_block", walk.curBlock, prog.numBlocks() - 1);
-    io.u64("op_idx", walk.opIdx, prog.block(walk.curBlock).ops.size());
+    io.u64("op_idx", walk.opIdx, prog.block(walk.curBlock).numOps);
 }
 
 } // namespace
@@ -221,7 +222,7 @@ WrongPathCursor::WrongPathCursor(const Workload &workload, Addr start_pc,
     walk_.opIdx = static_cast<std::uint32_t>(off);
     // A fall-through resume address can point one past the terminator;
     // clamp onto the next block.
-    if (walk_.opIdx > b.ops.size()) {
+    if (walk_.opIdx > b.numOps) {
         walk_.curBlock = b.fallthrough;
         walk_.opIdx = 0;
     }
@@ -245,21 +246,21 @@ WrongPathCursor::state(serde::StateIO &io)
 }
 
 Addr
-WrongPathCursor::wrongPathMem(const StaticOp &op)
+WrongPathCursor::wrongPathMem(const StaticOp &op, const MemRegion &rg)
 {
     // Stateless address approximation with the same locality class;
     // the architectural stream cursors are untouched.
     const BenchmarkProfile &p = program_->profile();
-    Addr span = op.regionSize;
+    Addr span = rg.size;
     if (op.memPattern == MemPattern::Random &&
         rng_.chance(p.hotDataFrac)) {
         span = static_cast<Addr>(p.hotDataKB) * 1024;
     } else if (op.memPattern == MemPattern::Stream) {
-        span = op.stride * 64u; // local window of the array
+        span = rg.stride * 64u; // local window of the array
     }
-    if (span > op.regionSize)
-        span = op.regionSize;
-    return op.regionBase + 8 * rng_.below(span / 8);
+    if (span > rg.size)
+        span = rg.size;
+    return rg.base + 8 * rng_.below(span / 8);
 }
 
 bool
@@ -288,7 +289,9 @@ WrongPathCursor::nextGroup(TraceInst *const *out, unsigned n)
 {
     return walk_.fill(
         *program_, out, n,
-        [this](const StaticOp &op) { return wrongPathMem(op); },
+        [this](const StaticOp &op, const MemRegion &rg) {
+            return wrongPathMem(op, rg);
+        },
         [this](std::uint32_t block_idx) {
             return wrongPathTaken(block_idx);
         });

@@ -48,8 +48,9 @@ struct BlockWalker
      * per destination slot, so a fetch group lands straight in the
      * pipeline's slot pool with no copy). Stops early after emitting a
      * block terminator, so the return value m is in [1, n] and
-     * out[m-1] is the only possible branch. @p memAddr(op) gives a
-     * memory op's effective address; @p condTaken(block_idx) evaluates
+     * out[m-1] is the only possible branch. @p memAddr(op, region)
+     * gives a memory op's effective address in its region (the
+     * program's table entry); @p condTaken(block_idx) evaluates
      * a conditional branch and records its outcome in the caller's
      * history.
      */
@@ -114,8 +115,9 @@ class Workload
     /** Evaluate a conditional branch's outcome, mutating its state. */
     bool evalCondBranch(std::uint32_t block_idx);
 
-    /** Compute the effective address of a memory slot (mutating). */
-    Addr memAddress(const StaticOp &op);
+    /** Compute the effective address of a memory slot in its region
+     *  @p rg (mutating). */
+    Addr memAddress(const StaticOp &op, const MemRegion &rg);
 
     std::shared_ptr<const StaticProgram> program_;
     Rng rng_;
@@ -125,7 +127,7 @@ class Workload
     std::vector<std::uint16_t> loopCount_;   // per block
     std::vector<std::uint8_t> chaosWild_;    // chaotic regime per block
     std::vector<std::uint8_t> biasStreak_;   // inverted-outcome streaks
-    std::vector<std::uint32_t> streamPos_;   // per memory slot
+    std::vector<std::uint32_t> streamPos_;   // per array region
 };
 
 /**
@@ -161,8 +163,9 @@ class WrongPathCursor
     void state(serde::StateIO &io);
 
   private:
-    /** Stateless wrong-path address approximation for one memory op. */
-    Addr wrongPathMem(const StaticOp &op);
+    /** Stateless wrong-path address approximation for one memory op
+     *  in its region @p rg. */
+    Addr wrongPathMem(const StaticOp &op, const MemRegion &rg);
 
     /** Stateless outcome approximation for a conditional branch;
      *  shifts it into the speculative history. */
@@ -180,18 +183,19 @@ BlockWalker::fill(const StaticProgram &prog, TraceInst *const *out,
                   unsigned n, MemAddr &&memAddr, CondTaken &&condTaken)
 {
     const StaticBlock &b = prog.block(curBlock);
-    const auto nops = static_cast<std::uint32_t>(b.ops.size());
+    const std::span<const StaticOp> body = prog.ops(b);
     std::uint32_t oi = opIdx;
     unsigned m = 0;
-    for (; m < n && oi < nops; ++m, ++oi) {
-        const StaticOp &op = b.ops[oi];
+    for (; m < n && oi < b.numOps; ++m, ++oi) {
+        const StaticOp &op = body[oi];
         TraceInst ti;
         ti.pc = b.pc + 4 * oi;
         ti.cls = op.cls;
         ti.srcDist[0] = op.srcDist[0];
         ti.srcDist[1] = op.srcDist[1];
         ti.hasDest = op.hasDest;
-        ti.memAddr = isMemory(op.cls) ? memAddr(op) : 0;
+        ti.memAddr =
+            isMemory(op.cls) ? memAddr(op, prog.region(op.region)) : 0;
         ti.npc = ti.pc + 4;
         *out[m] = ti;
     }
@@ -209,7 +213,9 @@ Workload::nextGroup(TraceInst *const *out, unsigned n)
 {
     const unsigned m = walk_.fill(
         *program_, out, n,
-        [this](const StaticOp &op) { return memAddress(op); },
+        [this](const StaticOp &op, const MemRegion &rg) {
+            return memAddress(op, rg);
+        },
         [this](std::uint32_t block_idx) {
             const bool taken = evalCondBranch(block_idx);
             globalHist_ = (globalHist_ << 1) | (taken ? 1 : 0);

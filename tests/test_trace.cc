@@ -63,13 +63,6 @@ struct StreamDigest
     }
 };
 
-/** The body ops of @p b. */
-std::span<const StaticOp>
-bodyOps(const StaticProgram &, const StaticBlock &b)
-{
-    return b.ops;
-}
-
 /** A memory op's region as the walkers resolve it: base, size, stride
  *  and stream cursor index. */
 struct OpRegion
@@ -81,9 +74,10 @@ struct OpRegion
 };
 
 OpRegion
-regionOf(const StaticProgram &, const StaticOp &op)
+regionOf(const StaticProgram &prog, const StaticOp &op)
 {
-    return {op.regionBase, op.regionSize, op.stride, op.memStateIdx};
+    const MemRegion &r = prog.region(op.region);
+    return {r.base, r.size, r.stride, op.region};
 }
 
 /** Feed @p count instructions of @p gen into @p d through nextGroup,
@@ -132,9 +126,9 @@ TEST(WorkloadStream, DigestIsPinned)
         const auto blk =
             static_cast<std::uint32_t>(rng.below(prog->numBlocks()));
         const StaticBlock &b = prog->block(blk);
-        // Offsets 0..ops.size(): the block start, any body op, or the
+        // Offsets 0..numOps: the block start, any body op, or the
         // terminator itself.
-        const Addr start = b.pc + 4 * rng.below(b.ops.size() + 1);
+        const Addr start = b.pc + 4 * rng.below(b.numOps + 1);
         WrongPathCursor c(*w, start, rng.next());
         digestGroups(c, 3'000, d);
     }
@@ -166,15 +160,21 @@ TEST(Profiles, ValidateAcceptsDefaults)
     EXPECT_NO_FATAL_FAILURE(p.validate());
 }
 
+/// Blocks tile the code segment, and their op ranges tile the
+/// program's op array, both in block order.
 TEST(StaticProgram, BlocksAreContiguous)
 {
     auto prog = smallProgram();
     Addr pc = prog->codeBase();
+    std::size_t op = 0;
     for (std::uint32_t i = 0; i < prog->numBlocks(); ++i) {
         EXPECT_EQ(prog->block(i).pc, pc);
+        EXPECT_EQ(prog->block(i).opBegin, op);
         pc = prog->block(i).endPc();
+        op += prog->block(i).numOps;
     }
     EXPECT_EQ(pc, prog->codeEnd());
+    EXPECT_EQ(op, prog->numOps());
 }
 
 TEST(StaticProgram, BlockContainingFindsEveryInstruction)
@@ -226,7 +226,7 @@ TEST(StaticProgram, EveryProgramIsPinned)
         d.mix(prog.codeEnd());
         for (std::uint32_t i = 0; i < prog.numBlocks(); ++i) {
             const StaticBlock &b = prog.block(i);
-            const std::span<const StaticOp> body = bodyOps(prog, b);
+            const std::span<const StaticOp> body = prog.ops(b);
             d.mix(b.pc);
             d.mix(body.size());
             d.mix(static_cast<std::uint64_t>(b.term));
@@ -392,7 +392,7 @@ TEST(WrongPath, MidBlockStart)
     Workload w(prog, 10);
     // Start one instruction into a block with a body.
     for (std::uint32_t i = 0; i < prog->numBlocks(); ++i) {
-        if (!prog->block(i).ops.empty()) {
+        if (prog->block(i).numOps > 0) {
             WrongPathCursor c(w, prog->block(i).pc + 4, 3);
             EXPECT_EQ(c.next().pc, prog->block(i).pc + 4);
             return;
