@@ -1,5 +1,8 @@
 #include "profile.hh"
 
+#include <cmath>
+#include <type_traits>
+
 #include "common/logging.hh"
 
 namespace stsim
@@ -11,8 +14,18 @@ BenchmarkProfile::validate() const
     auto in01 = [](double v) { return v >= 0.0 && v <= 1.0; };
     if (name.empty())
         stsim_fatal("profile needs a name");
-    if (numBlocks < 8)
-        stsim_fatal("profile %s: numBlocks must be >= 8", name.c_str());
+    // Before any comparison: every one of them is false for a NaN.
+    visitFields(*this, [this](const char *key, const auto &v) {
+        if constexpr (std::is_floating_point_v<
+                          std::remove_cvref_t<decltype(v)>>) {
+            if (!std::isfinite(v))
+                stsim_fatal("profile %s: %s is not finite", name.c_str(),
+                            key);
+        }
+    });
+    if (numBlocks < 8 || numBlocks > kMaxBlocks)
+        stsim_fatal("profile %s: numBlocks must be in [8, %u]",
+                    name.c_str(), kMaxBlocks);
     if (numFuncs < 1 || numFuncs > numBlocks)
         stsim_fatal("profile %s: bad numFuncs", name.c_str());
     if (!in01(condBranchFrac) || condBranchFrac <= 0.0)
@@ -26,8 +39,16 @@ BenchmarkProfile::validate() const
     if (mix <= 0.0)
         stsim_fatal("profile %s: branch-behaviour mix is empty",
                     name.c_str());
+    if (meanBlockLen() > kMaxMeanBlockLen)
+        stsim_fatal("profile %s: mean block length blockLenScale x (1 - "
+                    "fracJumpTerm - fracCallTerm - fracRetTerm) / "
+                    "condBranchFrac is %g, above %g",
+                    name.c_str(), meanBlockLen(), kMaxMeanBlockLen);
     if (loopPeriodMin < 2 || loopPeriodMax < loopPeriodMin)
         stsim_fatal("profile %s: bad loop periods", name.c_str());
+    if (loopPeriodMax > kMaxLoopPeriod)
+        stsim_fatal("profile %s: loopPeriodMax must be <= %g",
+                    name.c_str(), kMaxLoopPeriod);
     if (!in01(biasedMissMin) || !in01(biasedMissMax) ||
         biasedMissMax < biasedMissMin || biasedMissMax > 0.5) {
         stsim_fatal("profile %s: bad biased miss range", name.c_str());
@@ -38,6 +59,9 @@ BenchmarkProfile::validate() const
         stsim_fatal("profile %s: instruction mix exceeds 1", name.c_str());
     if (dataFootprintKB < 4)
         stsim_fatal("profile %s: data footprint too small", name.c_str());
+    if (dataFootprintKB > kMaxDataFootprintKB)
+        stsim_fatal("profile %s: dataFootprintKB must be <= %u",
+                    name.c_str(), kMaxDataFootprintKB);
 }
 
 namespace

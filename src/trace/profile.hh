@@ -91,7 +91,34 @@ struct BenchmarkProfile
 
     std::uint64_t seed = 1;  ///< program-construction seed
 
-    /** Validate ranges; fatals on nonsense values. */
+    /// @name The largest values validate() accepts
+    /// Custom profiles are untrusted input; these keep StaticProgram's
+    /// storage and build time bounded and its fields unwrapped.
+    /// @{
+    static constexpr std::uint32_t kMaxBlocks = 65'536;  ///< 8x gcc
+    /** Built-ins are 7.7-13.7. */
+    static constexpr double kMaxMeanBlockLen = 64;
+    /** StaticBlock::loopPeriod is 16 bits. */
+    static constexpr double kMaxLoopPeriod = 65'535;
+    /** The heap region's size is a 32-bit byte count. */
+    static constexpr std::uint32_t kMaxDataFootprintKB = 4'194'303;
+    /// @}
+
+    /**
+     * Mean total block length (body plus terminator) StaticProgram
+     * builds to, so the dynamic conditional-branch density approximates
+     * condBranchFrac = P(cond) / length. blockLenScale compensates for
+     * loop blocks (always cond-terminated) repeating more often than
+     * the static mix suggests.
+     */
+    double
+    meanBlockLen() const
+    {
+        double p_cond = 1.0 - fracJumpTerm - fracCallTerm - fracRetTerm;
+        return blockLenScale * p_cond / condBranchFrac;
+    }
+
+    /** Validate ranges; fatals on nonsense values, naming the field. */
     void validate() const;
 };
 

@@ -62,14 +62,7 @@ StaticProgram::StaticProgram(const BenchmarkProfile &profile)
     for (std::uint32_t f = 0; f < profile_.numFuncs; ++f)
         funcEntries_.push_back(f * (n / profile_.numFuncs));
 
-    // Mean total block length so that the dynamic conditional-branch
-    // density approximates the profile target: condFrac = P(cond)/L.
-    // blockLenScale compensates for loop blocks (always cond-
-    // terminated) repeating more often than the static mix suggests.
-    double p_cond = 1.0 - profile_.fracJumpTerm - profile_.fracCallTerm -
-                    profile_.fracRetTerm;
-    double mean_len = std::max(
-        2.0, profile_.blockLenScale * p_cond / profile_.condBranchFrac);
+    double mean_len = std::max(2.0, profile_.meanBlockLen());
     double body_geom_p = 1.0 / std::max(1.0, mean_len - 1.0);
     unsigned body_cap = static_cast<unsigned>(4 * mean_len) + 8;
 

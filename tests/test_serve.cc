@@ -251,6 +251,17 @@ TEST(Serve, GarbageAndBadRequestsGetStructuredErrors)
     EXPECT_TRUE(startsWith(reply, "{\"error\":\"bad_request\"")) << reply;
     EXPECT_NE(reply.find("\"id\":3"), std::string::npos);
 
+    // A custom profile is untrusted too: one that would build a
+    // two-million-block program is refused before anything is built.
+    SimJob huge = tinyJob();
+    huge.cfg.customProfile = findProfile("go");
+    huge.cfg.customProfile->numBlocks = 2'000'000;
+    c.send(requestFrame(huge, 4));
+    reply = c.readLine();
+    EXPECT_TRUE(startsWith(reply, "{\"error\":\"bad_request\"")) << reply;
+    EXPECT_NE(reply.find("numBlocks"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("\"id\":4"), std::string::npos);
+
     // The connection survived all of the above.
     c.send("{\"op\":\"ping\",\"id\":1}\n");
     EXPECT_EQ(c.readLine(), "{\"pong\":1}");
@@ -258,7 +269,7 @@ TEST(Serve, GarbageAndBadRequestsGetStructuredErrors)
     server.beginDrain();
     server.waitDrained();
     EXPECT_EQ(server.stats().parseErrors.load(), 2u);
-    EXPECT_EQ(server.stats().badRequests.load(), 1u);
+    EXPECT_EQ(server.stats().badRequests.load(), 2u);
 }
 
 TEST(Serve, OversizeFrameIsDiscardedNotBuffered)

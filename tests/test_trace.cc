@@ -8,10 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
+#include <string>
+#include <type_traits>
+#include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "trace/profile.hh"
 #include "trace/static_program.hh"
@@ -62,6 +68,19 @@ struct StreamDigest
         mix(t.npc);
     }
 };
+
+/** The fatal message validate() raises for @p p, or "" if it passes. */
+std::string
+validateError(const BenchmarkProfile &p)
+{
+    FatalCaptureScope capture;
+    try {
+        p.validate();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
 
 /** A memory op's region as the walkers resolve it: base, size, stride
  *  and stream cursor index. */
@@ -158,6 +177,94 @@ TEST(Profiles, ValidateAcceptsDefaults)
     BenchmarkProfile p;
     p.name = "ok";
     EXPECT_NO_FATAL_FAILURE(p.validate());
+}
+
+/// Each bound on a custom profile holds at its edge: the value at the
+/// bound passes, one past it is fatal and the message names the field.
+TEST(Profiles, ValidateBoundsWhatTheProgramStores)
+{
+    BenchmarkProfile base;
+    base.name = "edge";
+    // Mean block length = blockLenScale x 1 / 0.5, exactly.
+    base.fracJumpTerm = base.fracCallTerm = base.fracRetTerm = 0;
+    base.condBranchFrac = 0.5;
+    ASSERT_EQ(validateError(base), "");
+
+    struct Edge
+    {
+        const char *field;
+        void (*atBound)(BenchmarkProfile &);
+        void (*pastBound)(BenchmarkProfile &);
+    };
+    const Edge edges[] = {
+        {"numBlocks",
+         [](BenchmarkProfile &p) { p.numBlocks = 65'536; },
+         [](BenchmarkProfile &p) { p.numBlocks = 65'537; }},
+        {"blockLenScale",
+         [](BenchmarkProfile &p) { p.blockLenScale = 32; },
+         [](BenchmarkProfile &p) {
+             p.blockLenScale = std::nextafter(32.0, 64.0);
+         }},
+        {"loopPeriodMax",
+         [](BenchmarkProfile &p) { p.loopPeriodMax = 65'535; },
+         [](BenchmarkProfile &p) { p.loopPeriodMax = 65'536; }},
+        {"dataFootprintKB",
+         [](BenchmarkProfile &p) { p.dataFootprintKB = 4'194'303; },
+         [](BenchmarkProfile &p) { p.dataFootprintKB = 4'194'304; }},
+    };
+    for (const Edge &e : edges) {
+        SCOPED_TRACE(e.field);
+        BenchmarkProfile p = base;
+        e.atBound(p);
+        EXPECT_EQ(validateError(p), "");
+        e.pastBound(p);
+        EXPECT_NE(validateError(p).find(e.field), std::string::npos)
+            << validateError(p);
+    }
+
+    // At the bounds, the program stores the values unwrapped.
+    BenchmarkProfile p = base;
+    p.loopPeriodMin = p.loopPeriodMax = 65'535;
+    p.fracPattern = p.fracBiased = p.fracChaotic = 0;
+    p.dataFootprintKB = 4'194'303;
+    const StaticProgram prog(p);
+    EXPECT_EQ(prog.block(0).loopPeriod, 65'535);
+    EXPECT_EQ(prog.region(StaticProgram::kHeapRegion).size,
+              4'194'303u * 1024);
+}
+
+/// strtod reads "nan" and "inf", so every double of a custom profile
+/// can arrive non-finite; each must be fatal, naming the field.
+TEST(Profiles, NonFiniteDoublesAreFatal)
+{
+    BenchmarkProfile base;
+    base.name = "edge";
+    std::vector<std::string> keys;
+    visitFields(base, [&](const char *key, const auto &v) {
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
+                                     double>)
+            keys.push_back(key);
+    });
+    ASSERT_EQ(keys.size(), 26u);
+    for (const std::string &key : keys) {
+        for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+            SCOPED_TRACE(key + " = " + std::to_string(bad));
+            BenchmarkProfile p = base;
+            visitFields(p, [&](const char *k, auto &v) {
+                if constexpr (std::is_same_v<
+                                  std::remove_cvref_t<decltype(v)>,
+                                  double>) {
+                    if (k == key)
+                        v = bad;
+                }
+            });
+            EXPECT_NE(validateError(p).find(key + " is not finite"),
+                      std::string::npos)
+                << validateError(p);
+        }
+    }
 }
 
 /// Blocks tile the code segment, and their op ranges tile the
