@@ -188,6 +188,19 @@ walkerState(serde::StateIO &io, Rng &rng, const StaticProgram &prog,
     io.u64("op_idx", walk.opIdx, prog.block(walk.curBlock).numOps);
 }
 
+/** The shadow call stack of @p section's walker: return block indexes,
+ *  no more of them than terminator() keeps. */
+void
+callStackState(serde::StateIO &io, const char *section,
+               const StaticProgram &prog, BlockWalker &walk)
+{
+    io.vec("call_stack", walk.callStack, prog.numBlocks() - 1);
+    if (io.loading() && walk.callStack.size() > BlockWalker::kMaxCallDepth)
+        stsim_fatal("state: [%s] call_stack depth %zu exceeds %zu",
+                    section, walk.callStack.size(),
+                    BlockWalker::kMaxCallDepth);
+}
+
 } // namespace
 
 void
@@ -201,8 +214,7 @@ Workload::state(serde::StateIO &io)
     io.fixed("chaos_wild", chaosWild_);
     io.fixed("bias_streak", biasStreak_);
     io.fixed("stream_pos", streamPos_);
-    // A Return jumps to the call stack's entries.
-    io.vec("call_stack", walk_.callStack, program_->numBlocks() - 1);
+    callStackState(io, "workload", *program_, walk_);
     io.end("workload");
 }
 
@@ -241,7 +253,7 @@ WrongPathCursor::state(serde::StateIO &io)
     io.begin("wrong_cursor");
     walkerState(io, rng_, *program_, walk_);
     io.u64("spec_hist", specHist_);
-    io.vec("call_stack", walk_.callStack, program_->numBlocks() - 1);
+    callStackState(io, "wrong_cursor", *program_, walk_);
     io.end("wrong_cursor");
 }
 

@@ -695,13 +695,33 @@ TEST(Snapshot, OutOfRangeInstRasTopIsFatal)
 
 TEST(Snapshot, OutOfRangeCallStackIsFatal)
 {
-    for (const char *section : {"\n[workload]\n", "\n[wrong_cursor]\n"}) {
+    // A frame past the last block, or more frames than a walker keeps
+    // (BlockWalker::kMaxCallDepth, 64).
+    auto frames = [](std::size_t n) {
+        std::string v = std::to_string(n);
+        for (std::size_t i = 0; i < n; ++i)
+            v += " 1";
+        return v;
+    };
+    for (const std::string section : {"workload", "wrong_cursor"}) {
         SCOPED_TRACE(section);
-        std::string img = wrongPathImage();
-        const std::size_t at = img.find(section);
+        const std::string img = wrongPathImage();
+        const std::size_t at = img.find("\n[" + section + "]\n");
         ASSERT_NE(at, std::string::npos);
-        setValue(img, "call_stack", "1 4000000000", at);
-        expectRejected(img, "call_stack");
+
+        std::string bad = img;
+        setValue(bad, "call_stack", "1 4000000000", at);
+        expectRejected(bad, "call_stack");
+
+        std::string deep = img;
+        setValue(deep, "call_stack", frames(64), at);
+        Simulator sim(smallConfig("C2"));
+        FatalCaptureScope capture;
+        EXPECT_NO_THROW(sim.restoreSnapshot(deep));
+
+        setValue(deep, "call_stack", frames(65), at);
+        expectRejected(deep, "state: [" + section +
+                                 "] call_stack depth 65 exceeds 64");
     }
 }
 
