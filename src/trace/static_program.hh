@@ -130,6 +130,9 @@ class StaticProgram
         return static_cast<std::uint32_t>(blocks_.size());
     }
 
+    /** Block index whose address range contains @p pc (by start addr). */
+    std::uint32_t blockContaining(Addr pc) const;
+
     /** The body ops of block @p b, in order. */
     std::span<const StaticOp> ops(const StaticBlock &b) const
     {
@@ -144,9 +147,6 @@ class StaticProgram
     {
         return regions_[idx];
     }
-
-    /** Block index whose address range contains @p pc (by start addr). */
-    std::uint32_t blockContaining(Addr pc) const;
 
     /** First code address. */
     Addr codeBase() const { return kCodeBase; }
