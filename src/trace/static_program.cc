@@ -86,7 +86,8 @@ StaticProgram::StaticProgram(const BenchmarkProfile &profile)
     regions_[kHeapRegion] = {kDataBase,
                              static_cast<std::uint32_t>(data_bytes)};
 
-    // About mean_len - 2 body ops per block; the slack goes at the end.
+    // About mean_len - 2 body ops per block; shrink_to_fit below
+    // returns what is left over.
     ops_.reserve(static_cast<std::size_t>(n * mean_len));
     for (std::uint32_t i = 0; i < n; ++i) {
         StaticBlock &b = blocks_[i];
