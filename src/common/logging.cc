@@ -121,12 +121,5 @@ informImpl(const std::string &msg)
                  msg.c_str());
 }
 
-void
-debugImpl(const std::string &msg)
-{
-    std::fprintf(stderr, "[%10.3f] debug: %s\n", monotonicSeconds(),
-                 msg.c_str());
-}
-
 } // namespace detail
 } // namespace stsim

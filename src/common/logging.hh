@@ -53,13 +53,13 @@ class FatalCaptureScope
 /**
  * Severity of the non-fatal stderr channels. The active threshold is
  * parsed once from the STSIM_LOG environment variable
- * (debug|info|warn|error, default info): stsim_debug prints only at
- * debug, stsim_inform at info and below, stsim_warn at warn and
- * below; error silences everything non-fatal. Leveled lines carry a
- * monotonic [seconds.millis] timestamp measured from process start so
- * daemon logs interleave meaningfully across threads. Fatal and panic
- * diagnostics are not leveled and keep their historical byte-exact
- * shapes.
+ * (debug|info|warn|error, default info): stsim_inform prints at info
+ * and below, stsim_warn at warn and below; error silences everything
+ * non-fatal. No message is debug-only, so debug prints what info
+ * does. Leveled lines carry a monotonic [seconds.millis] timestamp
+ * measured from process start so daemon logs interleave meaningfully
+ * across threads. Fatal and panic diagnostics are not leveled and keep
+ * their historical byte-exact shapes.
  */
 enum class LogLevel
 {
@@ -86,7 +86,6 @@ namespace detail
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
-void debugImpl(const std::string &msg);
 
 /** Minimal printf-style formatter into a std::string. */
 std::string formatStr(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
@@ -115,19 +114,6 @@ std::string formatStr(const char *fmt, ...) __attribute__((format(printf, 1, 2))
 /** Informative status message. */
 #define stsim_inform(...) \
     ::stsim::detail::informImpl(::stsim::detail::formatStr(__VA_ARGS__))
-
-/**
- * Diagnostic chatter, silenced unless STSIM_LOG=debug. The format
- * arguments are still evaluated; keep them cheap at call sites on
- * warm paths (none live on the per-instruction hot path).
- */
-#define stsim_debug(...) \
-    do { \
-        if (::stsim::logEnabled(::stsim::LogLevel::Debug)) { \
-            ::stsim::detail::debugImpl( \
-                ::stsim::detail::formatStr(__VA_ARGS__)); \
-        } \
-    } while (0)
 
 /** Panic unless a simulator invariant holds. */
 #define stsim_assert(cond, ...) \

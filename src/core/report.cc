@@ -1,10 +1,12 @@
 #include "report.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <map>
 
 #include "common/logging.hh"
+#include "common/table.hh"
 #include "core/experiment.hh"
 #include "core/job_serde.hh"
 #include "core/paper.hh"
@@ -108,6 +110,19 @@ metricCells(const std::string &label, const RelativeMetrics &m)
             TextTable::pct(m.edImprovement)};
 }
 
+/**
+ * A speedup / power / energy / E-D table with one row per entry of
+ * @p rows; @p first titles the label column.
+ */
+TextTable
+relativeTable(const std::string &first, const MetricRows &rows)
+{
+    TextTable t(metricHeader(first));
+    for (const auto &[label, m] : rows)
+        t.addRow(metricCells(label, m));
+    return t;
+}
+
 /** A paper value as the paper prints it ("~0.95", "11-12%"), or "-". */
 std::string
 paperCell(std::string_view artifact, std::string_view row,
@@ -207,15 +222,18 @@ printAblation(const std::vector<MetricGroup> &groups, std::ostream &os)
     t.print(os);
 }
 
+/** Table 1, then the mean activity factor of each unit: the input
+ *  PowerParams::calibratedDefaults() fits its peak watts to. */
 void
 printTable1(const std::vector<SimResults> &results, std::ostream &os)
 {
-    std::array<double, kNumPUnits> energy{}, wasted{};
+    std::array<double, kNumPUnits> energy{}, wasted{}, activity{};
     double total_e = 0.0, total_w = 0.0, watts = 0.0;
     for (const SimResults &r : results) {
         for (std::size_t i = 0; i < kNumPUnits; ++i) {
             energy[i] += r.unitEnergyJ[i];
             wasted[i] += r.unitWastedJ[i];
+            activity[i] += r.unitActivity[i];
         }
         total_e += r.energyJ;
         total_w += r.wastedEnergyJ;
@@ -241,8 +259,21 @@ printTable1(const std::vector<SimResults> &results, std::ostream &os)
               TextTable::num(100.0 * total_w / total_e, 1),
               paperCell("table1", "overall", "wasted", "")});
     t.print(os);
+
+    const double n = static_cast<double>(results.size());
+    TextTable a({"unit", "mean activity"});
+    a.setTitle("Table 1 power-model input: per-unit activity factors "
+               "(average of 8 benchmarks)");
+    for (PUnit u : kAllPUnits)
+        a.addRow({punitName(u),
+                  TextTable::num(activity[static_cast<std::size_t>(u)] / n,
+                                 3)});
+    os << "\n";
+    a.print(os);
 }
 
+/** Table 2, then each benchmark's wrong-path shares, power and
+ *  wasted energy. */
 void
 printTable2(const std::vector<SimResults> &results, std::ostream &os)
 {
@@ -251,6 +282,13 @@ printTable2(const std::vector<SimResults> &results, std::ostream &os)
                  "dl1 MR"});
     t.setTitle("Table 2: benchmark characteristics (synthetic "
                "profiles vs paper targets)");
+    TextTable w({"benchmark", "wrong-path fetch", "wrong-path dispatch",
+                 "wrong-path issue", "power", "wasted energy"});
+    w.setTitle("Table 2 (cont.): wrong-path share of each stage's "
+               "instructions, power and wasted energy");
+    auto share = [](Counter wrong, Counter all) {
+        return TextTable::pct(100.0 * wrong / std::max<Counter>(1, all));
+    };
     double miss = 0, target = 0;
     for (const SimResults &r : results) {
         const BenchmarkProfile &prof = findProfile(r.benchmark);
@@ -263,6 +301,12 @@ printTable2(const std::vector<SimResults> &results, std::ostream &os)
                   TextTable::num(r.ipc, 2),
                   TextTable::pct(100 * r.il1MissRate),
                   TextTable::pct(100 * r.dl1MissRate)});
+        w.addRow({prof.name,
+                  TextTable::pct(100 * r.core.wrongPathFetchFrac()),
+                  share(r.core.dispatchedWrongPath, r.core.dispatchedInsts),
+                  share(r.core.issuedWrongPath, r.core.issuedInsts),
+                  TextTable::num(r.avgPowerW, 1) + " W",
+                  TextTable::pct(100 * r.wastedEnergyFrac())});
         miss += r.condMissRate;
         target += prof.targetMissRate;
     }
@@ -271,6 +315,8 @@ printTable2(const std::vector<SimResults> &results, std::ostream &os)
     t.addRow({"Average", TextTable::pct(100 * miss / n),
               TextTable::pct(100 * target / n), "", "", "", "", ""});
     t.print(os);
+    os << "\n";
+    w.print(os);
 }
 
 /** §4.3: each benchmark's SPEC and PVN under each estimator. */
@@ -358,15 +404,6 @@ printGolden(const std::vector<SimJob> &jobs,
 }
 
 } // namespace
-
-TextTable
-relativeTable(const std::string &first, const MetricRows &rows)
-{
-    TextTable t(metricHeader(first));
-    for (const auto &[label, m] : rows)
-        t.addRow(metricCells(label, m));
-    return t;
-}
 
 std::vector<SimResults>
 readSuiteRecords(std::istream &in, const std::vector<SimJob> &jobs)

@@ -4,9 +4,8 @@
  * configuration with the baseline machine and averages over the eight
  * benchmarks; this module holds that arithmetic (RelativeMetrics,
  * averageMetrics, relativeGroups) and renders each suite's table from
- * the records of its jobs (printReport). `stsim_runner report`,
- * examples/policy_explorer and the tests all use it, so the arithmetic
- * exists once.
+ * the records of its jobs (printReport). `stsim_runner report` and
+ * the tests both use it, so the arithmetic exists once.
  */
 
 #ifndef STSIM_CORE_REPORT_HH
@@ -19,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/table.hh"
 #include "core/parallel_harness.hh"
 #include "core/sim_results.hh"
 
@@ -66,12 +64,6 @@ std::vector<MetricGroup>
 relativeGroups(const std::vector<SimJob> &jobs,
                const std::vector<SimResults> &results,
                const std::function<std::string(const SimJob &)> &key = {});
-
-/**
- * A speedup / power / energy / E-D table with one row per entry of
- * @p rows; @p first titles the label column.
- */
-TextTable relativeTable(const std::string &first, const MetricRows &rows);
 
 /**
  * Read a complete JSONL record stream (`dump` or `merge` output) of

@@ -55,13 +55,6 @@ class SinkWriteError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Discards everything (in-process callers that only want metrics). */
-class NullResultsSink : public ResultsSink
-{
-  public:
-    void write(std::uint64_t, const SimResults &) override {}
-};
-
 /**
  * One indexed JSON record per line (serde::resultRecordToJson).
  * Because every double is hex-float encoded, two JSONL streams are
@@ -108,34 +101,6 @@ class CsvResultsSink : public ResultsSink
 };
 
 /**
- * Forwards every record to an inner sink, then hands it to
- * onResult() -- the base for fold-as-you-stream consumers that derive
- * small summaries (metric tables, calibration accumulators) while the
- * full results go to disk. Engine ordering guarantees carry over to
- * onResult unchanged.
- */
-class TeeSink : public ResultsSink
-{
-  public:
-    explicit TeeSink(ResultsSink &inner) : inner_(inner) {}
-
-    void
-    write(std::uint64_t index, const SimResults &r) final
-    {
-        inner_.write(index, r);
-        onResult(index, r);
-    }
-
-    void flush() override { inner_.flush(); }
-
-  protected:
-    virtual void onResult(std::uint64_t index, const SimResults &r) = 0;
-
-  private:
-    ResultsSink &inner_;
-};
-
-/**
  * Forwards to an inner sink with indices translated through a map --
  * how a shard reports results under their global manifest indices
  * while the engine numbers the shard's jobs 0..n-1.
@@ -158,12 +123,11 @@ class IndexRemapSink : public ResultsSink
 };
 
 /**
- * Open a file-backed sink (the one place the --out/--format policy
- * lives for the runner and the examples). @p format selects "jsonl"
- * or "csv"; when empty, a ".csv" extension selects CSV and anything
- * else JSONL. An empty path or "-" writes to stdout. The returned
- * sink owns its stream. Fatals on an unopenable path or an unknown
- * format.
+ * Open a file-backed sink (the one place the runner's --out/--format
+ * policy lives). @p format selects "jsonl" or "csv"; when empty, a
+ * ".csv" extension selects CSV and anything else JSONL. An empty path
+ * or "-" writes to stdout. The returned sink owns its stream. Fatals
+ * on an unopenable path or an unknown format.
  */
 std::unique_ptr<ResultsSink> openSink(const std::string &path,
                                       const std::string &format = "");

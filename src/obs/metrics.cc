@@ -239,29 +239,6 @@ Registry::writeSnapshotFile(const std::string &path) const
     return writeLineFile(path, snapshotJson());
 }
 
-std::string
-Registry::textDump() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::string out;
-    for (const auto &[name, c] : counters_) {
-        out += "counter " + name + " " + u64Str(c->value()) + "\n";
-    }
-    for (const auto &[name, g] : gauges_) {
-        out += "gauge " + name + " " + i64Str(g->value()) + "\n";
-    }
-    for (const auto &[name, h] : histograms_) {
-        auto counts = h->bucketCounts();
-        out += "histogram " + name + " count=" + u64Str(h->count()) +
-               " sum=" + u64Str(h->sum()) +
-               " p50=" + u64Str(Histogram::quantileFromCounts(counts, 0.50)) +
-               " p90=" + u64Str(Histogram::quantileFromCounts(counts, 0.90)) +
-               " p99=" + u64Str(Histogram::quantileFromCounts(counts, 0.99)) +
-               "\n";
-    }
-    return out;
-}
-
 bool
 writeLineFile(const std::string &path, std::string_view text)
 {

@@ -162,9 +162,6 @@ class Registry
     /** snapshotJson() to a file; false (with errno intact) on failure. */
     bool writeSnapshotFile(const std::string &path) const;
 
-    /** Human-oriented exposition dump, one metric per line. */
-    std::string textDump() const;
-
     /**
      * Append the snapshot fields to a caller-provided flat-record
      * line under construction ("{...already-open object"). The

@@ -5,18 +5,6 @@
 namespace stsim
 {
 
-const char *
-oracleModeName(OracleMode m)
-{
-    switch (m) {
-      case OracleMode::None: return "none";
-      case OracleMode::OracleFetch: return "oracle-fetch";
-      case OracleMode::OracleDecode: return "oracle-decode";
-      case OracleMode::OracleSelect: return "oracle-select";
-    }
-    return "?";
-}
-
 void
 CoreConfig::applyPipelineDepth(unsigned total_stages)
 {

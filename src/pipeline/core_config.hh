@@ -24,9 +24,6 @@ enum class OracleMode : std::uint8_t
     OracleSelect, ///< realistic fetch+decode; wrong-path never issues
 };
 
-/** Short display name of an oracle mode. */
-const char *oracleModeName(OracleMode m);
-
 /** Total pipeline depths applyPipelineDepth() accepts. */
 inline constexpr unsigned kMinPipelineDepth = 6;
 inline constexpr unsigned kMaxPipelineDepth = 32;

@@ -49,7 +49,7 @@ PowerParams::calibratedDefaults()
     // Peak watts calibrated against the measured baseline activity
     // factors of the eight Table 2 workloads so that average power
     // reproduces Table 1's breakdown of 56.4 W
-    // (examples/workload_calibration reports those factors).
+    // (`stsim_runner report --suite table1` prints those factors).
     p.setPeak(PUnit::ICache, 15.32);
     p.setPeak(PUnit::Bpred, 7.93);
     p.setPeak(PUnit::Regfile, 2.34);

@@ -65,8 +65,9 @@ struct PowerParams
 
     /**
      * Calibrated defaults for the baseline core: peak watts fitted so
-     * the baseline's measured activity factors (reported by
-     * `examples/workload_calibration`) reproduce Table 1's breakdown.
+     * the baseline's measured activity factors (printed by
+     * `stsim_runner report --suite table1`) reproduce Table 1's
+     * breakdown.
      */
     static PowerParams calibratedDefaults();
 

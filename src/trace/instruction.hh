@@ -30,9 +30,6 @@ enum class InstClass : std::uint8_t
     Nop,
 };
 
-/** Human-readable name of an instruction class. */
-const char *instClassName(InstClass cls);
-
 /** True for any control-transfer class. */
 constexpr bool
 isControl(InstClass cls)

@@ -235,23 +235,4 @@ StaticProgram::blockContaining(Addr pc) const
     return lo;
 }
 
-const char *
-instClassName(InstClass cls)
-{
-    switch (cls) {
-      case InstClass::IntAlu: return "IntAlu";
-      case InstClass::IntMult: return "IntMult";
-      case InstClass::Load: return "Load";
-      case InstClass::Store: return "Store";
-      case InstClass::FpAlu: return "FpAlu";
-      case InstClass::FpMult: return "FpMult";
-      case InstClass::CondBranch: return "CondBranch";
-      case InstClass::Jump: return "Jump";
-      case InstClass::Call: return "Call";
-      case InstClass::Return: return "Return";
-      case InstClass::Nop: return "Nop";
-    }
-    return "?";
-}
-
 } // namespace stsim

@@ -82,12 +82,6 @@ Workload::Workload(std::shared_ptr<const StaticProgram> program,
     stsim_assert(program_ != nullptr, "null program");
 }
 
-const std::string &
-Workload::name() const
-{
-    return program_->profile().name;
-}
-
 bool
 Workload::evalCondBranch(std::uint32_t block_idx)
 {

@@ -81,9 +81,6 @@ class Workload
     Workload(std::shared_ptr<const StaticProgram> program,
              std::uint64_t run_seed);
 
-    /** Benchmark name from the underlying profile. */
-    const std::string &name() const;
-
     /** Generate the next correct-path instruction (a one-instruction
      *  group). */
     TraceInst next();

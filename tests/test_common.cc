@@ -22,7 +22,6 @@
 #include "common/bitutil.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 
 using namespace stsim;
@@ -161,58 +160,6 @@ TEST(BitUtil, LowMask)
     EXPECT_EQ(lowMask(0), 0ull);
     EXPECT_EQ(lowMask(4), 0xFull);
     EXPECT_EQ(lowMask(64), ~0ull);
-}
-
-TEST(RunningStat, Aggregates)
-{
-    RunningStat s;
-    s.sample(1.0);
-    s.sample(3.0);
-    s.sample(2.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 3.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
-TEST(Histogram, BucketsAndClamp)
-{
-    Histogram h(4);
-    h.sample(0);
-    h.sample(1);
-    h.sample(1);
-    h.sample(99); // clamps to last bucket
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_DOUBLE_EQ(h.fraction(1), 0.5);
-}
-
-TEST(StatSet, InsertGetOverwrite)
-{
-    StatSet s;
-    s.set("a", 1.0);
-    s.set("b", 2.0);
-    s.set("a", 3.0);
-    EXPECT_TRUE(s.has("a"));
-    EXPECT_FALSE(s.has("c"));
-    EXPECT_DOUBLE_EQ(s.get("a"), 3.0);
-    EXPECT_DOUBLE_EQ(s.getOr("c", -1.0), -1.0);
-    EXPECT_EQ(s.size(), 2u);
-}
-
-TEST(StatSet, PrintsInsertionOrder)
-{
-    StatSet s;
-    s.set("z", 1);
-    s.set("a", 2);
-    std::ostringstream os;
-    s.print(os);
-    EXPECT_EQ(os.str(), "z 1\na 2\n");
 }
 
 TEST(TextTable, FormatsAligned)

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/table.hh"
 #include "core/cancel.hh"
 #include "core/experiment.hh"
 #include "core/job_serde.hh"
@@ -584,6 +585,30 @@ report(const std::string &suite, const std::vector<SimJob> &jobs,
     return out.str();
 }
 
+/** The trimmed cells of the first row labelled @p label that @p text
+ *  prints after @p title; empty when there is none. */
+std::vector<std::string>
+rowAfter(const std::string &text, const std::string &title,
+         const std::string &label)
+{
+    const std::size_t from = text.find(title);
+    if (from == std::string::npos)
+        return {};
+    const std::size_t at = text.find("| " + label + " ", from);
+    if (at == std::string::npos)
+        return {};
+    std::istringstream line(text.substr(at, text.find('\n', at) - at));
+    std::vector<std::string> cells;
+    std::string cell;
+    std::getline(line, cell, '|');
+    while (std::getline(line, cell, '|')) {
+        cell.erase(0, cell.find_first_not_of(' '));
+        cell.erase(cell.find_last_not_of(' ') + 1);
+        cells.push_back(cell);
+    }
+    return cells;
+}
+
 } // namespace
 
 TEST(RecordInvariants, HoldForSuitesAndPowerSweep)
@@ -601,11 +626,43 @@ TEST(RecordInvariants, HoldForSuitesAndPowerSweep)
                 report(suite, jobs, expectInvariants(jobs, opts));
             EXPECT_NE(text.find("+---"), std::string::npos) << text;
             auto [it, fresh] = reports.emplace(suite, text);
-            if (!fresh)
+            if (!fresh) {
                 EXPECT_EQ(it->second, text);
+            }
         }
         expectInvariants(sweepJobs(), opts);
     }
+}
+
+TEST(SuiteReport, Tables1And2CarryCalibrationColumns)
+{
+    // table1 and table2 are the same 8 baseline jobs.
+    std::vector<SimJob> jobs = shortSuite("table1");
+    ASSERT_EQ(jobs.size(), 8u);
+    std::vector<SimResults> results = runJobs(jobs, 4);
+
+    const SimResults &r = results[3];
+    const std::vector<std::string> wrong =
+        rowAfter(report("table2", jobs, results), "Table 2 (cont.)",
+                 r.benchmark);
+    const std::vector<std::string> want = {
+        r.benchmark,
+        TextTable::pct(100 * r.core.wrongPathFetchFrac()),
+        TextTable::pct(100.0 * r.core.dispatchedWrongPath /
+                       r.core.dispatchedInsts),
+        TextTable::pct(100.0 * r.core.issuedWrongPath / r.core.issuedInsts),
+        TextTable::num(r.avgPowerW, 1) + " W",
+        TextTable::pct(100 * r.wastedEnergyFrac())};
+    EXPECT_EQ(wrong, want);
+
+    const auto window = static_cast<std::size_t>(PUnit::Window);
+    double activity = 0.0;
+    for (const SimResults &each : results)
+        activity += each.unitActivity[window];
+    EXPECT_EQ(rowAfter(report("table1", jobs, results),
+                       "per-unit activity factors", punitName(PUnit::Window)),
+              (std::vector<std::string>{punitName(PUnit::Window),
+                                        TextTable::num(activity / 8, 3)}));
 }
 
 TEST(SuiteReport, SameAtOneAndFourWorkers)

@@ -160,8 +160,9 @@ TEST(WorkloadGroups, NextGroupMatchesSerialNext)
                 << "iter " << iter << " pos " << i << " pc "
                 << buf[i].pc << " vs " << want.pc;
             // A short group may only end at a block terminator.
-            if (m < n)
+            if (m < n) {
                 ASSERT_TRUE(i + 1 < m || buf[i].isBranch());
+            }
             ++iter;
         }
         ASSERT_EQ(grouped.generated(), serial.generated());

@@ -49,8 +49,9 @@ TEST(ObsHistogram, BucketBoundaries)
     for (int i = 0; i < obs::Histogram::kBuckets; ++i) {
         std::uint64_t hi = obs::Histogram::bucketUpperBound(i);
         EXPECT_EQ(obs::Histogram::bucketFor(hi), i);
-        if (hi > 0)
+        if (hi > 0) {
             EXPECT_EQ(obs::Histogram::bucketFor(hi / 2 + 1), i);
+        }
     }
 }
 
@@ -187,12 +188,6 @@ TEST(ObsMetrics, SnapshotParsesAsFlatRecord)
     std::array<std::uint64_t, obs::Histogram::kBuckets> counts{};
     ASSERT_TRUE(obs::Histogram::parseSparse(hb, counts));
     EXPECT_EQ(counts, h.bucketCounts());
-
-    // The text dump mentions every registered instrument.
-    std::string dump = reg.textDump();
-    EXPECT_NE(dump.find("test.snap_counter"), std::string::npos);
-    EXPECT_NE(dump.find("test.snap_gauge"), std::string::npos);
-    EXPECT_NE(dump.find("test.snap_hist"), std::string::npos);
 }
 
 TEST(ObsTrace, DisabledPathRecordsNothing)

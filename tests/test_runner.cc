@@ -106,7 +106,12 @@ TEST(StreamingEngine, ReorderBufferDoesNotGrowWithMatrixSize)
     // The acceptance property behind "streaming, not accumulating":
     // the engine may hold at most a small worker-derived window of
     // results for in-order commit, however long the wave is.
-    NullResultsSink sink;
+    class NullSink : public ResultsSink
+    {
+      public:
+        void write(std::uint64_t, const SimResults &) override {}
+    };
+    NullSink sink;
     StreamStats small = runJobs(tinyJobs(8), sink, 4);
     StreamStats large = runJobs(tinyJobs(32), sink, 4);
     const std::size_t window = 2 * 4;
