@@ -9,9 +9,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/types.hh"
+#include "common/zero_alloc.hh"
 
 namespace stsim
 {
@@ -49,21 +49,24 @@ class Btb
     /** Save or restore table contents + LRU clock + counters. */
     void state(serde::StateIO &io);
 
-  private:
+    /** One way of a set. All-zero bytes are its default (ZeroVector). */
     struct Entry
     {
         bool valid = false;
         Addr tag = 0;
         Addr target = 0;
         std::uint64_t lastUse = 0;
+
+        bool operator==(const Entry &) const = default;
     };
 
+  private:
     std::size_t setIndex(Addr pc) const;
 
     std::size_t ways_;
     std::size_t numSets_;
     unsigned setBits_;
-    std::vector<Entry> entries_; // sets * ways, way-major within set
+    ZeroVector<Entry> entries_; // sets * ways, way-major within set
     std::uint64_t useClock_ = 0;
     Counter lookups_ = 0;
     Counter hits_ = 0;

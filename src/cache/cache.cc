@@ -24,7 +24,7 @@ Cache::Cache(const CacheConfig &cfg)
     lineBits_ = floorLog2(cfg.lineBytes);
     setMask_ = numSets_ - 1;
     lines_.resize(lines);
-    mruWay_.assign(numSets_, 0);
+    mruWay_.resize(numSets_);
 }
 
 bool

@@ -10,10 +10,10 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/fields.hh"
 #include "common/types.hh"
+#include "common/zero_alloc.hh"
 
 namespace stsim
 {
@@ -93,20 +93,23 @@ class Cache
     /** Save or restore lines, MRU hints, LRU clock, and counters. */
     void state(serde::StateIO &io);
 
-  private:
+    /** One way of a set. All-zero bytes are its default (ZeroVector). */
     struct Line
     {
         Addr tag = 0;
         std::uint64_t lastUse = 0;
         bool valid = false;
         bool wrongPathFill = false;
+
+        bool operator==(const Line &) const = default;
     };
 
+  private:
     CacheConfig cfg_;
     std::size_t numSets_;
     unsigned setBits_;
     unsigned lineBits_;
-    std::vector<Line> lines_; // sets * ways
+    ZeroVector<Line> lines_; // sets * ways
     /**
      * Per-set MRU way hint: the way the set last hit or filled.
      * Checked before the associative scan -- repeated touches to a
@@ -114,7 +117,7 @@ class Cache
      * in one compare. Purely an accelerator: a wrong hint falls back
      * to the full scan, so replacement behavior is unchanged.
      */
-    std::vector<std::uint8_t> mruWay_;
+    ZeroVector<std::uint8_t> mruWay_;
     Addr setMask_ = 0;
     std::uint64_t useClock_ = 0;
 

@@ -28,9 +28,9 @@
 #define STSIM_CONFIDENCE_BPRU_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/fields.hh"
+#include "common/zero_alloc.hh"
 #include "confidence/estimator.hh"
 
 namespace stsim
@@ -90,21 +90,24 @@ class BpruEstimator : public ConfidenceEstimator
 
     void state(serde::StateIO &io) override;
 
-  private:
+    /** One table entry. All-zero bytes are its default (ZeroVector). */
     struct Entry
     {
         bool valid = false;
         std::uint32_t tag = 0;
         std::uint8_t counter = 0; // 0..7
+
+        bool operator==(const Entry &) const = default;
     };
 
+  private:
     std::size_t index(Addr pc, std::uint64_t hist) const;
     std::uint32_t tagOf(Addr pc) const;
 
     std::size_t sizeBytes_;
     unsigned indexBits_;
     Params params_;
-    std::vector<Entry> table_;
+    ZeroVector<Entry> table_;
     Counter lookups_ = 0;
     Counter hits_ = 0;
 };

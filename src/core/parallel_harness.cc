@@ -49,16 +49,6 @@ reorderWindow(std::size_t workers, std::size_t tasks)
 
 StreamStats
 runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
-        unsigned workers, const CancelToken *cancel)
-{
-    RunOptions opts;
-    opts.workers = workers;
-    opts.cancel = cancel;
-    return runJobs(jobs, sink, opts);
-}
-
-StreamStats
-runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
         const RunOptions &opts)
 {
     stsim_assert(!(opts.memoizeWarmup && opts.fromSnapshot),
@@ -245,45 +235,6 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
     pool.wait();
     sink.flush();
     return stats;
-}
-
-namespace
-{
-
-/** Commits a wave into a preallocated vector (in-memory callers). */
-class VectorSink : public ResultsSink
-{
-  public:
-    explicit VectorSink(std::vector<SimResults> &out) : out_(out) {}
-
-    void
-    write(std::uint64_t index, const SimResults &r) override
-    {
-        out_[index] = r;
-    }
-
-  private:
-    std::vector<SimResults> &out_;
-};
-
-} // namespace
-
-std::vector<SimResults>
-runJobs(const std::vector<SimJob> &jobs, unsigned workers)
-{
-    std::vector<SimResults> results(jobs.size());
-    VectorSink sink(results);
-    runJobs(jobs, sink, workers);
-    return results;
-}
-
-std::vector<SimResults>
-runJobs(const std::vector<SimJob> &jobs, const RunOptions &opts)
-{
-    std::vector<SimResults> results(jobs.size());
-    VectorSink sink(results);
-    runJobs(jobs, sink, opts);
-    return results;
 }
 
 } // namespace stsim

@@ -1,13 +1,13 @@
 /**
  * @file
  * Parallel experiment engine: turns lists of fully-specified
- * simulation jobs into results using a RunPool. All paths -- the
- * in-memory vector API the examples and tests use, and stsim_runner's
- * dump, run and dispatch over a suite's manifest -- share one
- * streaming commit path: results are handed to a ResultsSink in
- * submission order as jobs complete, behind a bounded reorder window,
- * so the output is bitwise identical for any worker count and peak
- * memory does not grow with matrix size.
+ * simulation jobs into results using a RunPool. Every caller --
+ * stsim_runner's dump, run and dispatch over a suite's manifest,
+ * perfbench and the tests -- goes through one streaming commit path:
+ * results are handed to a ResultsSink in submission order as jobs
+ * complete, behind a bounded reorder window, so the output is bitwise
+ * identical for any worker count and peak memory does not grow with
+ * matrix size.
  */
 
 #ifndef STSIM_CORE_PARALLEL_HARNESS_HH
@@ -112,9 +112,9 @@ struct RunOptions
  * Each task (one job, or one warmup class of a memoized wave)
  * constructs its own Simulator, so the only shared state is the
  * read-mostly program cache (internally synchronized). Results are
- * independent of @p workers. Workers that run too far ahead of the
- * first unfinished task are paused (bounded reorder window), which
- * caps held results without limiting steady-state parallelism.
+ * independent of the worker count. Workers that run too far ahead of
+ * the first unfinished task are paused (bounded reorder window),
+ * which caps held results without limiting steady-state parallelism.
  *
  * sink.write() calls are serialized and in submission order;
  * sink.flush() runs, under the same lock, after every commit that
@@ -123,32 +123,14 @@ struct RunOptions
  * stream sink's SinkWriteError) aborts the wave: no task starts after
  * it, running tasks finish, and the exception leaves this call.
  *
- * When @p cancel is non-null, it is checked before each task starts
- * and polled inside the simulator; a fired token makes the wave
- * throw JobCancelled out of this call after releasing every
+ * When RunOptions::cancel is non-null, it is checked before each
+ * task starts and polled inside the simulator; a fired token makes
+ * the wave throw JobCancelled out of this call after releasing every
  * gate-blocked worker (same path as a throwing job or sink). The
  * reorder window can be pinned with STSIM_REORDER_WINDOW (tests).
- *
- * @param workers Worker threads; 0 resolves STSIM_JOBS / hardware.
  */
-StreamStats runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
-                    unsigned workers = 0,
-                    const CancelToken *cancel = nullptr);
-
-/** Full-options form of the streaming engine. */
 StreamStats runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
                     const RunOptions &opts);
-
-/**
- * Convenience wrapper over the streaming engine for callers that want
- * the whole wave in memory: returns results in submission order.
- */
-std::vector<SimResults> runJobs(const std::vector<SimJob> &jobs,
-                                unsigned workers = 0);
-
-/** In-memory wrapper with full options. */
-std::vector<SimResults> runJobs(const std::vector<SimJob> &jobs,
-                                const RunOptions &opts);
 
 } // namespace stsim
 

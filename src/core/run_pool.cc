@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <optional>
 
+#include "common/arg_parse.hh"
 #include "common/logging.hh"
 
 namespace stsim
@@ -13,12 +15,10 @@ unsigned
 RunPool::defaultWorkers()
 {
     if (const char *s = std::getenv("STSIM_JOBS")) {
-        // strtoul silently wraps negative input, so parse signed.
-        char *end = nullptr;
-        long long v = std::strtoll(s, &end, 10);
-        if (end && *end == '\0' && v >= 1)
+        std::optional<std::uint64_t> v = args::decodeU64(s);
+        if (v && *v >= 1)
             return static_cast<unsigned>(
-                std::min<long long>(v, kMaxWorkers));
+                std::min<std::uint64_t>(*v, kMaxWorkers));
         stsim_warn("ignoring bad STSIM_JOBS='%s'", s);
     }
     unsigned hw = std::thread::hardware_concurrency();

@@ -77,8 +77,9 @@ class RunPool
 
     /**
      * Worker count used when none is requested explicitly: the
-     * STSIM_JOBS environment variable (at least 1, at most
-     * kMaxWorkers) when set and parseable, else
+     * STSIM_JOBS environment variable when it decodes through
+     * args::decodeU64 (digits only, within 64 bits) to at least 1,
+     * clamped to kMaxWorkers; else, with a warning if it is set,
      * std::thread::hardware_concurrency(), else 1.
      */
     static unsigned defaultWorkers();

@@ -1,12 +1,15 @@
 /**
  * @file
  * Unit tests for the common substrate: saturating counters, RNG,
- * bit utilities, statistics and the table formatter.
+ * bit utilities, statistics, the table formatter and the zeroing
+ * allocator.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
 #include <chrono>
 #include <climits>
@@ -18,11 +21,15 @@
 #include <string>
 #include <vector>
 
+#include "bpred/btb.hh"
+#include "cache/cache.hh"
 #include "common/arg_parse.hh"
 #include "common/bitutil.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
 #include "common/table.hh"
+#include "common/zero_alloc.hh"
+#include "confidence/bpru.hh"
 
 using namespace stsim;
 
@@ -502,4 +509,40 @@ TEST(ArgParse, DecodeU64MatchesDigitsOnlyReference)
         EXPECT_EQ(args::decodeU64(edge), digitsOnly(edge, UINT64_MAX))
             << edge;
     }
+}
+
+namespace
+{
+
+/** A @p T made of all-zero bytes: what a ZeroVector element starts as. */
+template <typename T>
+T
+fromZeroBytes()
+{
+    return std::bit_cast<T>(std::array<unsigned char, sizeof(T)>{});
+}
+
+} // namespace
+
+/// A ZeroVector never runs its elements' default member initializers,
+/// so zero bytes must be the default of every type one stores: a
+/// nonzero initializer would be silently ignored on a cold machine.
+TEST(ZeroAllocator, ZeroBytesAreEveryStoredTypesDefault)
+{
+    EXPECT_EQ(fromZeroBytes<Cache::Line>(), Cache::Line{});
+    EXPECT_EQ(fromZeroBytes<std::uint8_t>(), std::uint8_t{}); // MRU way
+    EXPECT_EQ(fromZeroBytes<Btb::Entry>(), Btb::Entry{});
+    EXPECT_EQ(fromZeroBytes<BpruEstimator::Entry>(),
+              BpruEstimator::Entry{});
+
+    // Growth keeps what was written and zero-fills the rest.
+    ZeroVector<Cache::Line> lines(1024);
+    lines[7].tag = 9;
+    lines.resize(40'000); // reallocates
+    Cache::Line written;
+    written.tag = 9;
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        ASSERT_EQ(lines[i], i == 7 ? written : Cache::Line{}) << i;
+    ZeroVector<Cache::Line> copy = lines;
+    EXPECT_EQ(copy, lines);
 }

@@ -21,6 +21,8 @@
 #include "core/suites.hh"
 #include "obs/metrics.hh"
 
+#include "run_jobs.hh"
+
 using namespace stsim;
 
 /// Eight threads racing through their first programFor calls build

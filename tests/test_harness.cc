@@ -15,6 +15,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +30,8 @@
 #include "core/simulator.hh"
 #include "core/suites.hh"
 #include "obs/metrics.hh"
+
+#include "run_jobs.hh"
 
 using namespace stsim;
 
@@ -106,10 +109,40 @@ TEST(RunPool, WorkerCountIsCapped)
 
 TEST(RunPool, StsimJobsOverridesDefault)
 {
-    ASSERT_EQ(setenv("STSIM_JOBS", "3", 1), 0);
-    EXPECT_EQ(RunPool::defaultWorkers(), 3u);
-    ASSERT_EQ(setenv("STSIM_JOBS", "bogus", 1), 0);
-    EXPECT_GE(RunPool::defaultWorkers(), 1u); // falls back, never 0
+    // Only defaultWorkers() runs: no pool is built from these values.
+    unsetenv("STSIM_JOBS");
+    const unsigned fallback = RunPool::defaultWorkers();
+    EXPECT_GE(fallback, 1u); // never 0
+    struct Case
+    {
+        const char *value;
+        unsigned workers;
+        bool warns;
+    };
+    const Case cases[] = {
+        {"3", 3, false},
+        {"256", 256, false},
+        {"300", RunPool::kMaxWorkers, false},
+        {"18446744073709551615", RunPool::kMaxWorkers, false},
+        {"99999999999999999999", fallback, true}, // wider than 64 bits
+        {"0", fallback, true},
+        {"-1", fallback, true},
+        {"+3", fallback, true},
+        {" 3", fallback, true},
+        {"3 ", fallback, true},
+        {"", fallback, true},
+        {"bogus", fallback, true},
+    };
+    for (const Case &c : cases) {
+        ASSERT_EQ(setenv("STSIM_JOBS", c.value, 1), 0);
+        testing::internal::CaptureStderr();
+        const unsigned workers = RunPool::defaultWorkers();
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(workers, c.workers) << "STSIM_JOBS='" << c.value << "'";
+        EXPECT_EQ(err.find("ignoring bad STSIM_JOBS") != std::string::npos,
+                  c.warns)
+            << "STSIM_JOBS='" << c.value << "': " << err;
+    }
     unsetenv("STSIM_JOBS");
 }
 

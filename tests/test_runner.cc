@@ -24,6 +24,8 @@
 #include "core/suites.hh"
 #include "obs/metrics.hh"
 
+#include "run_jobs.hh"
+
 using namespace stsim;
 
 namespace

@@ -36,6 +36,8 @@
 #include "serve/server.hh"
 #include "trace/profile.hh"
 
+#include "run_jobs.hh"
+
 using namespace stsim;
 
 namespace

@@ -28,6 +28,8 @@
 #include "core/state_serde.hh"
 #include "throttle/policy.hh"
 
+#include "run_jobs.hh"
+
 using namespace stsim;
 
 namespace
