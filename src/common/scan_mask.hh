@@ -1,26 +1,21 @@
 /**
  * @file
- * Two-level bitmask over monotone ring positions: a find-first
- * structure for the window scans that used to walk vectors (unknown
- * stores, address-ready stores, blocked loads).
+ * Bitmask over monotone ring positions: the find-first structure for
+ * the core's window scans (the ready window, unknown stores,
+ * address-ready stores, blocked loads).
  *
  * Positions are monotone 64-bit values masked into a power-of-two bit
- * ring (the same aliasing argument as the scheduler's ready bitmap: as
- * long as the live window [base, base + occupancy) never spans more
- * than the capacity, every live position owns a distinct bit). A
- * summary word carries one bit per 64-bit leaf word, so find-first
- * skips empty words without loading them and emptiness is a single
- * register test.
+ * ring: as long as the live window [base, base + occupancy) never spans
+ * more than the capacity, every live position owns a distinct bit.
  */
 
 #ifndef STSIM_COMMON_SCAN_MASK_HH
 #define STSIM_COMMON_SCAN_MASK_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
-
-#include "common/logging.hh"
 
 namespace stsim
 {
@@ -31,52 +26,50 @@ class ScanMask
     /** Returned by firstSet when no bit is set in the range. */
     static constexpr std::uint64_t kNone = ~std::uint64_t{0};
 
-    /**
-     * (Re)initialize with the smallest power-of-two bit capacity
-     * >= max(@p capacity, 64). One summary word covers up to 64 leaf
-     * words, bounding the capacity at 4096 positions -- far above any
-     * configured window.
-     */
+    /** (Re)initialize with the smallest power-of-two bit capacity
+     *  >= max(@p capacity, 64), every bit clear. */
     void
     init(std::uint64_t capacity)
     {
         std::uint64_t bits = 64;
         while (bits < capacity)
             bits <<= 1;
-        stsim_assert(bits <= 64 * 64,
-                     "scan mask capacity %llu exceeds one summary word",
-                     static_cast<unsigned long long>(bits));
         words_.assign(bits / 64, 0);
         mask_ = bits - 1;
-        summary_ = 0;
     }
 
     /** Clear every bit (capacity unchanged). */
-    void
-    reset()
+    void reset() { std::fill(words_.begin(), words_.end(), 0); }
+
+    bool
+    none() const
     {
-        std::fill(words_.begin(), words_.end(), 0);
-        summary_ = 0;
+        return std::all_of(words_.begin(), words_.end(),
+                           [](std::uint64_t w) { return w == 0; });
     }
 
-    bool none() const { return summary_ == 0; }
+    /** Number of set bits. */
+    std::uint64_t
+    count() const
+    {
+        std::uint64_t n = 0;
+        for (std::uint64_t w : words_)
+            n += static_cast<std::uint64_t>(std::popcount(w));
+        return n;
+    }
 
     void
     set(std::uint64_t pos)
     {
         const std::uint64_t idx = pos & mask_;
         words_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-        summary_ |= std::uint64_t{1} << (idx >> 6);
     }
 
     void
     clear(std::uint64_t pos)
     {
         const std::uint64_t idx = pos & mask_;
-        const std::uint64_t w = idx >> 6;
-        words_[w] &= ~(std::uint64_t{1} << (idx & 63));
-        if (words_[w] == 0)
-            summary_ &= ~(std::uint64_t{1} << w);
+        words_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
     }
 
     bool
@@ -91,19 +84,15 @@ class ScanMask
     std::uint64_t
     firstSet(std::uint64_t pos, std::uint64_t end) const
     {
-        if (summary_ == 0)
-            return kNone;
         while (pos < end) {
             const std::uint64_t idx = pos & mask_;
             const std::uint64_t off = idx & 63;
-            if (summary_ & (std::uint64_t{1} << (idx >> 6))) {
-                const std::uint64_t word = words_[idx >> 6] >> off;
-                if (word) {
-                    const std::uint64_t found =
-                        pos + static_cast<std::uint64_t>(
-                                  std::countr_zero(word));
-                    return found < end ? found : kNone;
-                }
+            const std::uint64_t word = words_[idx >> 6] >> off;
+            if (word) {
+                const std::uint64_t found =
+                    pos + static_cast<std::uint64_t>(
+                              std::countr_zero(word));
+                return found < end ? found : kNone;
             }
             pos += 64 - off; // next word boundary
         }
@@ -123,9 +112,11 @@ class ScanMask
     /** Bit capacity (power of two, >= 64). */
     std::uint64_t capacity() const { return mask_ + 1; }
 
+    /** The ring's 64-bit words, lowest positions first (snapshots). */
+    const std::vector<std::uint64_t> &words() const { return words_; }
+
   private:
     std::vector<std::uint64_t> words_;
-    std::uint64_t summary_ = 0;
     std::uint64_t mask_ = 63;
 };
 

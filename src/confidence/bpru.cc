@@ -53,9 +53,9 @@ BpruEstimator::levelFromCounter(unsigned value)
 }
 
 ConfLevel
-BpruEstimator::estimateFast(Addr pc, std::uint64_t hist,
-                            const DirectionPredictor::Prediction &dir,
-                            bool /*oracle_correct*/)
+BpruEstimator::estimate(Addr pc, std::uint64_t hist,
+                        const DirectionPredictor::Prediction &dir,
+                        bool /*oracle_correct*/)
 {
     ++lookups_;
     const Entry &e = table_[index(pc, hist)];

@@ -62,18 +62,9 @@ class BpruEstimator : public ConfidenceEstimator
     {
     }
 
-    /** Non-virtual estimate; the devirtualized fetch-stage entry. */
-    ConfLevel estimateFast(Addr pc, std::uint64_t hist,
-                           const DirectionPredictor::Prediction &dir,
-                           bool oracle_correct);
-
-    ConfLevel
-    estimate(Addr pc, std::uint64_t hist,
-             const DirectionPredictor::Prediction &dir,
-             bool oracle_correct) override
-    {
-        return estimateFast(pc, hist, dir, oracle_correct);
-    }
+    ConfLevel estimate(Addr pc, std::uint64_t hist,
+                       const DirectionPredictor::Prediction &dir,
+                       bool oracle_correct) override;
     void update(Addr pc, std::uint64_t hist, bool correct) override;
     std::size_t sizeBytes() const override { return sizeBytes_; }
 

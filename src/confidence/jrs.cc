@@ -29,9 +29,9 @@ JrsEstimator::index(Addr pc, std::uint64_t hist) const
 }
 
 ConfLevel
-JrsEstimator::estimateFast(Addr pc, std::uint64_t hist,
-                           const DirectionPredictor::Prediction & /*dir*/,
-                           bool /*oracle_correct*/)
+JrsEstimator::estimate(Addr pc, std::uint64_t hist,
+                       const DirectionPredictor::Prediction & /*dir*/,
+                       bool /*oracle_correct*/)
 {
     // JRS is inherently two-level: the MDC either cleared the threshold
     // (high confidence) or it did not (low confidence).

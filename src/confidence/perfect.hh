@@ -17,21 +17,12 @@ namespace stsim
 class PerfectEstimator : public ConfidenceEstimator
 {
   public:
-    /** Non-virtual estimate; the devirtualized fetch-stage entry. */
     ConfLevel
-    estimateFast(Addr /*pc*/, std::uint64_t /*hist*/,
-                 const DirectionPredictor::Prediction & /*dir*/,
-                 bool oracle_correct)
-    {
-        return oracle_correct ? ConfLevel::VHC : ConfLevel::VLC;
-    }
-
-    ConfLevel
-    estimate(Addr pc, std::uint64_t hist,
-             const DirectionPredictor::Prediction &dir,
+    estimate(Addr /*pc*/, std::uint64_t /*hist*/,
+             const DirectionPredictor::Prediction & /*dir*/,
              bool oracle_correct) override
     {
-        return estimateFast(pc, hist, dir, oracle_correct);
+        return oracle_correct ? ConfLevel::VHC : ConfLevel::VLC;
     }
 
     void update(Addr /*pc*/, std::uint64_t /*hist*/,

@@ -1,7 +1,6 @@
 #include "run_pool.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <optional>
 
@@ -32,11 +31,9 @@ RunPool::RunPool(unsigned workers)
     if (workers == 0)
         workers = defaultWorkers();
     workers = std::min(workers, kMaxWorkers);
-    idleBits_.assign((workers + 63) / 64, 0);
-    cvWorker_ = std::make_unique<std::condition_variable[]>(workers);
     threads_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
+        threads_.emplace_back([this] { workerLoop(); });
 }
 
 RunPool::~RunPool()
@@ -46,41 +43,22 @@ RunPool::~RunPool()
         cvIdle_.wait(lock, [this] { return inFlight_ == 0; });
         stopping_ = true;
     }
-    for (std::size_t i = 0; i < threads_.size(); ++i)
-        cvWorker_[i].notify_one();
+    cvWork_.notify_all();
     for (std::thread &t : threads_)
         t.join();
-}
-
-int
-RunPool::claimIdleWorker()
-{
-    for (std::size_t w = 0; w < idleBits_.size(); ++w) {
-        const std::uint64_t word = idleBits_[w];
-        if (word) {
-            const unsigned bit =
-                static_cast<unsigned>(std::countr_zero(word));
-            idleBits_[w] = word & (word - 1); // claim: clear lowest
-            return static_cast<int>(w * 64 + bit);
-        }
-    }
-    return -1; // every worker busy; one will drain the queue
 }
 
 void
 RunPool::submit(std::function<void()> job)
 {
-    int w;
     {
         std::lock_guard<std::mutex> lock(mu_);
         stsim_assert(!stopping_, "submit on a stopping RunPool");
         queue_.push_back(std::move(job));
         ++inFlight_;
         queueDepth_.add(1);
-        w = claimIdleWorker();
     }
-    if (w >= 0)
-        cvWorker_[w].notify_one();
+    cvWork_.notify_one(); // a busy pool's workers drain the queue
 }
 
 void
@@ -105,22 +83,16 @@ RunPool::parallelFor(std::size_t n,
 }
 
 void
-RunPool::workerLoop(unsigned idx)
+RunPool::workerLoop()
 {
     for (;;) {
         std::function<void()> job;
         {
             std::unique_lock<std::mutex> lock(mu_);
             while (!stopping_ && queue_.empty()) {
-                // Park: publish the idle bit, wait for a claim. The
-                // bit is re-set on every loop iteration because a
-                // claimant's job may have been drained by another
-                // worker before this one woke.
-                setIdle(idx);
                 idleWorkers_.add(1);
-                cvWorker_[idx].wait(lock);
+                cvWork_.wait(lock);
                 idleWorkers_.sub(1);
-                clearIdle(idx);
             }
             if (queue_.empty())
                 return; // stopping and drained

@@ -12,11 +12,9 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -85,35 +83,7 @@ class RunPool
     static unsigned defaultWorkers();
 
   private:
-    void workerLoop(unsigned idx);
-
-    /// @name Idle-worker bitmask (guarded by mu_)
-    /// @{
-    /**
-     * One bit per parked worker plus one condition variable each.
-     * submit() claims the lowest-indexed idle worker with a ctz scan
-     * and notifies only that worker's cv, so a job wakes exactly one
-     * thread (no thundering herd through a shared cv) and work
-     * concentrates on low-numbered -- recently active, cache-warm --
-     * workers. A worker re-sets its own bit each time it re-checks an
-     * empty queue, so a claim whose job was drained by another worker
-     * cannot strand the claimed thread unreachable.
-     */
-    void
-    setIdle(unsigned idx)
-    {
-        idleBits_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-    }
-
-    void
-    clearIdle(unsigned idx)
-    {
-        idleBits_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-    }
-
-    /** Claim (clear) the lowest-indexed idle worker; -1 when none. */
-    int claimIdleWorker();
-    /// @}
+    void workerLoop();
 
     // Process-wide gauges (shared across pools): how many jobs sit
     // queued and how many workers are parked waiting for work. Two
@@ -124,8 +94,7 @@ class RunPool
     std::vector<std::thread> threads_;
     std::deque<std::function<void()>> queue_;
     std::mutex mu_;
-    std::vector<std::uint64_t> idleBits_; ///< parked workers, by index
-    std::unique_ptr<std::condition_variable[]> cvWorker_; ///< per worker
+    std::condition_variable cvWork_;  ///< wakes a parked worker
     std::condition_variable cvIdle_;  ///< signals wait(): all jobs done
     std::size_t inFlight_ = 0;        ///< queued + currently executing
     std::exception_ptr firstError_;

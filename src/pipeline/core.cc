@@ -1,8 +1,5 @@
 #include "core.hh"
 
-#include <algorithm>
-#include <bit>
-
 #include "common/logging.hh"
 
 namespace stsim
@@ -49,18 +46,11 @@ Core::Core(const CoreConfig &cfg, const Deps &deps)
     rob_.init(cfg_.ruuSize + 1);
     lsq_.init(cfg_.lsqSize + 1);
 
-    // Ready bitmap: the window never holds more than ruuSize entries,
-    // so a pow2 bit ring of at least that many positions is aliasing
-    // free within [robBasePos_, robBasePos_ + rob_.size()).
-    std::uint64_t bits = 64;
-    while (bits < cfg_.ruuSize)
-        bits <<= 1;
-    readyWords_.assign(bits / 64, 0);
-    readyMask_ = bits - 1;
-
-    // LSQ-position masks share the ready bitmap's aliasing argument:
-    // the LSQ never holds more than lsqSize entries, so a pow2 bit
-    // ring of at least that many positions is collision free.
+    // Position masks: the window never holds more than ruuSize
+    // entries and the LSQ never more than lsqSize, so a pow2 bit ring
+    // of at least that many positions is collision free (LSQ position
+    // order == seq order for memory ops).
+    readyMask_.init(cfg_.ruuSize);
     unknownStoreMask_.init(cfg_.lsqSize);
     storeAddrMask_.init(cfg_.lsqSize);
     blockedLoadMask_.init(cfg_.lsqSize);
@@ -71,26 +61,6 @@ Core::Core(const CoreConfig &cfg, const Deps &deps)
     wbCalMask_ = wbCal_.size() - 1;
 
     fetchPc_ = deps_.workload->program().codeBase();
-    if (deps_.confidence)
-        confEstimate_ = resolveConfEstimate(deps_.confidence);
-}
-
-std::uint64_t
-Core::nextReadyPos(std::uint64_t pos, std::uint64_t end) const
-{
-    while (pos < end) {
-        const std::uint64_t idx = pos & readyMask_;
-        const std::uint64_t off = idx & 63;
-        std::uint64_t word = readyWords_[idx >> 6] >> off;
-        if (word) {
-            std::uint64_t found =
-                pos + static_cast<std::uint64_t>(
-                          std::countr_zero(word));
-            return found < end ? found : kInvalidSeq;
-        }
-        pos += 64 - off; // next word boundary
-    }
-    return kInvalidSeq;
 }
 
 void
@@ -187,15 +157,8 @@ Core::wakeConsumers(DynInst &producer)
             ++cam_cnt;
             cam_wrong += c.wrongPath ? 1 : 0;
         }
-        if (c.waitingOn == 0) {
-            bool oracle_blocked =
-                (cfg_.oracle == OracleMode::OracleSelect ||
-                 cfg_.oracle == OracleMode::OracleDecode) &&
-                c.wrongPath;
-            if (oracle_blocked)
-                return; // never selectable
-            setReady(c);
-        }
+        if (c.waitingOn == 0 && !oracleBlocked(c))
+            readyMask_.set(c.windowPos);
     });
     producer.clearConsumers();
     if (cam_cnt) // exact integer batch of the per-match records
@@ -215,7 +178,7 @@ Core::loadMayIssue(const DynInst &di)
 bool
 Core::tryForward(const DynInst &load)
 {
-    if (readyStores_ == 0)
+    if (storeAddrMask_.none())
         return false; // no store in the window has a known address
     const Addr word = load.ti.memAddr >> 3;
     // ctz walk over address-ready stores older than the load (the old
@@ -247,7 +210,7 @@ Core::releaseBlockedLoads()
     while ((pos = blockedLoadMask_.firstSet(pos, limit)) !=
            ScanMask::kNone) {
         blockedLoadMask_.clear(pos);
-        setReady(slots_[lsq_[pos - lsqBasePos_]]);
+        readyMask_.set(slots_[lsq_[pos - lsqBasePos_]].windowPos);
         ++pos;
     }
 }

@@ -26,7 +26,6 @@
 #include "common/scan_mask.hh"
 #include "common/seq_ring.hh"
 #include "common/types.hh"
-#include "confidence/dispatch.hh"
 #include "confidence/estimator.hh"
 #include "confidence/metrics.hh"
 #include "pipeline/core_config.hh"
@@ -272,32 +271,15 @@ class Core
     }
     /// @}
 
-    /// @name Ready tracking
-    /// @{
-    /**
-     * Readiness is a bitmap over monotone window positions (assigned
-     * at dispatch, so position order == age order). issueStage walks
-     * set bits oldest-first -- the same selection order the previous
-     * min-heap produced, without per-entry heap churn.
-     */
-    void
-    setReady(const DynInst &di)
+    /** A wrong-path entry under oracle select or decode is never
+     *  selectable. */
+    bool
+    oracleBlocked(const DynInst &di) const
     {
-        readyWords_[(di.windowPos & readyMask_) >> 6] |=
-            std::uint64_t{1} << (di.windowPos & 63);
+        return (cfg_.oracle == OracleMode::OracleSelect ||
+                cfg_.oracle == OracleMode::OracleDecode) &&
+               di.wrongPath;
     }
-
-    void
-    clearReady(const DynInst &di)
-    {
-        readyWords_[(di.windowPos & readyMask_) >> 6] &=
-            ~(std::uint64_t{1} << (di.windowPos & 63));
-    }
-
-    /** First ready window position in [pos, end), or kInvalidSeq. */
-    std::uint64_t nextReadyPos(std::uint64_t pos,
-                               std::uint64_t end) const;
-    /// @}
 
     /// @name Writeback calendar
     /// @{
@@ -342,7 +324,6 @@ class Core
     SlotRing rob_;
     SlotRing lsq_;
     std::uint64_t lsqBasePos_ = 0; ///< position of lsq_.front()
-    unsigned readyStores_ = 0; ///< in-window stores with known address
 
     // Per-domain masks over LSQ positions (position order == seq order
     // for memory ops, so every seq comparison the old vector walks did
@@ -351,11 +332,11 @@ class Core
     ScanMask storeAddrMask_;    ///< stores with a known address
     ScanMask blockedLoadMask_;  ///< loads waiting on an older store
 
-    // Scheduling: ready bitmap over window positions. robBasePos_ is
-    // the position of rob_.front(); the window covers
-    // [robBasePos_, robBasePos_ + rob_.size()).
-    std::vector<std::uint64_t> readyWords_;
-    std::uint64_t readyMask_ = 0; ///< (bit capacity - 1), pow2 >= RUU
+    // Scheduling: readiness over window positions (assigned at
+    // dispatch, so position order == age order); issueStage walks set
+    // bits oldest-first. robBasePos_ is the position of rob_.front();
+    // the window covers [robBasePos_, robBasePos_ + rob_.size()).
+    ScanMask readyMask_;
     std::uint64_t robBasePos_ = 0;
 
     // Writeback calendar: one bucket per future cycle, ring-indexed.
@@ -383,10 +364,6 @@ class Core
 
     FuPool fuPool_;
     HotCounters hot_;
-
-    /** Devirtualized estimate() for the (single) estimator; null when
-     *  the core has no confidence estimator. */
-    ConfEstimateFn confEstimate_ = nullptr;
 
     // Fetch state.
     FetchMode fetchMode_ = FetchMode::CorrectPath;

@@ -28,10 +28,8 @@ Core::commitStage()
                          "LSQ out of sync at commit");
             lsq_.pop_front();
             ++lsqBasePos_;
-            if (di.ti.isStore()) {
-                --readyStores_; // committed stores had known addresses
-                storeAddrMask_.clear(di.lsqPos);
-            }
+            if (di.ti.isStore())
+                storeAddrMask_.clear(di.lsqPos); // address was known
         }
 
         if (di.ti.isStore()) {
@@ -82,12 +80,10 @@ Core::squashAfter(InstSeq seq)
     while (!lsq_.empty() && inst(lsq_.back()).seq > seq) {
         const DynInst &e = inst(lsq_.back());
         if (e.ti.isStore()) {
-            if (e.addrReady) {
-                --readyStores_; // wrong-path store that had completed
+            if (e.addrReady)
                 storeAddrMask_.clear(e.lsqPos);
-            } else {
+            else
                 unknownStoreMask_.clear(e.lsqPos);
-            }
         } else {
             blockedLoadMask_.clear(e.lsqPos);
         }
@@ -100,7 +96,7 @@ Core::squashAfter(InstSeq seq)
             q.pop_back();
             DynInst &di = inst(slot);
             if (di.inWindow)
-                clearReady(di); // position will be reused
+                readyMask_.clear(di.windowPos); // position reused
             ++stats_.squashedInsts;
             freeSlot(slot);
         }

@@ -135,14 +135,10 @@ Core::dispatchStage()
 
         // The window position may be reused after a squash: write the
         // ready bit unconditionally so no stale state survives.
-        bool oracle_blocked =
-            (cfg_.oracle == OracleMode::OracleSelect ||
-             cfg_.oracle == OracleMode::OracleDecode) &&
-            wp;
-        if (di.waitingOn == 0 && !oracle_blocked)
-            setReady(di);
+        if (di.waitingOn == 0 && !oracleBlocked(di))
+            readyMask_.set(di.windowPos);
         else
-            clearReady(di);
+            readyMask_.clear(di.windowPos);
     }
     if (win_cnt)
         deps_.power->record(PUnit::Window, win_cnt, win_wrong);

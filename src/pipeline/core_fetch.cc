@@ -25,9 +25,9 @@ Core::processControl(DynInst &di)
     if (di.ti.isCondBranch() && deps_.confidence) {
         bool dir_correct =
             on_wrong ? true : di.pred.predTaken == di.ti.taken;
-        di.conf = confEstimate_(deps_.confidence, di.ti.pc,
-                                di.pred.histBefore, di.pred.dir,
-                                dir_correct);
+        di.conf = deps_.confidence->estimate(di.ti.pc,
+                                             di.pred.histBefore,
+                                             di.pred.dir, dir_correct);
         di.confAssigned = true;
         deps_.power->record(PUnit::Bpred, 1, wp ? 1 : 0);
         deps_.controller->onCondBranchFetched(di.seq, di.conf);

@@ -29,7 +29,7 @@ Core::issueStage()
     const std::uint64_t end = robBasePos_ + rob_.size();
 
     while (issued < cfg_.issueWidth &&
-           (pos = nextReadyPos(pos, end)) != kInvalidSeq) {
+           (pos = readyMask_.firstSet(pos, end)) != ScanMask::kNone) {
         DynInst &di = inst(rob_[pos - robBasePos_]);
         stsim_dbg_assert(di.inWindow && !di.issued && !di.waitingOn,
                      "stale ready bit for seq %llu",
@@ -55,7 +55,7 @@ Core::issueStage()
         if (di.ti.isLoad() && !loadMayIssue(di)) {
             ++stats_.loadsBlockedByStore;
             blockedLoadMask_.set(di.lsqPos);
-            clearReady(di);
+            readyMask_.clear(di.windowPos);
             ++pos;
             continue;
         }
@@ -63,7 +63,7 @@ Core::issueStage()
         // Issue.
         fuPool_.claim(fu);
         di.issued = true;
-        clearReady(di);
+        readyMask_.clear(di.windowPos);
         ++pos;
         ++issued;
         ++stats_.issuedInsts;
@@ -165,7 +165,6 @@ Core::completeInst(DynInst &di)
 
     if (di.ti.isStore()) {
         di.addrReady = true;
-        ++readyStores_;
         unknownStoreMask_.clear(di.lsqPos);
         storeAddrMask_.set(di.lsqPos);
         releaseBlockedLoads();

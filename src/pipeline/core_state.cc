@@ -254,8 +254,11 @@ Core::state(serde::StateIO &io)
     ringState(io, "lsq", lsq_, roles, SlotRole::Rob, SlotRole::Lsq);
     io.u64("lsq_base_pos", lsqBasePos_);
     io.u64("rob_base_pos", robBasePos_);
-    io.u64("ready_stores", readyStores_);
-    io.fixed("ready_words", readyWords_);
+    // Both derive from the window: a restore rebuilds and checks them.
+    unsigned ready_stores = static_cast<unsigned>(storeAddrMask_.count());
+    io.u64("ready_stores", ready_stores);
+    std::vector<std::uint64_t> ready_words = readyMask_.words();
+    io.fixed("ready_words", ready_words);
 
     // Writeback calendar: pending buckets only, each with its drain
     // state (a half-drained sorted bucket restores as an already-
@@ -343,6 +346,25 @@ Core::state(serde::StateIO &io)
                             static_cast<unsigned long long>(s));
             blockedLoadMask_.set(slots_[*slot].lsqPos);
         }
+        // An entry is ready when it is in the window, not issued,
+        // waiting on nothing, not oracle-blocked and not a blocked
+        // load.
+        readyMask_.reset();
+        for (std::size_t i = 0; i < rob_.size(); ++i) {
+            const DynInst &di = slots_[rob_[i]];
+            if (di.inWindow && !di.issued && di.waitingOn == 0 &&
+                !oracleBlocked(di) &&
+                !(di.ti.isLoad() && blockedLoadMask_.test(di.lsqPos)))
+                readyMask_.set(di.windowPos);
+        }
+        if (readyMask_.words() != ready_words)
+            stsim_fatal("state: ready_words disagree with the window");
+        if (storeAddrMask_.count() != ready_stores)
+            stsim_fatal("state: ready_stores %u, but the LSQ holds %llu "
+                        "address-ready stores",
+                        ready_stores,
+                        static_cast<unsigned long long>(
+                            storeAddrMask_.count()));
     }
 
     io.u64("fetch_mode", fetchMode_,
