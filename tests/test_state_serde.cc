@@ -1055,6 +1055,54 @@ TEST(Snapshot, DuplicateTlbPageIsFatal)
     expectRejected(img, "TLB lists page " + vpn[0] + " twice");
 }
 
+/// ready_stores and ready_words derive from the restored window: an
+/// image whose count or ready bits disagree with it is rejected.
+/// Accepted, a zeroed store count changes result bytes and a cleared
+/// ready bit ends in "no commit for 100000 cycles".
+TEST(Snapshot, ReadyStateMustMatchWindow)
+{
+    // An image taken once the window holds an address-ready store and
+    // a ready entry among its first 64 positions.
+    const std::string stores_key = "\nready_stores ";
+    Simulator a(smallConfig("C2"));
+    a.runWarmup();
+    std::string warm;
+    std::size_t at = 0, line = 0;
+    std::uint64_t stores = 0;
+    std::vector<std::string> words;
+    for (int i = 0; i < 10'000; ++i) {
+        a.core().tick();
+        warm = a.saveSnapshot();
+        at = warm.find("\n[core]\n");
+        ASSERT_NE(at, std::string::npos);
+        line = warm.find(stores_key, at);
+        ASSERT_NE(line, std::string::npos);
+        stores = std::stoull(warm.substr(line + stores_key.size()));
+        words = arrayValues(warm, "ready_words", at);
+        ASSERT_FALSE(words.empty());
+        if (stores > 0 && words[0] != "0")
+            break;
+    }
+    ASSERT_GT(stores, 0u) << "no image held an address-ready store";
+    for (std::uint64_t bad : {std::uint64_t{0}, stores - 1, stores + 1}) {
+        SCOPED_TRACE(bad);
+        std::string img = warm;
+        setValue(img, "ready_stores", std::to_string(bad), at);
+        expectRejected(img, "state: ready_stores " + std::to_string(bad));
+    }
+
+    const std::uint64_t w = std::stoull(words[0]);
+    ASSERT_NE(w, 0u) << "no image held a ready entry in its first word";
+    for (std::uint64_t edited : {w & (w - 1), w | (w + 1), ~w}) {
+        SCOPED_TRACE(edited);
+        std::string img = warm;
+        std::vector<std::string> v = words;
+        v[0] = std::to_string(edited);
+        setArray(img, "ready_words", v, at);
+        expectRejected(img, "state: ready_words disagree with the window");
+    }
+}
+
 //
 // Snapshot-image mutation fuzz
 //
