@@ -11,8 +11,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -96,6 +98,35 @@ TEST(RunPool, WaitRethrowsJobException)
     RunPool pool(2);
     pool.submit([] { throw std::runtime_error("job failed"); });
     EXPECT_THROW(pool.wait(), std::runtime_error);
+}
+
+/// Every worker can run a job at once. Each round's four jobs wait,
+/// with a bounded wait, until all four have started: a lost wake-up
+/// leaves a job queued behind three waiting ones, so the round fails
+/// after the bound instead of hanging.
+TEST(RunPool, EveryWorkerRunsAtOnce)
+{
+    constexpr int kWorkers = 4;
+    RunPool pool(kWorkers);
+    std::mutex mu;
+    std::condition_variable cv;
+    for (int round = 0; round < 100; ++round) {
+        int started = 0;
+        int timedOut = 0;
+        for (int j = 0; j < kWorkers; ++j) {
+            pool.submit([&] {
+                std::unique_lock<std::mutex> lock(mu);
+                ++started;
+                cv.notify_all();
+                if (!cv.wait_for(lock, std::chrono::seconds(5),
+                                 [&] { return started == kWorkers; }))
+                    ++timedOut;
+            });
+        }
+        pool.wait();
+        ASSERT_EQ(timedOut, 0) << "round " << round << ": a job waited "
+                               << "5 s for the others to start";
+    }
 }
 
 TEST(RunPool, WorkerCountIsCapped)
