@@ -16,7 +16,8 @@
 #   4. the merged stream must be byte-for-byte identical to the
 #      in-process `dump` of the same manifest (cmp).
 #
-# CI runs this in Release and ASan; locally:
+# ctest runs this as `dispatch_fault_injection`, so every CI job that runs ctest
+# does (Release, Debug, Clang, ASan, TSan); locally:
 #
 #   cmake -B build -S . && cmake --build build --target stsim_runner
 #   scripts/dispatch_fault_injection.sh build

@@ -20,7 +20,8 @@
 #      around its run and reports the server-side queue-wait and
 #      sim-time window in its `--json` row.
 #
-# CI runs this in Release and TSan; locally:
+# ctest runs this as `obs_smoke`, so every CI job that runs ctest
+# does (Release, Debug, Clang, ASan, TSan); locally:
 #
 #   cmake -B build -S . && cmake --build build \
 #       --target stsim_runner stsim_serve stsim_loadgen

@@ -17,7 +17,8 @@
 #   5. restart: a fresh daemon on the same socket path serves the
 #      same replay bit-exactly, then drains cleanly while idle.
 #
-# CI runs this in Release and ASan; locally:
+# ctest runs this as `serve_fault_injection`, so every CI job that runs ctest
+# does (Release, Debug, Clang, ASan, TSan); locally:
 #
 #   cmake -B build -S . && cmake --build build \
 #       --target stsim_runner stsim_serve stsim_loadgen

@@ -19,7 +19,8 @@
 #      and the quarantined fingerprint.
 #   5. drain: SIGTERM must exit 0 with the fleet reaped.
 #
-# CI runs this in Release and ASan; locally:
+# ctest runs this as `serve_isolation_fault_injection`, so every CI job that runs ctest
+# does (Release, Debug, Clang, ASan, TSan); locally:
 #
 #   cmake -B build -S . && cmake --build build \
 #       --target stsim_runner stsim_serve stsim_loadgen

@@ -6,7 +6,8 @@
 # run a paper suite (fig1 at 2K measured / 500 warmup instructions) as
 # 3 shards and require `report` to print the same table from their
 # merge as from the in-process dump.
-# CI runs this on every PR; locally:
+# ctest runs this as `shard_equivalence`, so every CI job that runs ctest
+# does (Release, Debug, Clang, ASan, TSan); locally:
 #
 #   cmake -B build -S . && cmake --build build --target stsim_runner
 #   scripts/shard_equivalence.sh build

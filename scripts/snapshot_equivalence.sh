@@ -22,7 +22,8 @@
 #      meter, and the wave runs one warmup per class and commits
 #      byte-identical results.
 #
-# CI runs this on every PR; locally:
+# ctest runs this as `snapshot_equivalence`, so every CI job that runs ctest
+# does (Release, Debug, Clang, ASan, TSan); locally:
 #
 #   cmake -B build -S . && cmake --build build --target stsim_runner
 #   scripts/snapshot_equivalence.sh build

@@ -59,7 +59,7 @@ class SinkWriteError : public std::runtime_error
  * One indexed JSON record per line (serde::resultRecordToJson).
  * Because every double is hex-float encoded, two JSONL streams are
  * byte-identical iff the results are bit-identical -- the property the
- * CI shard-equivalence gate diffs for. flush() throws SinkWriteError
+ * shard_equivalence gate diffs for. flush() throws SinkWriteError
  * when the stream has failed.
  */
 class JsonlResultsSink : public ResultsSink

@@ -46,7 +46,7 @@
  * --from-snapshot` fork every job from that on-disk checkpoint, and
  * `--memoize-warmup` warms each distinct warmup-equivalence class
  * once per wave in memory. All of them commit results byte-identical
- * to from-scratch runs (the snapshot-equivalence CI gate).
+ * to from-scratch runs (the snapshot_equivalence gate).
  */
 
 #include <cerrno>
