@@ -25,6 +25,16 @@ makePredictor(const BpredConfig &cfg)
 
 } // namespace
 
+void
+BpredConfig::validate() const
+{
+    checkField("bpred", "predictorBytes", predictorBytes, 1, 1 << 20, true);
+    // Power-of-two ways that divide the entries give power-of-two sets.
+    checkField("bpred", "btbWays", btbWays, 1, 64, true);
+    checkField("bpred", "btbEntries", btbEntries, btbWays, 1 << 16, true);
+    checkField("bpred", "rasEntries", rasEntries, 2, 1024);
+}
+
 BpredUnit::BpredUnit(const BpredConfig &cfg)
     : dirPred_(makePredictor(cfg)),
       btb_(cfg.btbEntries, cfg.btbWays),

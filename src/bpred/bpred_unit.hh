@@ -30,6 +30,9 @@ struct BpredConfig
     std::size_t btbEntries = 1024;         ///< Table 3
     std::size_t btbWays = 2;
     std::size_t rasEntries = 32;
+
+    /** Fatal, naming the field, unless every field is in range. */
+    void validate() const;
 };
 
 template <FieldsOf<BpredConfig> S, typename V>

@@ -7,6 +7,17 @@
 namespace stsim
 {
 
+void
+CacheConfig::validate() const
+{
+    // Power-of-two lines and ways give power-of-two sets.
+    const char *level = name.c_str();
+    checkField(level, "sizeBytes", sizeBytes, 64, 16 << 20, true);
+    checkField(level, "ways", ways, 1, 64, true);
+    checkField(level, "lineBytes", lineBytes, 4, 4096, true);
+    checkField(level, "hitLatency", hitLatency, 1, kMaxLatency);
+}
+
 Cache::Cache(const CacheConfig &cfg)
     : cfg_(cfg)
 {

@@ -31,6 +31,10 @@ struct CacheConfig
     std::size_t ways = 2;
     std::size_t lineBytes = 32;
     unsigned hitLatency = 1;
+
+    /** Fatal, naming the level and field, unless every field is in
+     *  range. The constructor checks the geometry they make. */
+    void validate() const;
 };
 
 template <FieldsOf<CacheConfig> S, typename V>

@@ -5,6 +5,20 @@
 namespace stsim
 {
 
+void
+MemoryConfig::validate() const
+{
+    il1.validate();
+    dl1.validate();
+    l2.validate();
+    checkField("memory", "memLatency", memLatency, 1, kMaxLatency);
+    checkField("memory", "tlbEntries", tlbEntries, 1, 4096);
+    checkField("memory", "pageBytes", pageBytes, 1, 1 << 30, true);
+    checkField("memory", "tlbMissPenalty", tlbMissPenalty, 0, kMaxLatency);
+    checkField("memory", "dl1ExtraLatency", dl1ExtraLatency, 0,
+               kMaxLatency);
+}
+
 MemoryHierarchy::MemoryHierarchy(const MemoryConfig &cfg)
     : cfg_(cfg),
       il1_(cfg.il1),

@@ -28,6 +28,9 @@ struct MemoryConfig
     unsigned tlbMissPenalty = 28;
     /** Extra DL1 latency added by deep-pipeline configs (§5.3.1). */
     unsigned dl1ExtraLatency = 0;
+
+    /** Fatal, naming the field, unless every field is in range. */
+    void validate() const;
 };
 
 template <FieldsOf<MemoryConfig> S, typename V>

@@ -23,7 +23,10 @@
 #define STSIM_COMMON_FIELDS_HH
 
 #include <concepts>
+#include <cstdint>
 #include <type_traits>
+
+#include "common/logging.hh"
 
 namespace stsim
 {
@@ -31,6 +34,33 @@ namespace stsim
 /** S is T, const or not: the constraint on each visitFields overload. */
 template <typename S, typename T>
 concept FieldsOf = std::same_as<std::remove_const_t<S>, T>;
+
+/**
+ * The largest latency or penalty, in cycles, a machine config may set.
+ * With every one at this bound a commit still follows the one before it
+ * within about ten thousand cycles, far inside the core's
+ * 100,000-cycle no-commit watchdog.
+ */
+inline constexpr unsigned kMaxLatency = 1000;
+
+/**
+ * Fatal, naming @p owner's field @p key, unless @p lo <= @p v <= @p hi
+ * and, when @p pow2 is set, @p v is a power of two. Each config's
+ * validate() bounds every machine field through it, so a hostile
+ * config is a structured error instead of a panic, a deadlock or an
+ * allocation failure.
+ */
+inline void
+checkField(const char *owner, const char *key, std::uint64_t v,
+           std::uint64_t lo, std::uint64_t hi, bool pow2 = false)
+{
+    if (v < lo || v > hi || (pow2 && (v & (v - 1)) != 0))
+        stsim_fatal("%s: %s is %llu; it must be %sin [%llu, %llu]", owner,
+                    key, static_cast<unsigned long long>(v),
+                    pow2 ? "a power of two " : "",
+                    static_cast<unsigned long long>(lo),
+                    static_cast<unsigned long long>(hi));
+}
 
 } // namespace stsim
 

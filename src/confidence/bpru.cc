@@ -7,6 +7,16 @@
 namespace stsim
 {
 
+void
+BpruEstimator::Params::validate() const
+{
+    // The counter is 3 bits and the stored tag 32.
+    checkField("bpruParams", "missInc", missInc, 1, 7);
+    checkField("bpruParams", "correctDec", correctDec, 1, 7);
+    checkField("bpruParams", "allocValue", allocValue, 0, 7);
+    checkField("bpruParams", "tagBits", tagBits, 0, 32);
+}
+
 BpruEstimator::BpruEstimator(std::size_t size_bytes, const Params &params)
     : sizeBytes_(size_bytes),
       params_(params)

@@ -47,6 +47,9 @@ class BpruEstimator : public ConfidenceEstimator
         unsigned correctDec = 1; ///< counter -= on a correct prediction
         unsigned allocValue = 4; ///< counter value for fresh entries
         unsigned tagBits = 10;   ///< partial tag width
+
+        /** Fatal, naming the field, unless every field is in range. */
+        void validate() const;
     };
 
     /**

@@ -77,9 +77,14 @@ struct SimConfig
     /**
      * Resolve derived parameters: pipeline-depth mapping, DL1 extra
      * latency, bpred power scaling. Idempotent; the Simulator
-     * constructor calls it automatically.
+     * constructor calls it automatically. Every call validates, so a
+     * config that arrives finalized is checked too.
      */
     void finalize();
+
+    /** Fatal, naming the field, unless every machine field is in
+     *  range and the machine's parts fit together. */
+    void validate() const;
 
     /** Set once finalize() has run (guards double power scaling). */
     bool finalized = false;

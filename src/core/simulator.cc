@@ -35,16 +35,14 @@ confKindName(ConfKind k)
 void
 SimConfig::finalize()
 {
+    if (!finalized) {
+        core.applyPipelineDepth(pipelineDepth);
+        memory.dl1ExtraLatency = core.extraDl1Latency;
+    }
+    validate();
     if (finalized)
         return;
     finalized = true;
-    core.applyPipelineDepth(pipelineDepth);
-    memory.dl1ExtraLatency = core.extraDl1Latency;
-    core.validate();
-    if (specControl.mode != SpecControlMode::None &&
-        confKind == ConfKind::None) {
-        stsim_fatal("speculation control needs a confidence estimator");
-    }
     // Bpred-unit power follows its total array budget: predictor plus
     // confidence estimator when one is present (Figure 7 scaling; also
     // charges Selective Throttling for its estimator hardware).
@@ -52,6 +50,28 @@ SimConfig::finalize()
     if (confKind == ConfKind::Bpru || confKind == ConfKind::Jrs)
         budget += confBytes;
     power.scaleBpredSize(budget);
+}
+
+void
+SimConfig::validate() const
+{
+    checkField("config", "pipelineDepth", pipelineDepth, kMinPipelineDepth,
+               kMaxPipelineDepth);
+    core.validate();
+    memory.validate();
+    bpred.validate();
+    // BPRU spends 2 bytes an entry and JRS half a byte.
+    checkField("config", "confBytes", confBytes, 2, 1 << 20, true);
+    checkField("config", "jrsThreshold", jrsThreshold, 1, 15);
+    bpruParams.validate();
+    specControl.validate();
+    if (specControl.mode != SpecControlMode::None) {
+        if (confKind == ConfKind::None)
+            stsim_fatal("speculation control needs a confidence estimator");
+        if (core.oracle != OracleMode::None)
+            stsim_fatal("oracle modes and speculation control are "
+                        "exclusive");
+    }
 }
 
 namespace
@@ -185,6 +205,28 @@ Simulator::run(const CancelToken *cancel)
 namespace
 {
 
+/**
+ * Cycles the run-away guard allows each measured instruction: 64, or
+ * twice the longest wait between two commits when that is longer. That
+ * wait is a redirect after a mispredict and a BTB miss, a refetch
+ * through il1, l2 and memory, the pipeline's depth, then a load through
+ * the TLB, dl1, l2 and memory. So no latency validate() accepts trips
+ * the guard on a machine that still commits.
+ */
+Cycle
+guardCyclesPerInst(const SimConfig &cfg)
+{
+    const CoreConfig &c = cfg.core;
+    const MemoryConfig &m = cfg.memory;
+    const Cycle gap = Cycle{c.extraMispredictPenalty} + c.btbMissPenalty +
+                      m.il1.hitLatency + 2 * (Cycle{m.l2.hitLatency} +
+                                              m.memLatency) +
+                      c.pipelineStages + c.extraExecLatency +
+                      m.tlbMissPenalty + m.dl1.hitLatency +
+                      m.dl1ExtraLatency;
+    return std::max<Cycle>(64, 2 * gap);
+}
+
 /** Every power parameter's bytes: configs meter alike exactly when
  *  these match (value equality would let +0.0 and -0.0 share). */
 std::string
@@ -306,7 +348,8 @@ Simulator::measure(const std::vector<Stop> &stops, const CancelToken *cancel)
         // panic; every longer run's bound is looser.
         const std::uint64_t target = length(order[k]);
         const Cycle max_cycles =
-            static_cast<Cycle>(target) * 64 + 1'000'000;
+            static_cast<Cycle>(target) * guardCyclesPerInst(cfg_) +
+            1'000'000;
         while (core_->stats().committedInsts < target) {
             core_->tick();
             if (cancel && (core_->now() & kCancelPollMask) == 0 &&

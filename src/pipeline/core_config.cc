@@ -8,9 +8,8 @@ namespace stsim
 void
 CoreConfig::applyPipelineDepth(unsigned total_stages)
 {
-    if (total_stages < kMinPipelineDepth || total_stages > kMaxPipelineDepth)
-        stsim_fatal("pipeline depth %u outside supported range [%u,%u]",
-                    total_stages, kMinPipelineDepth, kMaxPipelineDepth);
+    checkField("config", "pipelineDepth", total_stages, kMinPipelineDepth,
+               kMaxPipelineDepth);
     pipelineStages = total_stages;
 
     // Four fixed backend stages: dispatch, issue/select, writeback,
@@ -27,19 +26,34 @@ CoreConfig::applyPipelineDepth(unsigned total_stages)
 void
 CoreConfig::validate() const
 {
-    if (fetchWidth == 0 || decodeWidth == 0 || issueWidth == 0 ||
-        commitWidth == 0)
-        stsim_fatal("zero pipeline width");
-    if (fetchWidth > 64 || issueWidth > 64)
-        stsim_fatal("implausible width");
-    if (ruuSize < 8 || lsqSize < 4)
-        stsim_fatal("window/LSQ too small");
-    if (fetchStages < 1 || decodeStages < 1)
-        stsim_fatal("front-end depth must be at least 1+1");
-    if (numIntAlu == 0 || numMemPorts == 0)
-        stsim_fatal("need at least one int ALU and one memory port");
-    if (maxTakenBranchesPerFetch == 0)
-        stsim_fatal("maxTakenBranchesPerFetch must be >= 1");
+    auto check = [](const char *key, unsigned v, unsigned lo,
+                    unsigned hi) { checkField("core", key, v, lo, hi); };
+    check("fetchWidth", fetchWidth, 1, kMaxWidth);
+    check("decodeWidth", decodeWidth, 1, kMaxWidth);
+    check("issueWidth", issueWidth, 1, kMaxWidth);
+    check("commitWidth", commitWidth, 1, kMaxWidth);
+    check("maxTakenBranchesPerFetch", maxTakenBranchesPerFetch, 1,
+          kMaxWidth);
+    check("ruuSize", ruuSize, 8, kMaxWindow);
+    check("lsqSize", lsqSize, 4, kMaxWindow);
+    // An instruction class without a unit never issues: the window
+    // deadlocks at its first such instruction.
+    check("numIntAlu", numIntAlu, 1, kMaxWidth);
+    check("numIntMult", numIntMult, 1, kMaxWidth);
+    check("numMemPorts", numMemPorts, 1, kMaxWidth);
+    check("numFpAlu", numFpAlu, 1, kMaxWidth);
+    check("numFpMult", numFpMult, 1, kMaxWidth);
+    // applyPipelineDepth() derives these; a finalized config may carry
+    // any values.
+    check("pipelineStages", pipelineStages, kMinPipelineDepth,
+          kMaxPipelineDepth);
+    check("fetchStages", fetchStages, 1, kMaxPipelineDepth);
+    check("decodeStages", decodeStages, 1, kMaxPipelineDepth);
+    check("extraExecLatency", extraExecLatency, 0, kMaxPipelineDepth);
+    check("extraDl1Latency", extraDl1Latency, 0, kMaxPipelineDepth);
+    check("extraMispredictPenalty", extraMispredictPenalty, 0,
+          kMaxLatency);
+    check("btbMissPenalty", btbMissPenalty, 0, kMaxLatency);
 }
 
 } // namespace stsim

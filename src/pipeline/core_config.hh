@@ -28,6 +28,13 @@ enum class OracleMode : std::uint8_t
 inline constexpr unsigned kMinPipelineDepth = 6;
 inline constexpr unsigned kMaxPipelineDepth = 32;
 
+/** The widest fetch, decode, issue and commit, and the most units of
+ *  one kind, a CoreConfig may set. */
+inline constexpr unsigned kMaxWidth = 64;
+
+/** The largest RUU and LSQ a CoreConfig may set. */
+inline constexpr unsigned kMaxWindow = 4096;
+
 /**
  * Core configuration. The pipeline-depth parameters (fetchStages,
  * decodeStages, extraExecLatency, extraDl1Latency) are usually derived
@@ -90,7 +97,7 @@ struct CoreConfig
      */
     void applyPipelineDepth(unsigned total_stages);
 
-    /** Sanity-check ranges; fatals on nonsense. */
+    /** Fatal, naming the field, unless every field is in range. */
     void validate() const;
 
     /** Base execution latency of an instruction class (pre-extra). */

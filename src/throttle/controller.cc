@@ -6,6 +6,13 @@
 namespace stsim
 {
 
+void
+SpecControlConfig::validate() const
+{
+    // A threshold above any window's branch count never gates.
+    checkField("specControl", "gatingThreshold", gatingThreshold, 1, 4096);
+}
+
 SpeculationController::SpeculationController(const SpecControlConfig &cfg)
     : cfg_(cfg)
 {

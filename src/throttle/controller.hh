@@ -36,6 +36,9 @@ struct SpecControlConfig
     SpecControlMode mode = SpecControlMode::None;
     ThrottlePolicy policy;        ///< Selective mode only
     unsigned gatingThreshold = 2; ///< PipelineGating mode only
+
+    /** Fatal, naming the field, unless every field is in range. */
+    void validate() const;
 };
 
 template <FieldsOf<SpecControlConfig> S, typename V>

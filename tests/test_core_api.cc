@@ -9,7 +9,14 @@
 
 #include <atomic>
 #include <iterator>
+#include <limits>
+#include <optional>
+#include <set>
+#include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "core/cancel.hh"
@@ -109,6 +116,144 @@ TEST(SimConfig, DepthPropagatesToDl1Latency)
     cfg.finalize();
     EXPECT_GT(cfg.memory.dl1ExtraLatency, 0u);
     EXPECT_EQ(cfg.memory.dl1ExtraLatency, cfg.core.extraDl1Latency);
+}
+
+namespace
+{
+
+template <typename T>
+concept HasFields = requires(T &t) {
+    visitFields(t, [](const char *, auto &, auto &&...) {});
+};
+
+/**
+ * Calls @p fn(path, field, type max) for every unsigned integer field
+ * of @p s and of the structs it holds, paths dotted ("memory.dl1.ways").
+ */
+template <typename S, typename Fn>
+void
+forEachUnsigned(S &s, const std::string &prefix, Fn &&fn)
+{
+    visitFields(s, [&](const char *key, auto &field, auto &&...) {
+        using T = std::remove_cvref_t<decltype(field)>;
+        const std::string path = prefix + key;
+        if constexpr (std::is_unsigned_v<T> && !std::is_same_v<T, bool>)
+            fn(path, field, std::uint64_t{std::numeric_limits<T>::max()});
+        else if constexpr (HasFields<T>)
+            forEachUnsigned(field, path + ".", fn);
+    });
+}
+
+/** The machine fields: every unsigned field but run length and seed. */
+std::vector<std::pair<std::string, std::uint64_t>>
+machineFields(SimConfig cfg)
+{
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    forEachUnsigned(cfg, "", [&](const std::string &path, auto &,
+                                 std::uint64_t max) {
+        if (path != "maxInstructions" && path != "warmupInstructions" &&
+            path != "runSeed")
+            out.emplace_back(path, max);
+    });
+    return out;
+}
+
+/** Runs @p cfg with @p path set to @p v: the fatal's message, or
+ *  nullopt when the run completes. */
+std::optional<std::string>
+runWith(SimConfig cfg, const std::string &path, std::uint64_t v)
+{
+    forEachUnsigned(cfg, "", [&](const std::string &p, auto &field,
+                                 std::uint64_t) {
+        if (p == path)
+            field = static_cast<std::remove_cvref_t<decltype(field)>>(v);
+    });
+    FatalCaptureScope capture;
+    try {
+        Simulator sim(cfg);
+        sim.run();
+        return std::nullopt;
+    } catch (const FatalError &e) {
+        return std::string(e.what());
+    }
+}
+
+/** A C2 (BPRU) or PG (JRS) machine running 2,000 instructions. */
+SimConfig
+boundsConfig(const char *experiment)
+{
+    SimConfig cfg;
+    cfg.benchmark = "bzip2";
+    cfg.maxInstructions = 2'000;
+    cfg.warmupInstructions = 0;
+    Experiment::byName(experiment).applyTo(cfg);
+    return cfg;
+}
+
+} // namespace
+
+/// Every unsigned machine field has a bound that validate() states in
+/// its fatal: at 0, 1, the bound and one past it, a run either
+/// completes or fails with a fatal naming the field, and the bound
+/// itself runs. The fields finalize() derives from pipelineDepth take
+/// any value, because finalize() overwrites them.
+TEST(SimConfig, EveryMachineFieldIsBounded)
+{
+    const std::set<std::string> derived = {
+        "core.pipelineStages",   "core.fetchStages",
+        "core.decodeStages",     "core.extraExecLatency",
+        "core.extraDl1Latency",  "memory.dl1ExtraLatency"};
+    for (const char *experiment : {"C2", "PG"}) {
+        const SimConfig base = boundsConfig(experiment);
+        std::set<std::string> unbounded;
+        for (const auto &[path, max] : machineFields(base)) {
+            SCOPED_TRACE(std::string(experiment) + " " + path);
+            const std::string key = path.substr(path.rfind('.') + 1);
+            const std::optional<std::string> atMax =
+                runWith(base, path, max);
+            if (!atMax) {
+                unbounded.insert(path);
+                continue;
+            }
+            ASSERT_NE(atMax->find(key), std::string::npos) << *atMax;
+            const std::size_t open = atMax->rfind(", ");
+            ASSERT_NE(open, std::string::npos) << *atMax;
+            const std::uint64_t bound = std::stoull(atMax->substr(open + 2));
+            for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1},
+                                    bound, bound + 1}) {
+                SCOPED_TRACE(v);
+                const std::optional<std::string> got =
+                    runWith(base, path, v);
+                if (got)
+                    EXPECT_NE(got->find(key), std::string::npos) << *got;
+                if (v == bound)
+                    EXPECT_FALSE(got) << *got;
+                if (v == bound + 1)
+                    EXPECT_TRUE(got) << "one past the bound ran";
+            }
+        }
+        EXPECT_EQ(unbounded, derived);
+    }
+}
+
+/// With every latency and penalty at its bound, a job still commits
+/// often enough that neither watchdog fires. The run is long enough
+/// that a fixed run-away guard of 64 cycles an instruction would fire.
+TEST(SimConfig, EveryLatencyAtItsBoundRuns)
+{
+    SimConfig cfg = boundsConfig("C2");
+    cfg.maxInstructions = 10'000;
+    cfg.warmupInstructions = 1'000;
+    cfg.core.extraMispredictPenalty = kMaxLatency;
+    cfg.core.btbMissPenalty = kMaxLatency;
+    for (CacheConfig *c : {&cfg.memory.il1, &cfg.memory.dl1, &cfg.memory.l2})
+        c->hitLatency = kMaxLatency;
+    cfg.memory.memLatency = kMaxLatency;
+    cfg.memory.tlbMissPenalty = kMaxLatency;
+    Simulator sim(cfg);
+    const SimResults r = sim.run();
+    EXPECT_GE(r.core.committedInsts, cfg.maxInstructions);
+    EXPECT_GT(r.core.cycles, 64 * cfg.maxInstructions + 1'000'000);
 }
 
 TEST(Experiment, RegistryKnowsPaperNames)

@@ -264,6 +264,16 @@ TEST(Serve, GarbageAndBadRequestsGetStructuredErrors)
     EXPECT_NE(reply.find("numBlocks"), std::string::npos) << reply;
     EXPECT_NE(reply.find("\"id\":4"), std::string::npos);
 
+    // A machine with no FP ALU would deadlock at its first FP op and
+    // panic the daemon; config validation refuses it by name.
+    SimJob noFp = tinyJob(200'000);
+    noFp.cfg.core.numFpAlu = 0;
+    c.send(requestFrame(noFp, 5));
+    reply = c.readLine();
+    EXPECT_TRUE(startsWith(reply, "{\"error\":\"bad_request\"")) << reply;
+    EXPECT_NE(reply.find("numFpAlu"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("\"id\":5"), std::string::npos);
+
     // The connection survived all of the above.
     c.send("{\"op\":\"ping\",\"id\":1}\n");
     EXPECT_EQ(c.readLine(), "{\"pong\":1}");
@@ -271,7 +281,7 @@ TEST(Serve, GarbageAndBadRequestsGetStructuredErrors)
     server.beginDrain();
     server.waitDrained();
     EXPECT_EQ(server.stats().parseErrors.load(), 2u);
-    EXPECT_EQ(server.stats().badRequests.load(), 2u);
+    EXPECT_EQ(server.stats().badRequests.load(), 3u);
 }
 
 TEST(Serve, OversizeFrameIsDiscardedNotBuffered)
