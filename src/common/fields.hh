@@ -37,9 +37,10 @@ concept FieldsOf = std::same_as<std::remove_const_t<S>, T>;
 
 /**
  * The largest latency or penalty, in cycles, a machine config may set.
- * With every one at this bound a commit still follows the one before it
- * within about ten thousand cycles, far inside the core's
- * 100,000-cycle no-commit watchdog.
+ * With every one at this bound, the longest wait between two commits
+ * of the baseline, C2 and PG jobs of all eight benchmarks (20K
+ * instructions after 5K of warmup) was 7,991 cycles, far inside the
+ * core's 100,000-cycle no-commit watchdog.
  */
 inline constexpr unsigned kMaxLatency = 1000;
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Randomized equivalence tests for the bitmask-first hot path: the
- * two-level ScanMask against a brute-force bit set, and the batched
+ * single-level ScanMask against a brute-force bit set, and the batched
  * nextGroup walkers against serial next() streams.
  */
 
@@ -52,8 +52,8 @@ sameInst(const TraceInst &a, const TraceInst &b)
 // ---------------------------------------------------------------------
 
 /// Drive a ScanMask with a sliding window of monotone positions and
-/// compare firstSet()/none()/test() against a brute-force reference on
-/// every step, including wrap of the underlying bit ring.
+/// compare firstSet()/none()/count()/test() against a brute-force
+/// reference on every step, including wrap of the underlying bit ring.
 TEST(ScanMask, RandomizedEquivalenceAcrossWrap)
 {
     Rng rng(0xc0ffee5ull);
@@ -82,8 +82,9 @@ TEST(ScanMask, RandomizedEquivalenceAcrossWrap)
             ++base;
         }
 
-        // none() against the reference.
+        // none() and count() against the reference.
         ASSERT_EQ(m.none(), set_pos.empty());
+        ASSERT_EQ(m.count(), set_pos.size());
 
         // firstSet from a few random starting points.
         for (int probe = 0; probe < 4; ++probe) {
