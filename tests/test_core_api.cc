@@ -224,12 +224,15 @@ TEST(SimConfig, EveryMachineFieldIsBounded)
                 SCOPED_TRACE(v);
                 const std::optional<std::string> got =
                     runWith(base, path, v);
-                if (got)
+                if (got) {
                     EXPECT_NE(got->find(key), std::string::npos) << *got;
-                if (v == bound)
+                }
+                if (v == bound) {
                     EXPECT_FALSE(got) << *got;
-                if (v == bound + 1)
+                }
+                if (v == bound + 1) {
                     EXPECT_TRUE(got) << "one past the bound ran";
+                }
             }
         }
         EXPECT_EQ(unbounded, derived);
